@@ -14,7 +14,10 @@
 #                     under the race detector
 #   make test-crash   durability suite under the race detector: WAL
 #                     append/replay/rotation, crash-recovery equivalence
-#                     property, daemon restart, FuzzWALReplay seed corpus
+#                     property, pinned-epoch retention, daemon restart,
+#                     FuzzWALReplay seed corpus
+#   make bench-test   the bench module's own tests (it sits outside the
+#                     root module, so `go test ./...` never reaches it)
 
 GO ?= go
 # BENCHTIME feeds -benchtime: the default 1s gives stable numbers; CI
@@ -24,9 +27,9 @@ BENCHTIME ?= 1s
 BENCHOUT ?= BENCH_PR10.json
 BENCHBASE ?= BENCH_PR9.json
 
-.PHONY: check vet build test race bench benchdiff benchgate smoke smoke-daemon loadtest test-faults test-crash fmt
+.PHONY: check vet build test race bench bench-test benchdiff benchgate smoke smoke-daemon loadtest test-faults test-crash fmt
 
-check: vet build race test-faults test-crash smoke smoke-daemon
+check: vet build race test-faults test-crash bench-test smoke smoke-daemon
 
 vet:
 	$(GO) vet ./...
@@ -52,13 +55,20 @@ test-faults:
 # test-crash runs the durability suite under the race detector: the wal
 # package in full (record codec, group commit, torn-tail truncation,
 # segment rotation, snapshot compaction, FuzzWALReplay's seed corpus),
-# the dataset snapshot codec, the server-level crash-recovery
-# equivalence property (seeded kill-and-restart across workers ×
-# shards), and the daemon restart round trip.
+# the dataset snapshot codec and SnapshotAt retention property, the
+# server-level crash-recovery equivalence property (seeded
+# kill-and-restart across workers × shards), pinned epochs across
+# compaction, restart and cache eviction, and the daemon restart round
+# trip.
 test-crash:
 	$(GO) test -race ./internal/wal ./internal/dataset
-	$(GO) test -race -run 'Durable|Recovery|Retention|SnapshotCompaction|DriftRearms|WALSync' \
+	$(GO) test -race -run 'Durable|Recovery|Retention|Compaction|PinnedEpoch|DriftRearms|WALSync' \
 		./internal/server ./cmd/hdivexplorerd
+
+# bench-test runs the benchmark harness's unit tests in short mode; the
+# bench module has its own go.mod, so the root test targets skip it.
+bench-test:
+	cd bench && $(GO) test -short ./...
 
 # bench runs the full suite and also writes $(BENCHOUT): a JSON record
 # per benchmark (name, iterations, ns/op, B/op, allocs/op and custom

@@ -61,8 +61,9 @@
 // group commit; interval = background flush; none = page cache),
 // -wal-segment-bytes the segment rotation size (each rotation also
 // triggers a background full-table snapshot that lets old segments be
-// deleted), and -epoch-retain how many recent epochs stay servable as
-// pinned replays before the retention sweep ages them out (410 Gone).
+// deleted), and -epoch-retain how many recent epochs, the current one
+// included, stay servable as "epoch": e pins, with or without -wal-dir
+// (older pins answer 410 Gone; compaction keeps every retained epoch).
 //
 // The -budget-* flags bound every exploration's resource consumption;
 // on exhaustion the request is answered 200 with a ranked report flagged
@@ -182,7 +183,7 @@ func main() {
 		walDir          = flag.String("wal-dir", "", "directory for per-dataset write-ahead logs; appends become durable and survive restarts (empty = in-memory only)")
 		walSync         = flag.String("wal-sync", "always", "WAL durability policy: always (fsync before every ack, group-committed), interval (background flush) or none (page cache)")
 		walSegmentBytes = flag.Int64("wal-segment-bytes", 0, "WAL segment rotation size in bytes; each rotation triggers background snapshot/compaction (0 = default 4 MiB)")
-		epochRetain     = flag.Int("epoch-retain", 0, "recent epochs kept servable as pinned replays before the retention sweep retires them (0 = default 8; negative = no sweep)")
+		epochRetain     = flag.Int("epoch-retain", 0, "recent epochs, the current one included, servable as \"epoch\": e pins; older pins answer 410 Gone (0 or negative = default 8)")
 
 		readHeaderTimeout = flag.Duration("read-header-timeout", 10*time.Second, "http.Server.ReadHeaderTimeout: slow-header (Slowloris) guard")
 		readTimeout       = flag.Duration("read-timeout", time.Minute, "http.Server.ReadTimeout: full request read bound (0 = none)")

@@ -249,36 +249,3 @@ func DecodeSnapshot(r io.Reader) (*Table, uint64, error) {
 	}
 	return tab, epoch, nil
 }
-
-// NewVersionedAt wraps t as the given epoch instead of 1 — the recovery
-// constructor: a decoded snapshot resumes at its recorded epoch, then
-// WAL replay advances it record by record.
-func NewVersionedAt(t *Table, epoch uint64) *Versioned {
-	if epoch < 1 {
-		epoch = 1
-	}
-	v := NewVersioned(t)
-	v.epoch = epoch
-	return v
-}
-
-// AppendWith is Append with a durability hook: after the batch
-// validates and the next epoch is known, but before any column is
-// touched, durable(nextEpoch) runs inside the critical section. If it
-// fails (e.g. the write-ahead record cannot be buffered) the append
-// aborts with the epoch unchanged — the memory image never runs ahead
-// of what the log can replay. durable must not call back into v.
-func (v *Versioned) AppendWith(b *Batch, durable func(epoch uint64) error) (epoch uint64, total int, err error) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if err := v.validate(b); err != nil {
-		return v.epoch, v.nrows, err
-	}
-	if durable != nil {
-		if err := durable(v.epoch + 1); err != nil {
-			return v.epoch, v.nrows, err
-		}
-	}
-	v.applyLocked(b)
-	return v.epoch, v.nrows, nil
-}

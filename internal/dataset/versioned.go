@@ -23,12 +23,30 @@ import (
 // any column is touched, and the epoch advances only after every column
 // has grown. Concurrent Snapshot/Append calls are safe; Append callers are
 // serialized.
+//
+// Because of the frozen prefix, a past epoch is fully determined by its
+// row count and each categorical column's level count. Versioned keeps
+// those marks for the most recent epochs in a bounded ring, so SnapshotAt
+// can rebuild any retained epoch's view without storing a table per epoch.
 type Versioned struct {
 	mu    sync.Mutex
 	epoch uint64
 	cols  []vcol
 	nrows int
+	marks []mark // ring indexed by epoch % len(marks)
 	snap  *Table // cached snapshot of the current epoch
+}
+
+// DefaultRetain is how many recent epochs, the current one included,
+// SnapshotAt serves when SetRetain was never called.
+const DefaultRetain = 8
+
+// mark records what one epoch's view exposes: its row count and, per
+// column, its categorical level count (0 for continuous columns).
+type mark struct {
+	epoch  uint64 // 0 marks an empty ring slot
+	nrows  int
+	levels []int
 }
 
 // vcol is the canonical growable storage of one column.
@@ -43,7 +61,18 @@ type vcol struct {
 // NewVersioned wraps t as epoch 1 of a versioned dataset. Column storage
 // is copied, so the source table is unaffected by later appends.
 func NewVersioned(t *Table) *Versioned {
-	v := &Versioned{epoch: 1, nrows: t.nrows}
+	return NewVersionedAt(t, 1)
+}
+
+// NewVersionedAt wraps t as the given epoch instead of 1 — the recovery
+// constructor: a decoded snapshot resumes at its recorded epoch, then
+// WAL replay advances it record by record. No earlier epoch is
+// retained.
+func NewVersionedAt(t *Table, epoch uint64) *Versioned {
+	if epoch < 1 {
+		epoch = 1
+	}
+	v := &Versioned{epoch: epoch, nrows: t.nrows, marks: make([]mark, DefaultRetain)}
 	for _, c := range t.cols {
 		vc := vcol{field: c.field}
 		if c.field.Kind == Continuous {
@@ -58,7 +87,34 @@ func NewVersioned(t *Table) *Versioned {
 		}
 		v.cols = append(v.cols, vc)
 	}
+	v.markLocked()
 	return v
+}
+
+// SetRetain sets how many recent epochs, the current one included,
+// SnapshotAt serves: after epoch E, epochs at or below E−n are gone.
+// n < 1 selects DefaultRetain. The window restarts at the current epoch,
+// so call it right after construction — before WAL replay, when
+// recovering — to keep every later epoch's mark.
+func (v *Versioned) SetRetain(n int) {
+	if n < 1 {
+		n = DefaultRetain
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.marks = make([]mark, n)
+	v.markLocked()
+}
+
+// markLocked records the current epoch's mark, overwriting the ring slot
+// of the epoch that just fell out of the window. Callers hold v.mu.
+func (v *Versioned) markLocked() {
+	m := &v.marks[v.epoch%uint64(len(v.marks))]
+	m.epoch, m.nrows = v.epoch, v.nrows
+	m.levels = m.levels[:0]
+	for i := range v.cols {
+		m.levels = append(m.levels, len(v.cols[i].levels))
+	}
 }
 
 // Epoch returns the current epoch (1 for the as-loaded table, +1 per
@@ -86,26 +142,74 @@ func (v *Versioned) Fields() []Field {
 }
 
 // Snapshot returns an immutable table view of the current epoch together
-// with its epoch number. The table shares storage with the canonical
-// columns through capacity-clamped slices, so building one is O(columns),
-// and it remains valid (and constant) however many appends follow.
+// with its epoch number: SnapshotAt of the current epoch, cached until the
+// next append.
 func (v *Versioned) Snapshot() (*Table, uint64) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if v.snap == nil {
-		b := NewBuilder()
-		for i := range v.cols {
-			c := &v.cols[i]
-			if c.field.Kind == Continuous {
-				b.AddFloat(c.field.Name, c.floats[:v.nrows:v.nrows])
-			} else {
-				nl := len(c.levels)
-				b.AddCategoricalCodes(c.field.Name, c.codes[:v.nrows:v.nrows], c.levels[:nl:nl])
-			}
+	t, _ := v.atLocked(v.epoch)
+	return t, v.epoch
+}
+
+// SnapshotAt returns the immutable table view of a retained epoch: the
+// current one or any of the SetRetain−1 before it, never one before the
+// epoch the dataset was constructed at. The view shares storage with the
+// canonical columns through capacity-clamped slices, so building one is
+// O(columns), and it remains valid (and constant) however many appends
+// follow. The result equals the Snapshot taken while that epoch was
+// current. ok is false for a future, retired or never-seen epoch.
+func (v *Versioned) SnapshotAt(epoch uint64) (t *Table, ok bool) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.atLocked(epoch)
+}
+
+// Oldest returns the oldest epoch SnapshotAt still serves. Every epoch
+// below it is retired: epoch-keyed caches and log compaction follow this
+// floor.
+func (v *Versioned) Oldest() uint64 {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	oldest := v.epoch
+	for _, m := range v.marks {
+		if m.epoch != 0 && m.epoch < oldest {
+			oldest = m.epoch
 		}
-		v.snap = b.MustBuild()
 	}
-	return v.snap, v.epoch
+	return oldest
+}
+
+// atLocked implements SnapshotAt. The ring holds exactly the retained
+// epochs — a slot is overwritten when its epoch leaves the window — so a
+// future, retired or pre-base epoch finds an empty slot or another
+// epoch's mark. Callers hold v.mu.
+func (v *Versioned) atLocked(epoch uint64) (*Table, bool) {
+	m := &v.marks[epoch%uint64(len(v.marks))]
+	if epoch == 0 || m.epoch != epoch {
+		return nil, false
+	}
+	if epoch != v.epoch {
+		return v.view(m), true
+	}
+	if v.snap == nil {
+		v.snap = v.view(m)
+	}
+	return v.snap, true
+}
+
+// view builds the capacity-clamped table of one epoch's mark.
+func (v *Versioned) view(m *mark) *Table {
+	b := NewBuilder()
+	for i := range v.cols {
+		c := &v.cols[i]
+		if c.field.Kind == Continuous {
+			b.AddFloat(c.field.Name, c.floats[:m.nrows:m.nrows])
+		} else {
+			nl := m.levels[i]
+			b.AddCategoricalCodes(c.field.Name, c.codes[:m.nrows:m.nrows], c.levels[:nl:nl])
+		}
+	}
+	return b.MustBuild()
 }
 
 // Batch is a parsed, schema-checked set of rows to append: per column of
@@ -216,15 +320,33 @@ func (v *Versioned) validate(b *Batch) error {
 }
 
 // Append grows the dataset by one batch and returns the new epoch and
+// total row count: AppendWith without a durability hook.
+func (v *Versioned) Append(b *Batch) (epoch uint64, total int, err error) {
+	return v.AppendWith(b, nil)
+}
+
+// AppendWith grows the dataset by one batch and returns the new epoch and
 // total row count. The append is atomic: validation happens up front, and
 // the epoch (with the snapshot rows it exposes) advances only after every
 // column has grown. Unknown categorical level names extend the column's
 // dictionary append-only; existing codes are never reassigned.
-func (v *Versioned) Append(b *Batch) (epoch uint64, total int, err error) {
+//
+// durable, when non-nil, is the durability hook: after the batch
+// validates and the next epoch is known, but before any column is
+// touched, durable(nextEpoch) runs inside the critical section. If it
+// fails (e.g. the write-ahead record cannot be buffered) the append
+// aborts with the epoch unchanged — the memory image never runs ahead
+// of what the log can replay. durable must not call back into v.
+func (v *Versioned) AppendWith(b *Batch, durable func(epoch uint64) error) (epoch uint64, total int, err error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if err := v.validate(b); err != nil {
 		return v.epoch, v.nrows, err
+	}
+	if durable != nil {
+		if err := durable(v.epoch + 1); err != nil {
+			return v.epoch, v.nrows, err
+		}
 	}
 	v.applyLocked(b)
 	return v.epoch, v.nrows, nil
@@ -252,6 +374,7 @@ func (v *Versioned) applyLocked(b *Batch) {
 	v.nrows += b.N
 	v.epoch++
 	v.snap = nil
+	v.markLocked()
 }
 
 // NewLevels reports whether the batch introduces categorical level names

@@ -1,7 +1,10 @@
 package dataset
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -163,6 +166,63 @@ func TestParseBatch(t *testing.T) {
 			t.Errorf("%s: ParseBatch accepted invalid body", name)
 		} else if !strings.Contains(err.Error(), "dataset:") {
 			t.Errorf("%s: error %q missing package prefix", name, err)
+		}
+	}
+}
+
+// TestSnapshotAtProperty applies seeded random batches, some introducing
+// new categorical levels, and checks after every append that each
+// retained epoch's SnapshotAt equals the Snapshot taken while that epoch
+// was current, while retired, future and pre-base epochs report false.
+// The base table has no NaN: reflect.DeepEqual never equates NaNs held in
+// distinct backing arrays.
+func TestSnapshotAtProperty(t *testing.T) {
+	tab := NewBuilder().
+		AddFloat("age", []float64{25, 40, 33, 61}).
+		AddCategorical("sex", []string{"male", "female", "male", "female"}).
+		MustBuild()
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		retain := 1 + rng.Intn(5)
+		base := uint64(1 + rng.Intn(4))
+		v := NewVersionedAt(tab, base)
+		v.SetRetain(retain)
+		snaps := map[uint64]*Table{}
+		snaps[base], _ = v.Snapshot()
+		for i := 0; i < 20; i++ {
+			n := 1 + rng.Intn(4)
+			ages := make([]float64, n)
+			sexes := make([]string, n)
+			for j := range ages {
+				ages[j] = float64(rng.Intn(90))
+				sexes[j] = []string{"male", "female"}[rng.Intn(2)]
+				if rng.Intn(4) == 0 {
+					sexes[j] = fmt.Sprintf("level%d", rng.Intn(1000))
+				}
+			}
+			if _, _, err := v.Append(floatBatch(ages, sexes)); err != nil {
+				t.Fatalf("seed %d append %d: %v", seed, i, err)
+			}
+			cur := v.Epoch()
+			snaps[cur], _ = v.Snapshot()
+			var oldest uint64
+			for e := uint64(0); e <= cur+1; e++ {
+				got, ok := v.SnapshotAt(e)
+				retained := e >= base && e <= cur && e+uint64(retain) > cur
+				if ok != retained {
+					t.Fatalf("seed %d (retain %d, base %d): SnapshotAt(%d) at epoch %d ok=%v, want %v",
+						seed, retain, base, e, cur, ok, retained)
+				}
+				if ok && !reflect.DeepEqual(got, snaps[e]) {
+					t.Fatalf("seed %d: SnapshotAt(%d) at epoch %d differs from the snapshot taken at %d", seed, e, cur, e)
+				}
+				if ok && oldest == 0 {
+					oldest = e
+				}
+			}
+			if got := v.Oldest(); got != oldest {
+				t.Fatalf("seed %d: Oldest at epoch %d = %d, want %d", seed, cur, got, oldest)
+			}
 		}
 	}
 }

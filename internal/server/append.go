@@ -92,12 +92,8 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	s.tracer.Counter(obs.CtrServerAppends).Add(1)
 	s.tracer.Counter(obs.CtrServerAppendRows).Add(int64(batch.N))
 	s.tracer.SetGauge(obs.GaugeServerEpochPrefix+name, float64(epoch))
-	if h := s.history[name]; h != nil {
-		t, e := v.Snapshot()
-		h.note(e, t)
-	}
 	s.drift.noteEpoch(name)
-	s.sweepRetention(name, epoch)
+	s.sweepRetention(name)
 	if res.Rotated {
 		s.maybeCompact(name)
 	}

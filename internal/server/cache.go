@@ -156,23 +156,6 @@ func (c *universeCache) get(ctx context.Context, key cacheKey, build func(*cache
 	}
 }
 
-// peek returns the entry for key if it is cached and fully built, without
-// building, blocking or touching recency. Epoch-pinned requests use it:
-// an old epoch is servable exactly while its entry survives in the cache.
-func (c *universeCache) peek(key cacheKey) (*cacheEntry, bool) {
-	c.mu.Lock()
-	el, ok := c.entries[key]
-	c.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	e := el.Value.(*lruItem).entry
-	if !e.built() {
-		return nil, false
-	}
-	return e, true
-}
-
 // prior returns the ready entry for the same build at the highest epoch
 // below key.epoch, if any — the base an incremental append build grows
 // from.
@@ -237,9 +220,9 @@ func (c *universeCache) staleVictimLocked() *list.Element {
 }
 
 // retire drops every entry of the dataset at or below maxEpoch — the
-// epoch-retention sweep. Retired pinned replays answer 410 Gone exactly
-// like LRU-evicted ones; entries still held by in-flight explorations
-// stay valid, only the cache's reference goes.
+// epoch-retention sweep, which keeps the cache from holding universes of
+// epochs no request can name anymore. Entries still held by in-flight
+// explorations stay valid, only the cache's reference goes.
 func (c *universeCache) retire(dataset string, maxEpoch uint64) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

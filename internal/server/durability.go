@@ -6,7 +6,6 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -47,70 +46,6 @@ func (r *RecoveryState) noteReplayed() {
 	}
 }
 
-// epochHistory retains the frozen snapshot tables of a dataset's most
-// recent epochs. It exists for durability: universe-cache entries die
-// with the process, so after a restart a pinned-epoch exploration would
-// answer 410 Gone even though WAL replay reconstructed every epoch
-// byte for byte. With the history, a pinned request whose cache entry
-// is gone rebuilds it from the retained epoch table — 410 is then
-// decided by the retention policy alone, in step with log compaction.
-// Tables share canonical column storage (frozen-prefix sub-slices), so
-// retaining an epoch costs O(columns), not O(rows).
-type epochHistory struct {
-	mu     sync.Mutex
-	tables map[uint64]*dataset.Table
-	retain int // epochs kept behind the newest; <= 0 = unbounded
-}
-
-func newEpochHistory(retain int) *epochHistory {
-	return &epochHistory{tables: make(map[uint64]*dataset.Table), retain: retain}
-}
-
-// note records epoch's frozen table and drops epochs that fell out of
-// the retention window.
-func (h *epochHistory) note(epoch uint64, tab *dataset.Table) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.tables[epoch] = tab
-	if h.retain > 0 && epoch > uint64(h.retain) {
-		for e := range h.tables {
-			if e <= epoch-uint64(h.retain) {
-				delete(h.tables, e)
-			}
-		}
-	}
-}
-
-// at returns the retained table of the given epoch, nil when it was
-// never noted or has been retired.
-func (h *epochHistory) at(epoch uint64) *dataset.Table {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.tables[epoch]
-}
-
-// retire drops every epoch at or below maxEpoch.
-func (h *epochHistory) retire(maxEpoch uint64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for e := range h.tables {
-		if e <= maxEpoch {
-			delete(h.tables, e)
-		}
-	}
-}
-
-// pinnedTable returns the retained frozen table for a pinned epoch, nil
-// when the server runs without durability or the epoch is outside the
-// retention window.
-func (s *Server) pinnedTable(name string, epoch uint64) *dataset.Table {
-	h := s.history[name]
-	if h == nil {
-		return nil
-	}
-	return h.at(epoch)
-}
-
 // walOptions derives one dataset's log options from the server config.
 func (cfg *Config) walOptions(name string) wal.Options {
 	return wal.Options{
@@ -132,8 +67,9 @@ func (cfg *Config) walOptions(name string) wal.Options {
 // record by record through the same ParseBatch+apply path HTTP appends
 // take, so dictionaries and column bytes come out identical. Replay
 // failures past the snapshot keep the recovered prefix — startup never
-// refuses over a bad tail.
-func recoverDataset(cfg *Config, name string, tab *dataset.Table, rec *RecoveryState, hist *epochHistory) (*dataset.Versioned, *wal.Log, error) {
+// refuses over a bad tail. Each replayed append records its epoch's
+// mark, so every retained epoch is servable again after the restart.
+func recoverDataset(cfg *Config, name string, tab *dataset.Table, rec *RecoveryState) (*dataset.Versioned, *wal.Log, error) {
 	w, err := wal.Open(cfg.walOptions(name))
 	if err != nil {
 		return nil, nil, fmt.Errorf("dataset %q: %w", name, err)
@@ -157,13 +93,7 @@ func recoverDataset(cfg *Config, name string, tab *dataset.Table, rec *RecoveryS
 		break
 	}
 	v := dataset.NewVersionedAt(base, baseEpoch)
-	noteEpoch := func() {
-		if hist != nil {
-			t, e := v.Snapshot()
-			hist.note(e, t)
-		}
-	}
-	noteEpoch()
+	v.SetRetain(cfg.EpochRetain)
 	info := w.Info()
 	rec.addTotal(int64(info.Records))
 	if info.Truncated {
@@ -188,7 +118,6 @@ func recoverDataset(cfg *Config, name string, tab *dataset.Table, rec *RecoveryS
 		if _, _, err := v.Append(batch); err != nil {
 			return fmt.Errorf("epoch %d: %w", r.Epoch, err)
 		}
-		noteEpoch()
 		rec.noteReplayed()
 		return nil
 	})
@@ -210,24 +139,17 @@ func recoverDataset(cfg *Config, name string, tab *dataset.Table, rec *RecoveryS
 	return v, w, nil
 }
 
-// sweepRetention enforces the epoch-retention policy after an append
-// acked epoch: cache entries of the dataset more than retain epochs old
-// are retired, so their pinned replays answer 410 Gone in step with the
-// log's compaction horizon.
-func (s *Server) sweepRetention(name string, epoch uint64) {
-	if s.epochRetain <= 0 || epoch <= uint64(s.epochRetain) {
-		return
-	}
-	floor := epoch - uint64(s.epochRetain)
-	if h := s.history[name]; h != nil {
-		h.retire(floor)
-	}
-	if n := s.cache.retire(name, floor); n > 0 {
+// sweepRetention enforces the epoch-retention policy after an append:
+// cache entries of the dataset below the oldest epoch its Versioned still
+// serves are retired, bounding universe memory under live appends.
+func (s *Server) sweepRetention(name string) {
+	oldest := s.tables[name].Oldest()
+	if n := s.cache.retire(name, oldest-1); n > 0 {
 		s.tracer.Counter(obs.CtrServerEpochsRetired).Add(int64(n))
 		s.tracer.SetGauge(obs.GaugeServerCachedUniverses, float64(s.cache.len()))
 		s.logger.Info("epochs retired",
 			slog.String("dataset", name),
-			slog.Uint64("through_epoch", floor),
+			slog.Uint64("through_epoch", oldest-1),
 			slog.Int("entries", n))
 	}
 }
@@ -252,18 +174,23 @@ func (s *Server) maybeCompact(name string) {
 	}()
 }
 
-// compact writes a full-table snapshot of the dataset's current epoch
-// and lets the log delete every segment the snapshot covers. A failure
-// mid-write (including the server.snapshot_write failpoint) discards
-// the staged file; the previous snapshot stays authoritative and no
-// segment is touched.
+// compact writes a full-table snapshot of the dataset's oldest retained
+// epoch and lets the log delete every segment the snapshot covers. The
+// records after it stay, so replay after a restart rebuilds every epoch
+// still inside the retention window. A failure mid-write (including the
+// server.snapshot_write failpoint) discards the staged file; the previous
+// snapshot stays authoritative and no segment is touched.
 func (s *Server) compact(name string) {
 	w := s.wals[name]
 	v := s.tables[name]
 	if w == nil || v == nil {
 		return
 	}
-	tab, epoch := v.Snapshot()
+	epoch := v.Oldest()
+	tab, ok := v.SnapshotAt(epoch)
+	if !ok {
+		return // an append retired it meanwhile; the next rotation retries
+	}
 	start := time.Now()
 	err := w.WriteSnapshot(epoch, func(out io.Writer) error {
 		if err := faultinject.Hit(faultinject.SiteSnapshotWrite); err != nil {

@@ -65,8 +65,8 @@ func chopTail(t *testing.T, path string, n int64) {
 // TestDurableRestartRoundTrip is the core durability contract over the
 // server surface: acknowledged appends survive a restart against the
 // same WAL directory — same epoch, byte-identical explore output — and
-// pinned replays of recent epochs keep answering because the epoch
-// history is rebuilt during replay.
+// pinned replays of recent epochs keep answering because replay
+// re-records every retained epoch's mark.
 func TestDurableRestartRoundTrip(t *testing.T) {
 	walDir := t.TempDir()
 	s1 := newTestServer(t, durableConfig(t, walDir))
@@ -151,8 +151,8 @@ func TestRecoveryTruncatesCorruptTail(t *testing.T) {
 
 // TestRetentionAgainstPinnedReplay pins the -epoch-retain contract with
 // durability on: epochs inside the window answer pinned requests even
-// when their universe was never built (rebuilt from the epoch history),
-// epochs aged out answer 410 Gone.
+// when their universe was never built (rebuilt by SnapshotAt), epochs
+// aged out answer 410 Gone.
 func TestRetentionAgainstPinnedReplay(t *testing.T) {
 	cfg := durableConfig(t, t.TempDir())
 	cfg.EpochRetain = 2
@@ -170,7 +170,7 @@ func TestRetentionAgainstPinnedReplay(t *testing.T) {
 	}
 
 	// Epoch 5 is inside the retention window (floor = 6-2 = 4) and was
-	// never explored — the history rebuilds it.
+	// never explored — SnapshotAt rebuilds it.
 	recent := req
 	recent.Epoch = 5
 	if rec := postExplore(t, s, recent); rec.Code != 200 {
@@ -249,10 +249,13 @@ func TestFaultSnapshotWriteKeepsOldAuthoritative(t *testing.T) {
 
 // TestSnapshotCompactionRecovery proves recovery through a snapshot: a
 // server that compacted restarts from the snapshot plus the WAL suffix,
-// byte-identical to the pre-restart state.
+// byte-identical to the pre-restart state. EpochRetain 1 keeps only the
+// current epoch, so the snapshot lands on epoch 2 rather than epoch 1.
 func TestSnapshotCompactionRecovery(t *testing.T) {
 	walDir := t.TempDir()
-	s1 := newTestServer(t, durableConfig(t, walDir))
+	cfg := durableConfig(t, walDir)
+	cfg.EpochRetain = 1
+	s1 := newTestServer(t, cfg)
 	if rec := postAppend(t, s1, "anomaly", quietBatch(25, 600)); rec.Code != 200 {
 		t.Fatalf("append: %d %s", rec.Code, rec.Body.String())
 	}
@@ -269,7 +272,7 @@ func TestSnapshotCompactionRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2 := newTestServer(t, durableConfig(t, walDir))
+	s2 := newTestServer(t, cfg)
 	t.Cleanup(func() { s2.Close() })
 	if epoch, rows := datasetEpoch(t, s2, "anomaly"); epoch != 3 || rows != 650 {
 		t.Fatalf("recovered from snapshot: epoch %d rows %d, want 3/650", epoch, rows)
@@ -277,6 +280,37 @@ func TestSnapshotCompactionRecovery(t *testing.T) {
 	after := postExplore(t, s2, req)
 	if !bytes.Equal(before.Body.Bytes(), after.Body.Bytes()) {
 		t.Errorf("snapshot-based recovery diverged:\nbefore:\n%s\nafter:\n%s", before.Body.Bytes(), after.Body.Bytes())
+	}
+}
+
+// TestCompactionKeepsRetainedEpochs pins the compaction floor: a snapshot
+// taken while epochs below the current one are still retained must not
+// cost them after a restart. Compaction snapshots the oldest retained
+// epoch, so replay rebuilds every epoch inside the window.
+func TestCompactionKeepsRetainedEpochs(t *testing.T) {
+	walDir := t.TempDir()
+	s1 := newTestServer(t, durableConfig(t, walDir))
+	for i := 0; i < 3; i++ { // epoch 1 -> 4
+		if rec := postAppend(t, s1, "anomaly", quietBatch(10, 600+10*i)); rec.Code != 200 {
+			t.Fatalf("append %d: %d %s", i, rec.Code, rec.Body.String())
+		}
+	}
+	s1.compact("anomaly")
+	if rec := postAppend(t, s1, "anomaly", quietBatch(10, 630)); rec.Code != 200 { // epoch 5
+		t.Fatalf("append past compaction: %d %s", rec.Code, rec.Body.String())
+	}
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := newTestServer(t, durableConfig(t, walDir))
+	t.Cleanup(func() { s2.Close() })
+	if epoch, rows := datasetEpoch(t, s2, "anomaly"); epoch != 5 || rows != 640 {
+		t.Fatalf("recovered state: epoch %d rows %d, want 5/640", epoch, rows)
+	}
+	req := ExploreRequest{Dataset: "anomaly", Stat: "error", Actual: "y", Predicted: "p", S: 0.05, ST: 0.1, Format: "csv", Epoch: 3}
+	if rec := postExplore(t, s2, req); rec.Code != 200 {
+		t.Fatalf("pinned epoch 3 after compaction and restart: %d %s, want 200", rec.Code, rec.Body.String())
 	}
 }
 

@@ -42,15 +42,6 @@ type FlightRecord struct {
 	Subgroups  int   `json:"subgroups,omitempty"`
 }
 
-// flightSlot is one ring entry guarded by a seqlock: seq is even when the
-// record is stable, odd while a writer owns the slot. Readers validate
-// seq before and after copying; writers claim the slot by CAS from an
-// even value.
-type flightSlot struct {
-	seq atomic.Uint64
-	rec FlightRecord
-}
-
 // SlowCapture retains the full trace and explain profile of one slow
 // request, alongside its flight record.
 type SlowCapture struct {
@@ -61,11 +52,12 @@ type SlowCapture struct {
 }
 
 // flightRecorder is the always-on request ring plus the N-slowest
-// capture. The ring is lock-light: record claims a slot with one atomic
-// increment and a seqlock write, so the per-request cost is independent
-// of readers; only the (rare, explicitly slow) captures take a mutex.
+// capture. The ring is lock-free: record claims a slot with one atomic
+// increment and publishes an immutable record into it with one atomic
+// store, so the per-request cost is independent of readers; only the
+// (rare, explicitly slow) captures take a mutex.
 type flightRecorder struct {
-	slots  []flightSlot
+	slots  []atomic.Pointer[FlightRecord]
 	cursor atomic.Uint64 // next sequence number to claim
 
 	threshold time.Duration // capture requests at least this slow
@@ -79,36 +71,23 @@ type flightRecorder struct {
 // are assumed validated (positive) by the server's Config handling.
 func newFlightRecorder(size, keep int, threshold time.Duration) *flightRecorder {
 	return &flightRecorder{
-		slots:     make([]flightSlot, size),
+		slots:     make([]atomic.Pointer[FlightRecord], size),
 		threshold: threshold,
 		slowCap:   keep,
 	}
 }
 
-// record appends rec to the ring. Lock-free: one atomic add to claim the
-// sequence number, then a seqlock write into the slot. If the claimed
-// slot is still owned by another writer (possible only when concurrent
-// writers outnumber the ring), the record is dropped rather than spun
-// on.
+// record appends rec to the ring: one atomic add claims the sequence
+// number, one atomic store publishes the record. When concurrent writers
+// outnumber the ring, two of them may race for a slot; the last store
+// wins and the other record is dropped.
 func (f *flightRecorder) record(rec FlightRecord) {
 	if f == nil {
 		return
 	}
 	seq := f.cursor.Add(1) - 1
 	rec.Seq = seq
-	slot := &f.slots[seq%uint64(len(f.slots))]
-	for attempt := 0; attempt < 4; attempt++ {
-		s := slot.seq.Load()
-		if s%2 != 0 {
-			continue // writer in progress; retry briefly, then drop
-		}
-		if !slot.seq.CompareAndSwap(s, s+1) {
-			continue
-		}
-		slot.rec = rec
-		slot.seq.Store(s + 2)
-		return
-	}
+	f.slots[seq%uint64(len(f.slots))].Store(&rec)
 }
 
 // recorded returns the lifetime count of record calls (including any
@@ -120,9 +99,9 @@ func (f *flightRecorder) recorded() uint64 {
 	return f.cursor.Load()
 }
 
-// snapshot copies the ring's stable records, newest first. Slots being
-// written (or torn mid-copy) are skipped after one retry; the result is
-// a consistent sample, not a transactional view.
+// snapshot copies the ring's published records, newest first. A slot
+// whose sequence number is claimed but not yet published is skipped; the
+// result is a consistent sample, not a transactional view.
 func (f *flightRecorder) snapshot() []FlightRecord {
 	if f == nil {
 		return nil
@@ -130,27 +109,13 @@ func (f *flightRecorder) snapshot() []FlightRecord {
 	n := uint64(len(f.slots))
 	head := f.cursor.Load()
 	out := make([]FlightRecord, 0, n)
-	count := head
-	if count > n {
-		count = n
-	}
+	count := min(head, n)
 	for i := uint64(0); i < count; i++ {
-		seq := head - 1 - i
-		slot := &f.slots[seq%n]
-		for attempt := 0; attempt < 2; attempt++ {
-			s1 := slot.seq.Load()
-			if s1%2 != 0 {
-				continue
-			}
-			rec := slot.rec
-			if slot.seq.Load() != s1 {
-				continue
-			}
-			// The slot may have been reused by a newer wrap or hold an older
-			// record after a dropped write; keep whatever stable record it
-			// holds (its own Seq says which request it describes).
-			out = append(out, rec)
-			break
+		// The slot may have been reused by a newer wrap or hold an older
+		// record after a dropped write; keep whatever record it holds (its
+		// own Seq says which request it describes).
+		if rec := f.slots[(head-1-i)%n].Load(); rec != nil {
+			out = append(out, *rec)
 		}
 	}
 	return out

@@ -36,7 +36,7 @@ func TestFlightRecorderRingWrap(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderConcurrent hammers the seqlock from many writers
+// TestFlightRecorderConcurrent hammers the ring from many writers
 // while a reader snapshots: every record that comes back stable must be
 // internally consistent (its ID matches its sequence number), i.e. no
 // torn reads. Run under -race in CI.

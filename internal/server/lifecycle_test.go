@@ -110,7 +110,7 @@ func datasetEpoch(t *testing.T, h http.Handler, name string) (uint64, int) {
 // HTTP: an append bumps the epoch and row count, current explorations
 // see the new rows, an epoch-pinned exploration replays the pre-append
 // reply byte for byte, a future epoch is rejected and an uncached pinned
-// epoch answers 410 Gone.
+// epoch is rebuilt from that epoch's rows.
 func TestAppendLifecycleEpochPin(t *testing.T) {
 	s := newTestServer(t, Config{Datasets: []DatasetConfig{{Name: "anomaly", Table: anomalyTable(t)}}})
 	req := ExploreRequest{Dataset: "anomaly", Stat: "error", Actual: "y", Predicted: "p", S: 0.05, ST: 0.1, Format: "csv"}
@@ -169,11 +169,18 @@ func TestAppendLifecycleEpochPin(t *testing.T) {
 	}
 
 	// A pinned epoch whose universe was never built (fpr at epoch 1) is
-	// gone — pins replay cached snapshots, they never rebuild history.
-	gone := pinned
-	gone.Stat = "fpr"
-	if rec := postExplore(t, s, gone); rec.Code != http.StatusGone {
-		t.Errorf("uncached pinned epoch: status %d %s, want 410", rec.Code, rec.Body.String())
+	// rebuilt on the epoch's rows, equal to a from-scratch build on them.
+	uncached := pinned
+	uncached.Stat = "fpr"
+	rebuilt := postExplore(t, s, uncached)
+	if rebuilt.Code != 200 {
+		t.Fatalf("uncached pinned epoch: status %d %s, want 200", rebuilt.Code, rebuilt.Body.String())
+	}
+	fresh := newTestServer(t, Config{Datasets: []DatasetConfig{{Name: "anomaly", Table: anomalyTable(t)}}})
+	uncached.Epoch = 0
+	if want := postExplore(t, fresh, uncached); !bytes.Equal(rebuilt.Body.Bytes(), want.Body.Bytes()) {
+		t.Errorf("uncached pinned epoch differs from a from-scratch build:\npinned:\n%s\nfresh:\n%s",
+			rebuilt.Body.Bytes(), want.Body.Bytes())
 	}
 }
 
@@ -623,5 +630,61 @@ func TestCacheStaleEviction(t *testing.T) {
 	}
 	if got := s.tracer.Snapshot().Counter(obs.CtrServerCacheHits); got != hitsBefore+1 {
 		t.Errorf("b@1 did not survive the stale-preferring eviction (hits %d -> %d)", hitsBefore, got)
+	}
+}
+
+// TestPinnedEpochWithoutWAL pins the retention contract on a server with
+// no write-ahead log and a one-entry cache: an evicted pinned epoch is
+// rebuilt, byte-identical to a fresh server whose current epoch holds the
+// same rows; an epoch at or below current−EpochRetain answers 410 Gone
+// and a future epoch 400.
+func TestPinnedEpochWithoutWAL(t *testing.T) {
+	s := newTestServer(t, Config{
+		Datasets:    []DatasetConfig{{Name: "anomaly", Table: anomalyTable(t)}},
+		CacheMax:    1,
+		EpochRetain: 2,
+	})
+	req := ExploreRequest{Dataset: "anomaly", Stat: "error", Actual: "y", Predicted: "p", S: 0.05, ST: 0.1, Format: "csv"}
+	batches := []string{quietBatch(30, 600), quietBatch(30, 630)}
+	for i, b := range batches { // epoch 1 -> 3, exploring each epoch
+		if rec := postExplore(t, s, req); rec.Code != 200 {
+			t.Fatalf("explore before append %d: %d %s", i, rec.Code, rec.Body.String())
+		}
+		if rec := postAppend(t, s, "anomaly", b); rec.Code != 200 {
+			t.Fatalf("append %d: %d %s", i, rec.Code, rec.Body.String())
+		}
+	}
+	if rec := postExplore(t, s, req); rec.Code != 200 {
+		t.Fatalf("epoch-3 explore: %d %s", rec.Code, rec.Body.String())
+	}
+
+	// Epoch 2's universe was evicted by epoch 3's.
+	pinned := req
+	pinned.Epoch = 2
+	got := postExplore(t, s, pinned)
+	if got.Code != 200 {
+		t.Fatalf("evicted pinned epoch 2: %d %s, want 200", got.Code, got.Body.String())
+	}
+	if h := got.Header().Get("X-Dataset-Epoch"); h != "2" {
+		t.Errorf("pinned epoch 2: X-Dataset-Epoch %q, want 2", h)
+	}
+	fresh := newTestServer(t, Config{Datasets: []DatasetConfig{{Name: "anomaly", Table: anomalyTable(t)}}})
+	if rec := postAppend(t, fresh, "anomaly", batches[0]); rec.Code != 200 {
+		t.Fatalf("fresh append: %d %s", rec.Code, rec.Body.String())
+	}
+	if want := postExplore(t, fresh, req); !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+		t.Errorf("pinned epoch 2 differs from a fresh server at epoch 2:\npinned:\n%s\nfresh:\n%s",
+			got.Body.Bytes(), want.Body.Bytes())
+	}
+
+	gone := req
+	gone.Epoch = 1 // 3 − EpochRetain
+	if rec := postExplore(t, s, gone); rec.Code != http.StatusGone {
+		t.Errorf("pinned epoch 1 (retired): %d %s, want 410", rec.Code, rec.Body.String())
+	}
+	future := req
+	future.Epoch = 4
+	if rec := postExplore(t, s, future); rec.Code != http.StatusBadRequest {
+		t.Errorf("future epoch 4: %d %s, want 400", rec.Code, rec.Body.String())
 	}
 }

@@ -110,10 +110,12 @@ type Config struct {
 	// WALSegmentBytes rotates WAL segments at this size (0 = 4 MiB).
 	// Each rotation also triggers background snapshot/compaction.
 	WALSegmentBytes int64
-	// EpochRetain bounds how many recent epochs of a dataset stay
-	// servable as pinned replays: after an append acks epoch E, cache
-	// entries at or below E−EpochRetain are retired (410 Gone).
-	// 0 defaults to 8; negative disables the sweep.
+	// EpochRetain bounds how many recent epochs of a dataset, the
+	// current one included, stay servable as "epoch": e pins, with or
+	// without a WAL: once the dataset reaches epoch E, pins at or below
+	// E−EpochRetain answer 410 Gone, their cache entries are retired, and
+	// log compaction keeps every epoch above that floor. 0 or negative
+	// defaults to 8.
 	EpochRetain int
 	// Recovery, when non-nil, receives WAL replay progress while New
 	// runs — the daemon surfaces it on /readyz during startup.
@@ -141,11 +143,9 @@ type Server struct {
 	slo               *sloEngine
 	hLatency          *obs.Histogram
 	tables            map[string]*dataset.Versioned
-	order             []string                 // dataset names in registration order
-	wals              map[string]*wal.Log      // nil values when WALDir is unset
-	compacting        map[string]*atomic.Bool  // per-dataset compaction latch
-	history           map[string]*epochHistory // pinned-epoch tables; nil values when WALDir is unset
-	epochRetain       int
+	order             []string                // dataset names in registration order
+	wals              map[string]*wal.Log     // nil values when WALDir is unset
+	compacting        map[string]*atomic.Bool // per-dataset compaction latch
 	cache             *universeCache
 	drift             *driftMonitor
 	sem               chan struct{}
@@ -214,9 +214,6 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.Budget.Validate(); err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
-	if cfg.EpochRetain == 0 {
-		cfg.EpochRetain = 8
-	}
 	s := &Server{
 		mux:      http.NewServeMux(),
 		tracer:   cfg.Tracer,
@@ -234,8 +231,6 @@ func New(cfg Config) (*Server, error) {
 		rediscretizeDrift: cfg.RediscretizeDrift,
 		wals:              map[string]*wal.Log{},
 		compacting:        map[string]*atomic.Bool{},
-		history:           map[string]*epochHistory{},
-		epochRetain:       cfg.EpochRetain,
 	}
 	s.slo = newSLOEngine(cfg.SLO, cfg.Tracer)
 	for _, d := range cfg.Datasets {
@@ -254,17 +249,16 @@ func New(cfg Config) (*Server, error) {
 			}
 		}
 		if cfg.WALDir != "" {
-			hist := newEpochHistory(cfg.EpochRetain)
-			v, w, err := recoverDataset(&cfg, d.Name, tab, cfg.Recovery, hist)
+			v, w, err := recoverDataset(&cfg, d.Name, tab, cfg.Recovery)
 			if err != nil {
 				s.Close()
 				return nil, fmt.Errorf("server: %w", err)
 			}
 			s.tables[d.Name] = v
 			s.wals[d.Name] = w
-			s.history[d.Name] = hist
 		} else {
 			s.tables[d.Name] = dataset.NewVersioned(tab)
+			s.tables[d.Name].SetRetain(cfg.EpochRetain)
 		}
 		s.order = append(s.order, d.Name)
 		s.compacting[d.Name] = new(atomic.Bool)
@@ -512,11 +506,10 @@ type ExploreRequest struct {
 	// an aggregated summary, not the span-by-span snapshot.
 	Explain bool `json:"explain,omitempty"`
 	// Epoch pins the exploration to a specific dataset epoch instead of
-	// the current one. A pinned epoch is servable exactly while its
-	// universe-cache entry survives: the reply is computed on that epoch's
-	// frozen snapshot, byte-identical to what it answered before later
-	// appends. A pinned epoch no longer cached (or never explored) answers
-	// 410 Gone. 0 means "current epoch".
+	// the current one: the reply is computed on that epoch's frozen rows,
+	// from the cached universe when it survives and rebuilt otherwise.
+	// Epochs within the server's EpochRetain window are servable; older
+	// ones answer 410 Gone and future ones 400. 0 means "current epoch".
 	Epoch uint64 `json:"epoch,omitempty"`
 	// TimeoutMS shortens the server's per-request timeout (it can never
 	// extend it).
@@ -566,14 +559,15 @@ func (s *Server) resolve(req ExploreRequest) (*exploreParams, int, error) {
 		return nil, http.StatusNotFound, fmt.Errorf("unknown dataset %q", req.Dataset)
 	}
 	p.tab, p.epoch = v.Snapshot()
+	if req.Epoch > p.epoch {
+		return nil, http.StatusBadRequest, fmt.Errorf("dataset %q is at epoch %d, future epoch %d requested", req.Dataset, p.epoch, req.Epoch)
+	}
 	if req.Epoch != 0 && req.Epoch != p.epoch {
-		if req.Epoch > p.epoch {
-			return nil, http.StatusBadRequest, fmt.Errorf("dataset %q is at epoch %d, future epoch %d requested", req.Dataset, p.epoch, req.Epoch)
+		tab, ok := v.SnapshotAt(req.Epoch)
+		if !ok {
+			return nil, http.StatusGone, fmt.Errorf("dataset %q epoch %d is past the retention window", req.Dataset, req.Epoch)
 		}
-		// The pinned snapshot is only reachable through its cache entry;
-		// serveExplore resolves it (or answers 410 Gone).
-		p.epoch = req.Epoch
-		p.pinned = true
+		p.tab, p.epoch, p.pinned = tab, req.Epoch, true
 	}
 	if p.req.Stat == "" {
 		p.req.Stat = "error"
@@ -854,34 +848,9 @@ func (s *Server) serveExplore(w http.ResponseWriter, r *http.Request, batch bool
 		)
 	}()
 
-	var entry *cacheEntry
-	if p.pinned {
-		// Without durability a pinned epoch is never rebuilt — its
-		// snapshot table is only reachable through the cache entry built
-		// while it was current. With a WAL, the epoch history retains
-		// recent epochs' frozen tables, so a pinned epoch inside the
-		// retention window rebuilds after a restart (or cache eviction)
-		// and 410 is decided by the retention policy alone.
-		entry, hit = s.cache.peek(p.key())
-		if !hit {
-			tab := s.pinnedTable(p.req.Dataset, p.epoch)
-			if tab == nil {
-				status = "gone"
-				s.httpError(w, http.StatusGone, "dataset %q epoch %d is no longer cached", p.req.Dataset, p.epoch)
-				return
-			}
-			p.tab = tab
-			entry, hit, err = s.cache.get(ctx, p.key(), func(e *cacheEntry) error {
-				return buildEntry(e, p.tab, p.key(), reqTracer)
-			})
-		} else {
-			err = nil
-		}
-	} else {
-		entry, hit, err = s.cache.get(ctx, p.key(), func(e *cacheEntry) error {
-			return s.buildOrAppend(e, p, reqTracer)
-		})
-	}
+	entry, hit, err := s.cache.get(ctx, p.key(), func(e *cacheEntry) error {
+		return s.buildOrAppend(e, p, reqTracer)
+	})
 	if hit {
 		s.tracer.Counter(obs.CtrServerCacheHits).Add(1)
 		reqTracer.SetGauge(obs.GaugeCacheHit, 1)
