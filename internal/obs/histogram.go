@@ -16,7 +16,7 @@ import (
 //
 // The exported snapshot follows Prometheus histogram semantics: one
 // cumulative count per upper bound plus an implicit +Inf bucket, a total
-// observation count and a value sum, rendered by Trace.WritePrometheus as
+// observation count and a value sum, which WriteExposition renders as
 // the `_bucket`/`_sum`/`_count` series.
 type Histogram struct {
 	bounds    []float64      // sorted upper bounds (inclusive), excluding +Inf
@@ -61,7 +61,15 @@ type Exemplar struct {
 
 // Observe records one value. Values above the largest bound land in the
 // implicit +Inf bucket; NaN observations are dropped. No-op on nil.
-func (h *Histogram) Observe(v float64) {
+func (h *Histogram) Observe(v float64) { h.ObserveExemplar(v, "", 0) }
+
+// ObserveExemplar records one value like Observe and additionally tags
+// the bucket it lands in with an exemplar carrying the given label
+// (typically a request ID). The bucket keeps only its latest exemplar;
+// the OpenMetrics rendering of WriteExposition puts them on the
+// `_bucket` lines. No-op on nil, on NaN, and (exemplar-wise) on an empty
+// label.
+func (h *Histogram) ObserveExemplar(v float64, label string, now int64) {
 	if h == nil || math.IsNaN(v) {
 		return
 	}
@@ -69,34 +77,18 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.bins[i].Add(1)
 	h.count.Add(1)
-	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sum.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// ObserveExemplar records one value like Observe and additionally tags
-// the bucket it lands in with an exemplar carrying the given label
-// (typically a request ID). The bucket keeps only its latest exemplar;
-// WriteOpenMetrics renders them on the `_bucket` lines. No-op on nil, on
-// NaN, and (exemplar-wise) on an empty label.
-func (h *Histogram) ObserveExemplar(v float64, label string, now int64) {
-	if h == nil || math.IsNaN(v) {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.bins[i].Add(1)
-	h.count.Add(1)
 	if label != "" && i < len(h.exemplars) {
 		h.exemplars[i].Store(&Exemplar{Label: label, Value: v, UnixNano: now})
 	}
+	addFloat(&h.sum, v)
+}
+
+// addFloat adds v to the float64 whose bits u holds. The CAS loop makes
+// concurrent adds lose no update.
+func addFloat(u *atomic.Uint64, v float64) {
 	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sum.CompareAndSwap(old, next) {
+		old := u.Load()
+		if u.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
 			return
 		}
 	}
@@ -162,13 +154,7 @@ func (h *Histogram) add(rec HistogramRecord) {
 		}
 	}
 	h.count.Add(rec.Count)
-	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + rec.Sum)
-		if h.sum.CompareAndSwap(old, next) {
-			return
-		}
-	}
+	addFloat(&h.sum, rec.Sum)
 }
 
 // HistogramRecord is the immutable snapshot of one histogram: per-bucket

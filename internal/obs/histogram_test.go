@@ -41,7 +41,7 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 
 	var b strings.Builder
-	if err := tr.Snapshot().WritePrometheus(&b); err != nil {
+	if err := WriteExposition(&b, tr.Snapshot().Families(), false); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

@@ -276,10 +276,11 @@ var (
 	SupportBuckets = []float64{0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1}
 )
 
-// MetricHelp maps sanitized Prometheus metric names to their `# HELP`
-// text; WritePrometheus consults it for every exported family. Only the
-// stable serving-layer and mining metrics are registered — dynamic names
-// (per-worker counters, per-endpoint request counts) export without HELP.
+// MetricHelp maps sanitized Prometheus metric names to their HELP text;
+// Trace.Families and the server's SLO families look every family up
+// here. Only the stable serving-layer and mining metrics are registered
+// — dynamic names (per-worker counters, per-endpoint request counts)
+// export without HELP.
 var MetricHelp = map[string]string{
 	"server_request_seconds":                "End-to-end /v1/explore request latency in seconds.",
 	"server_explores":                       "Explorations actually run to completion or error.",
@@ -333,9 +334,9 @@ var MetricHelp = map[string]string{
 	"bitvec_universe_bytes":                 "Row-set payload bytes actually held by the universe.",
 	"bitvec_universe_dense_bytes":           "Row-set payload bytes an all-dense universe would hold.",
 
-	// Windowed serving-layer families, hand-rendered by the server's SLO
-	// engine on GET /metrics (labeled by endpoint class; the Trace
-	// exposition itself has no label support).
+	// Windowed serving-layer families, built by the server's SLO engine
+	// for GET /metrics (labeled by endpoint class, and by objective and
+	// window for the burn-rate families).
 	"server_window_latency_seconds": "Latency quantiles over the trailing long window, by endpoint class.",
 	"server_window_requests":        "Requests served over the trailing long window, by endpoint class.",
 	"server_window_errors":          "5xx answers over the trailing long window, by endpoint class.",

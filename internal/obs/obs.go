@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -448,149 +447,6 @@ func (tr *Trace) Tree() string {
 			fmt.Fprintf(&b, "  %-42s n=%d sum=%g p50=%g p99=%g\n",
 				k, h.Count, h.Sum, h.Quantile(0.50), h.Quantile(0.99))
 		}
-	}
-	return b.String()
-}
-
-// WritePrometheus renders the trace's counters, gauges and histograms in
-// the Prometheus text exposition format, the payload served by the HTTP
-// server's GET /metrics. Names are sanitized to [a-zA-Z0-9_:]; each
-// exported metric gets exactly one `# TYPE` (and, when registered in
-// MetricHelp, one `# HELP`) line even when several dotted names sanitize
-// to the same Prometheus name: colliding counters merge by sum, while a
-// gauge or histogram whose sanitized name was already emitted is dropped
-// (first in sorted-key order wins). Histograms export the standard
-// cumulative `_bucket{le="..."}` series plus `_sum` and `_count`. Spans
-// are not exported — they describe one run, not a monotonic series.
-func (tr *Trace) WritePrometheus(w io.Writer) error {
-	return tr.writeExposition(w, false)
-}
-
-// WriteOpenMetrics renders the same registries in the OpenMetrics text
-// format: counter samples carry the `_total` suffix, and histogram
-// buckets with a recorded exemplar append the `# {request_id="..."} v ts`
-// exemplar clause. The caller owns the trailing `# EOF` line (the server
-// appends runtime-metrics families first).
-func (tr *Trace) WriteOpenMetrics(w io.Writer) error {
-	return tr.writeExposition(w, true)
-}
-
-func (tr *Trace) writeExposition(w io.Writer, openMetrics bool) error {
-	emitted := map[string]bool{}
-	header := func(name, typ string) error {
-		if help, ok := MetricHelp[name]; ok {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, promEscapeHelp(help)); err != nil {
-				return err
-			}
-		}
-		_, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, typ)
-		return err
-	}
-
-	// Counters: merge sanitization collisions by summing (both series are
-	// monotonic, so the sum is too).
-	merged := map[string]int64{}
-	for k, v := range tr.Counters {
-		merged[promName(k)] += v
-	}
-	for _, name := range sortedKeys(merged) {
-		if err := header(name, "counter"); err != nil {
-			return err
-		}
-		sample := name
-		if openMetrics {
-			sample += "_total"
-		}
-		if _, err := fmt.Fprintf(w, "%s %d\n", sample, merged[name]); err != nil {
-			return err
-		}
-		emitted[name] = true
-	}
-
-	for _, k := range sortedKeys(tr.Gauges) {
-		name := promName(k)
-		if emitted[name] {
-			continue
-		}
-		emitted[name] = true
-		if err := header(name, "gauge"); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s %s\n", name, promFloat(tr.Gauges[k])); err != nil {
-			return err
-		}
-	}
-
-	for _, k := range sortedKeys(tr.Histograms) {
-		name := promName(k)
-		if emitted[name] {
-			continue
-		}
-		emitted[name] = true
-		if err := header(name, "histogram"); err != nil {
-			return err
-		}
-		rec := tr.Histograms[k]
-		exemplar := func(i int) string {
-			if !openMetrics || i < 0 || i >= len(rec.Exemplars) || rec.Exemplars[i] == nil {
-				return ""
-			}
-			ex := rec.Exemplars[i]
-			return fmt.Sprintf(" # {request_id=%q} %s %s",
-				promEscapeHelp(ex.Label), promFloat(ex.Value),
-				promFloat(float64(ex.UnixNano)/1e9))
-		}
-		var cum int64
-		for i, b := range rec.Bounds {
-			cum += rec.Counts[i]
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d%s\n", name, promFloat(b), cum, exemplar(i)); err != nil {
-				return err
-			}
-		}
-		if len(rec.Counts) > 0 {
-			cum += rec.Counts[len(rec.Counts)-1]
-		}
-		// The +Inf cumulative bucket and _count must agree exactly, so both
-		// come from the same bin total (rec.Count may lag under concurrent
-		// Observe between the snapshot's bin and counter reads).
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d%s\n", name, cum, exemplar(len(rec.Counts)-1)); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum %s\n%s_count %d\n", name, promFloat(rec.Sum), name, cum); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// promFloat renders a float the way Prometheus expects: shortest exact
-// decimal, no exponent for ordinary magnitudes.
-func promFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// promEscapeHelp escapes a HELP string per the exposition format:
-// backslashes and newlines only.
-func promEscapeHelp(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
-// promName maps a dotted metric name onto the Prometheus charset,
-// replacing every character outside [a-zA-Z0-9_:] with an underscore and
-// prefixing a leading digit.
-func promName(s string) string {
-	var b strings.Builder
-	b.Grow(len(s))
-	for i, r := range s {
-		ok := r == '_' || r == ':' ||
-			(r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') ||
-			(r >= '0' && r <= '9' && i > 0)
-		if !ok {
-			b.WriteByte('_')
-			continue
-		}
-		b.WriteRune(r)
 	}
 	return b.String()
 }

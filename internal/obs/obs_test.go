@@ -16,7 +16,7 @@ func TestWritePrometheus(t *testing.T) {
 	tr.Counter("server.requests.explore").Add(3)
 	tr.SetGauge("server.in_flight", 2)
 	var b strings.Builder
-	if err := tr.Snapshot().WritePrometheus(&b); err != nil {
+	if err := WriteExposition(&b, tr.Snapshot().Families(), false); err != nil {
 		t.Fatal(err)
 	}
 	want := "# HELP fpm_candidates Itemset candidates whose support was evaluated.\n" +
@@ -50,7 +50,7 @@ func TestWritePrometheusConformance(t *testing.T) {
 	tr.Histogram("z.last", []float64{1}).Observe(0.5) // collides with counter -> dropped
 
 	var b strings.Builder
-	if err := tr.Snapshot().WritePrometheus(&b); err != nil {
+	if err := WriteExposition(&b, tr.Snapshot().Families(), false); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -80,7 +80,7 @@ func TestWritePrometheusConformance(t *testing.T) {
 
 	// Two snapshots render byte-identically (stable order).
 	var b2 strings.Builder
-	if err := tr.Snapshot().WritePrometheus(&b2); err != nil {
+	if err := WriteExposition(&b2, tr.Snapshot().Families(), false); err != nil {
 		t.Fatal(err)
 	}
 	if b2.String() != out {

@@ -19,7 +19,7 @@ func TestWriteOpenMetrics(t *testing.T) {
 	snap := tr.Snapshot()
 
 	var om strings.Builder
-	if err := snap.WriteOpenMetrics(&om); err != nil {
+	if err := WriteExposition(&om, snap.Families(), true); err != nil {
 		t.Fatal(err)
 	}
 	out := om.String()
@@ -41,7 +41,7 @@ func TestWriteOpenMetrics(t *testing.T) {
 	}
 
 	var classic strings.Builder
-	if err := snap.WritePrometheus(&classic); err != nil {
+	if err := WriteExposition(&classic, snap.Families(), false); err != nil {
 		t.Fatal(err)
 	}
 	cout := classic.String()
@@ -69,7 +69,7 @@ func TestExemplarSurvivesAbsorb(t *testing.T) {
 	life.Absorb(req.Snapshot())
 
 	var b strings.Builder
-	if err := life.Snapshot().WriteOpenMetrics(&b); err != nil {
+	if err := WriteExposition(&b, life.Snapshot().Families(), true); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), `request_id="req-xyz"`) {

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"runtime"
 	rtmetrics "runtime/metrics"
@@ -50,24 +48,24 @@ func AllocSample() (bytes, objects uint64) {
 	return ms.TotalAlloc, ms.Mallocs
 }
 
-// runtimeFamily describes one curated runtime/metrics export: the
+// runtimeMetric describes one curated runtime/metrics export: the
 // Prometheus family name, its HELP text, the metric type, and the
 // runtime/metrics names to try in order (later entries are fallbacks for
 // older runtimes). Only families whose metric exists with the expected
 // kind are emitted, so the allowlist degrades gracefully across Go
 // versions.
-type runtimeFamily struct {
+type runtimeMetric struct {
 	name       string
 	help       string
 	typ        string // "gauge", "counter" or "histogram"
 	candidates []string
 }
 
-// runtimeFamilies is the curated allowlist exported on /metrics; DESIGN
+// runtimeAllowlist is the curated allowlist exported on /metrics; DESIGN
 // §10 documents the selection. Deliberately small: heap size, allocation
 // throughput, GC activity and scheduler health — the dimensions the
 // Figure2 memory work needs — not the full runtime/metrics catalogue.
-var runtimeFamilies = []runtimeFamily{
+var runtimeAllowlist = []runtimeMetric{
 	{"go_mem_heap_objects_bytes", "Bytes of live heap memory occupied by objects.", "gauge",
 		[]string{"/memory/classes/heap/objects:bytes"}},
 	{"go_mem_total_bytes", "Total memory mapped by the Go runtime.", "gauge",
@@ -94,18 +92,17 @@ var runtimeFamilies = []runtimeFamily{
 // (counts summed, upper bound kept) down to at most this many.
 const maxRuntimeBuckets = 32
 
-// WriteRuntimeMetrics renders the curated runtime/metrics allowlist in
-// the Prometheus text exposition format. When openMetrics is true,
-// counter samples carry the `_total` suffix OpenMetrics requires.
+// RuntimeFamilies reads the curated runtime/metrics allowlist into
+// exposition families, the runtime part of the server's GET /metrics.
 // Families whose runtime metric is missing or has an unexpected kind are
 // skipped silently, so the output is stable within one Go version but
 // tolerant across them.
-func WriteRuntimeMetrics(w io.Writer, openMetrics bool) error {
+func RuntimeFamilies() []Family {
 	// One Read call for every candidate name keeps the samples mutually
 	// consistent enough for a scrape.
 	var names []string
-	for _, f := range runtimeFamilies {
-		names = append(names, f.candidates...)
+	for _, m := range runtimeAllowlist {
+		names = append(names, m.candidates...)
 	}
 	samples := make([]rtmetrics.Sample, len(names))
 	for i, n := range names {
@@ -117,9 +114,10 @@ func WriteRuntimeMetrics(w io.Writer, openMetrics bool) error {
 		byName[samples[i].Name] = &samples[i]
 	}
 
-	for _, f := range runtimeFamilies {
+	var fams []Family
+	for _, m := range runtimeAllowlist {
 		var s *rtmetrics.Sample
-		for _, cand := range f.candidates {
+		for _, cand := range m.candidates {
 			if c := byName[cand]; c != nil && c.Value.Kind() != rtmetrics.KindBad {
 				s = c
 				break
@@ -128,68 +126,46 @@ func WriteRuntimeMetrics(w io.Writer, openMetrics bool) error {
 		if s == nil {
 			continue
 		}
-		var v float64
-		switch s.Value.Kind() {
-		case rtmetrics.KindUint64:
-			v = float64(s.Value.Uint64())
-		case rtmetrics.KindFloat64:
-			v = s.Value.Float64()
-		case rtmetrics.KindFloat64Histogram:
-			if f.typ != "histogram" {
+		var sample Sample
+		switch kind := s.Value.Kind(); {
+		case m.typ == "histogram":
+			if kind != rtmetrics.KindFloat64Histogram {
 				continue
 			}
-			if err := writeRuntimeHistogram(w, f, s.Value.Float64Histogram(), openMetrics); err != nil {
-				return err
+			if sample.Hist = runtimeHistogram(s.Value.Float64Histogram()); sample.Hist == nil {
+				continue
 			}
-			continue
+		case kind == rtmetrics.KindUint64:
+			sample.Value = float64(s.Value.Uint64())
+		case kind == rtmetrics.KindFloat64:
+			sample.Value = s.Value.Float64()
 		default:
 			continue
 		}
-		if f.typ == "histogram" {
-			continue
-		}
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, promEscapeHelp(f.help), f.name, f.typ); err != nil {
-			return err
-		}
-		sample := f.name
-		if openMetrics && f.typ == "counter" {
-			sample += "_total"
-		}
-		if _, err := fmt.Fprintf(w, "%s %s\n", sample, promFloat(v)); err != nil {
-			return err
-		}
+		fams = append(fams, Family{Name: m.name, Type: m.typ, Help: m.help, Samples: []Sample{sample}})
 	}
-	return nil
+	return fams
 }
 
-// writeRuntimeHistogram converts a runtime/metrics Float64Histogram —
+// runtimeHistogram converts a runtime/metrics Float64Histogram —
 // per-interval counts between len(Counts)+1 boundaries, possibly
-// including ±Inf — into cumulative Prometheus buckets, merging adjacent
-// buckets down to maxRuntimeBuckets. The _sum is approximated from
-// bucket midpoints (runtime histograms carry no exact sum).
-func writeRuntimeHistogram(w io.Writer, f runtimeFamily, h *rtmetrics.Float64Histogram, openMetrics bool) error {
+// including ±Inf — into a HistogramRecord, merging adjacent buckets
+// (counts summed, upper bound kept) down to maxRuntimeBuckets. The Sum
+// is approximated from bucket midpoints (runtime histograms carry no
+// exact sum). Returns nil for an empty or malformed histogram.
+func runtimeHistogram(h *rtmetrics.Float64Histogram) *HistogramRecord {
 	if h == nil || len(h.Counts) == 0 || len(h.Buckets) != len(h.Counts)+1 {
 		return nil
 	}
-	type bucket struct {
-		le  float64 // upper bound
-		n   uint64  // count in the merged interval
-		sum float64 // midpoint-approximated mass
-	}
-	var merged []bucket
+	rec := &HistogramRecord{}
 	stride := (len(h.Counts) + maxRuntimeBuckets - 1) / maxRuntimeBuckets
-	if stride < 1 {
-		stride = 1
-	}
 	for i := 0; i < len(h.Counts); i += stride {
-		end := i + stride
-		if end > len(h.Counts) {
-			end = len(h.Counts)
-		}
-		b := bucket{le: h.Buckets[end]}
+		end := min(i+stride, len(h.Counts))
+		var n uint64
+		var sum float64 // midpoint-approximated mass
 		for j := i; j < end; j++ {
 			c := h.Counts[j]
-			b.n += c
+			n += c
 			if c == 0 {
 				continue
 			}
@@ -204,31 +180,19 @@ func writeRuntimeHistogram(w io.Writer, f runtimeFamily, h *rtmetrics.Float64His
 			if math.IsInf(mid, 0) || math.IsNaN(mid) {
 				mid = 0
 			}
-			b.sum += mid * float64(c)
+			sum += mid * float64(c)
 		}
-		merged = append(merged, b)
+		rec.Bounds = append(rec.Bounds, h.Buckets[end])
+		rec.Counts = append(rec.Counts, int64(n))
+		rec.Count += int64(n)
+		rec.Sum += sum
 	}
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", f.name, promEscapeHelp(f.help), f.name); err != nil {
-		return err
+	// Bounds exclude +Inf: a merged bucket ending at +Inf is the record's
+	// overflow bucket, otherwise the overflow bucket is empty.
+	if last := len(rec.Bounds) - 1; math.IsInf(rec.Bounds[last], +1) {
+		rec.Bounds = rec.Bounds[:last]
+	} else {
+		rec.Counts = append(rec.Counts, 0)
 	}
-	var cum uint64
-	var sum float64
-	for _, b := range merged {
-		cum += b.n
-		sum += b.sum
-		le := promFloat(b.le)
-		if math.IsInf(b.le, +1) {
-			le = "+Inf"
-		}
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", f.name, le, cum); err != nil {
-			return err
-		}
-	}
-	if !math.IsInf(merged[len(merged)-1].le, +1) {
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", f.name, cum); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintf(w, "%s_sum %s\n%s_count %d\n", f.name, promFloat(sum), f.name, cum)
-	return err
+	return rec
 }

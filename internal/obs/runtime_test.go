@@ -35,7 +35,7 @@ func TestWriteRuntimeMetricsConformance(t *testing.T) {
 	for _, openMetrics := range []bool{false, true} {
 		t.Run(fmt.Sprintf("openmetrics=%v", openMetrics), func(t *testing.T) {
 			var b strings.Builder
-			if err := WriteRuntimeMetrics(&b, openMetrics); err != nil {
+			if err := WriteExposition(&b, RuntimeFamilies(), openMetrics); err != nil {
 				t.Fatal(err)
 			}
 			out := b.String()
@@ -131,7 +131,7 @@ func checkRuntimeExposition(t *testing.T, out string) {
 
 func TestWriteRuntimeMetricsBucketCap(t *testing.T) {
 	var b strings.Builder
-	if err := WriteRuntimeMetrics(&b, false); err != nil {
+	if err := WriteExposition(&b, RuntimeFamilies(), false); err != nil {
 		t.Fatal(err)
 	}
 	counts := map[string]int{}

@@ -135,13 +135,7 @@ func (w *Windowed) Observe(v float64) {
 	i := sort.SearchFloat64s(w.bounds, v)
 	s.bins[i].Add(1)
 	s.count.Add(1)
-	for {
-		old := s.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if s.sum.CompareAndSwap(old, next) {
-			return
-		}
-	}
+	addFloat(&s.sum, v)
 }
 
 // Add records n unit-less events into the current epoch without touching

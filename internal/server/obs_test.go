@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"log/slog"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -329,5 +330,142 @@ func TestRecentRingBounded(t *testing.T) {
 	}
 	if huge := newRequestRegistry(1 << 20); huge.cap != maxTraceRing {
 		t.Errorf("oversized ring not clamped: %d", huge.cap)
+	}
+}
+
+// TestMetricsExpositionWhole scrapes /metrics in both formats after a
+// scripted session (explore, batch explore, accepted append, 400
+// explore) and checks the joined tracer, runtime and SLO output as one
+// exposition: every family has exactly one TYPE line and at most one
+// HELP line ahead of its samples, every sample sits inside its own
+// family's block, and the format-specific syntax (_total suffixes,
+// exemplars, the # EOF terminator) appears in exactly one rendering.
+func TestMetricsExpositionWhole(t *testing.T) {
+	slo, err := ParseSLO("p99=250ms,availability=99.9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{
+		Datasets: []DatasetConfig{{Name: "anomaly", Table: anomalyTable(t)}},
+		SLO:      slo,
+	})
+	req := ExploreRequest{Dataset: "anomaly", Stat: "error", Actual: "y", Predicted: "p", Workers: 1}
+	if rec := postExplore(t, s, req); rec.Code != 200 {
+		t.Fatalf("explore: %d %s", rec.Code, rec.Body.String())
+	}
+	if rec := postBatch(t, s, BatchExploreRequest{ExploreRequest: req, Stats: []string{"fpr", "fnr"}}); rec.Code != 200 {
+		t.Fatalf("batch: %d %s", rec.Code, rec.Body.String())
+	}
+	if rec := postAppend(t, s, "anomaly", quietBatch(20, 0)); rec.Code != 200 {
+		t.Fatalf("append: %d %s", rec.Code, rec.Body.String())
+	}
+	if rec := postExplore(t, s, ExploreRequest{Dataset: "anomaly", Criterion: "nope"}); rec.Code != 400 {
+		t.Fatalf("bad explore: %d, want 400", rec.Code)
+	}
+	// The lifetime latency histogram counts both exploration endpoints,
+	// rejected answers included, but not appends or mux-level 405s.
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/explore", nil))
+	if rec.Code != 405 {
+		t.Fatalf("GET /v1/explore: %d, want 405", rec.Code)
+	}
+	if n := s.tracer.Snapshot().Histograms[obs.HistRequestSeconds].Count; n != 3 {
+		t.Errorf("request-latency histogram count = %d, want 3", n)
+	}
+
+	scrape := func(accept string) string {
+		rec := httptest.NewRecorder()
+		r := httptest.NewRequest("GET", "/metrics", nil)
+		if accept != "" {
+			r.Header.Set("Accept", accept)
+		}
+		s.ServeHTTP(rec, r)
+		if rec.Code != 200 {
+			t.Fatalf("metrics (Accept %q): %d", accept, rec.Code)
+		}
+		return rec.Body.String()
+	}
+	for _, openMetrics := range []bool{false, true} {
+		accept := ""
+		if openMetrics {
+			accept = "application/openmetrics-text; version=1.0.0"
+		}
+		body := scrape(accept)
+		lines := strings.Split(strings.TrimSuffix(body, "\n"), "\n")
+		types := map[string]string{}
+		helps := map[string]int{}
+		var family string
+		var eofs int
+		exemplar := false
+		for i, line := range lines {
+			switch {
+			case line == "# EOF":
+				eofs++
+				if !openMetrics || i != len(lines)-1 {
+					t.Errorf("openmetrics=%v: # EOF at line %d of %d", openMetrics, i+1, len(lines))
+				}
+			case strings.HasPrefix(line, "# HELP "):
+				name := strings.Fields(line)[2]
+				if helps[name]++; helps[name] > 1 || types[name] != "" {
+					t.Errorf("openmetrics=%v: HELP for %s repeated or after its TYPE", openMetrics, name)
+				}
+			case strings.HasPrefix(line, "# TYPE "):
+				f := strings.Fields(line)
+				if len(f) != 4 || types[f[2]] != "" {
+					t.Errorf("openmetrics=%v: malformed or repeated %q", openMetrics, line)
+					continue
+				}
+				family, types[f[2]] = f[2], f[3]
+			case strings.HasPrefix(line, "#"):
+				t.Errorf("openmetrics=%v: stray comment %q", openMetrics, line)
+			default:
+				name := line[:strings.IndexAny(line, "{ ")]
+				var want []string
+				switch types[family] {
+				case "histogram":
+					want = []string{family + "_bucket", family + "_sum", family + "_count"}
+				case "counter":
+					if openMetrics {
+						want = []string{family + "_total"}
+					} else {
+						want = []string{family}
+					}
+				default:
+					want = []string{family}
+				}
+				if !slices.Contains(want, name) {
+					t.Errorf("openmetrics=%v: sample %q outside its family (current %s %s)", openMetrics, line, family, types[family])
+				}
+				if strings.Contains(line, " # {") {
+					if !openMetrics || name != family+"_bucket" {
+						t.Errorf("openmetrics=%v: exemplar on %q", openMetrics, line)
+					}
+					if strings.HasPrefix(line, "server_request_seconds_bucket{") && strings.Contains(line, `# {request_id="`) {
+						exemplar = true
+					}
+				}
+			}
+		}
+		for name := range helps {
+			if types[name] == "" {
+				t.Errorf("openmetrics=%v: HELP for %s without a TYPE", openMetrics, name)
+			}
+		}
+		for _, name := range []string{"server_requests_explore", "server_appends", "server_request_seconds",
+			"go_gc_cycles", "server_window_requests", "server_slo_burn_rate", "server_slo_budget_remaining"} {
+			if types[name] == "" {
+				t.Errorf("openmetrics=%v: family %s missing", openMetrics, name)
+			}
+		}
+		if openMetrics {
+			if eofs != 1 {
+				t.Errorf("# EOF appears %d times, want once", eofs)
+			}
+			if !exemplar {
+				t.Error("explore latency histogram carries no request_id exemplar")
+			}
+		} else if eofs != 0 {
+			t.Errorf("classic exposition has %d # EOF lines", eofs)
+		}
 	}
 }

@@ -311,7 +311,10 @@ func New(cfg Config) (*Server, error) {
 //
 // Every request is also attributed to its SLO endpoint class: status and
 // latency feed the engine's sliding windows behind GET /v1/slo and the
-// server_window_* metric families. The observation defer is registered
+// server_window_* metric families. The same measurement feeds the
+// lifetime server.request_seconds histogram for every response carrying
+// X-Request-ID — both exploration endpoints, rejections included — with
+// the request ID as its exemplar. The observation defer is registered
 // before the recovery defer, so (LIFO) recovery writes its 500 first and
 // the observation records the final status.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -323,7 +326,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if status == 0 {
 			status = http.StatusOK // handler wrote nothing: implicit 200
 		}
-		s.slo.observe(endpointClass(r.URL.Path), status, time.Since(start))
+		now := time.Now()
+		d := now.Sub(start)
+		s.slo.observe(endpointClass(r.URL.Path), status, d)
+		if id := w.Header().Get("X-Request-ID"); id != "" {
+			s.hLatency.ObserveExemplar(d.Seconds(), id, now.UnixNano())
+		}
 	}()
 	defer func() {
 		v := recover()
@@ -384,33 +392,23 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ready")
 }
 
-// handleMetrics renders the lifetime tracer plus the curated
-// runtime/metrics families. The default is the classic Prometheus text
-// format; clients whose Accept header names application/openmetrics-text
-// get OpenMetrics 1.0 instead, whose bucket lines carry request-ID
-// exemplars (classic format has no exemplar syntax).
+// handleMetrics renders one exposition through obs.WriteExposition: the
+// lifetime tracer's families, then the curated runtime/metrics families,
+// then the SLO engine's windowed families. The default is the classic
+// Prometheus text format; clients whose Accept header names
+// application/openmetrics-text get OpenMetrics 1.0 instead, whose bucket
+// lines carry request-ID exemplars (classic format has no exemplar
+// syntax).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.tracer.Counter(obs.CtrServerRequestPrefix + "metrics").Add(1)
 	openMetrics := strings.Contains(r.Header.Get("Accept"), "application/openmetrics-text")
-	snap := s.tracer.Snapshot()
 	if openMetrics {
 		w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-		if err := snap.WriteOpenMetrics(w); err != nil {
-			return // headers are gone; nothing to do but drop the connection
-		}
-		if err := obs.WriteRuntimeMetrics(w, true); err != nil {
-			return
-		}
-		s.slo.writeMetrics(w)
-		fmt.Fprint(w, "# EOF\n")
-		return
+	} else {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := snap.WritePrometheus(w); err != nil {
-		return
-	}
-	_ = obs.WriteRuntimeMetrics(w, false)
-	s.slo.writeMetrics(w)
+	fams := append(s.tracer.Snapshot().Families(), obs.RuntimeFamilies()...)
+	_ = obs.WriteExposition(w, append(fams, s.slo.families()...), openMetrics) // headers are gone; nothing to do on error
 }
 
 // datasetInfo is one entry of the GET /v1/datasets reply.
@@ -734,15 +732,14 @@ func (s *Server) serveExplore(w http.ResponseWriter, r *http.Request, batch bool
 	logger := obs.RequestLogger(s.logger, id)
 
 	// The flight record accumulates through the handler and lands in the
-	// always-on ring from this outermost defer — after the exploration
-	// defer below has settled the status fields — together with the
-	// latency observation, which carries the request ID as its exemplar.
+	// always-on ring from this outermost defer, after the exploration
+	// defer below has settled the status fields. The latency histogram is
+	// observed by ServeHTTP, keyed on the X-Request-ID header set above.
 	frec := FlightRecord{ID: id, Endpoint: endpoint, Status: "rejected"}
 	defer func() {
 		now := time.Now()
 		frec.LatencyNS = now.Sub(start).Nanoseconds()
 		frec.UnixNano = now.UnixNano()
-		s.hLatency.ObserveExemplar(now.Sub(start).Seconds(), id, now.UnixNano())
 		s.flight.record(frec)
 	}()
 

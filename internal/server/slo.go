@@ -433,59 +433,44 @@ func (st SLOStatus) writeText(w io.Writer) {
 	}
 }
 
-// writeMetrics renders the windowed gauges in the Prometheus text
-// exposition format: recent latency quantiles, windowed request/error
-// counts and per-objective burn rates, all labeled by endpoint. These
-// are hand-rendered (the Trace exposition has no label support) and ride
-// on every GET /metrics scrape after the lifetime families.
-func (e *sloEngine) writeMetrics(w io.Writer) {
-	header := func(name, typ string) {
-		if help, ok := obs.MetricHelp[name]; ok {
-			fmt.Fprintf(w, "# HELP %s %s\n", name, help)
-		}
-		fmt.Fprintf(w, "# TYPE %s %s\n", name, typ)
+// families builds the windowed status into labeled gauge families for
+// GET /metrics, after the tracer and runtime families: recent latency
+// quantiles and windowed request/error counts by endpoint class, plus —
+// when objectives are declared — burn rates and remaining budgets by
+// endpoint class and objective.
+func (e *sloEngine) families() []obs.Family {
+	gauge := func(name string) obs.Family {
+		return obs.Family{Name: name, Type: "gauge", Help: obs.MetricHelp[name]}
 	}
-	st := e.status()
-	header("server_window_latency_seconds", "gauge")
-	for _, ep := range st.Endpoints {
+	lat, reqs := gauge("server_window_latency_seconds"), gauge("server_window_requests")
+	errs, rejected := gauge("server_window_errors"), gauge("server_window_rejected")
+	burn, budget := gauge("server_slo_burn_rate"), gauge("server_slo_budget_remaining")
+	sample := func(f *obs.Family, v float64, labels ...obs.Label) {
+		f.Samples = append(f.Samples, obs.Sample{Labels: labels, Value: v})
+	}
+	short, long := obs.Label{Name: "window", Value: "short"}, obs.Label{Name: "window", Value: "long"}
+	for _, ep := range e.status().Endpoints {
+		endpoint := obs.Label{Name: "endpoint", Value: ep.Endpoint}
 		for _, wq := range windowQuantiles {
 			if v, ok := ep.LatencyMS[wq.name]; ok {
-				fmt.Fprintf(w, "server_window_latency_seconds{endpoint=%q,quantile=%q} %g\n",
-					ep.Endpoint, fmt.Sprintf("%g", wq.q), v/1000)
+				sample(&lat, v/1000, endpoint, obs.Label{Name: "quantile", Value: fmt.Sprintf("%g", wq.q)})
 			}
 		}
+		sample(&reqs, float64(ep.Requests), endpoint)
+		sample(&errs, float64(ep.Errors), endpoint)
+		sample(&rejected, float64(ep.Rejected), endpoint)
+		for _, o := range ep.Objectives {
+			objective := obs.Label{Name: "objective", Value: o.Name}
+			sample(&burn, o.BurnShort, endpoint, objective, short)
+			sample(&burn, o.BurnLong, endpoint, objective, long)
+			sample(&budget, o.BudgetRemaining, endpoint, objective)
+		}
 	}
-	header("server_window_requests", "gauge")
-	for _, ep := range st.Endpoints {
-		fmt.Fprintf(w, "server_window_requests{endpoint=%q} %d\n", ep.Endpoint, ep.Requests)
-	}
-	header("server_window_errors", "gauge")
-	for _, ep := range st.Endpoints {
-		fmt.Fprintf(w, "server_window_errors{endpoint=%q} %d\n", ep.Endpoint, ep.Errors)
-	}
-	header("server_window_rejected", "gauge")
-	for _, ep := range st.Endpoints {
-		fmt.Fprintf(w, "server_window_rejected{endpoint=%q} %d\n", ep.Endpoint, ep.Rejected)
-	}
+	fams := []obs.Family{lat, reqs, errs, rejected}
 	if len(e.cfg.Latency) == 0 && e.cfg.Availability <= 0 {
-		return
+		return fams
 	}
-	header("server_slo_burn_rate", "gauge")
-	for _, ep := range st.Endpoints {
-		for _, o := range ep.Objectives {
-			fmt.Fprintf(w, "server_slo_burn_rate{endpoint=%q,objective=%q,window=\"short\"} %g\n",
-				ep.Endpoint, o.Name, o.BurnShort)
-			fmt.Fprintf(w, "server_slo_burn_rate{endpoint=%q,objective=%q,window=\"long\"} %g\n",
-				ep.Endpoint, o.Name, o.BurnLong)
-		}
-	}
-	header("server_slo_budget_remaining", "gauge")
-	for _, ep := range st.Endpoints {
-		for _, o := range ep.Objectives {
-			fmt.Fprintf(w, "server_slo_budget_remaining{endpoint=%q,objective=%q} %g\n",
-				ep.Endpoint, o.Name, o.BudgetRemaining)
-		}
-	}
+	return append(fams, burn, budget)
 }
 
 // handleSLO serves GET /v1/slo: the SLO engine's per-endpoint objective

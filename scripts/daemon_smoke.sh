@@ -100,6 +100,21 @@ grep -q '# EOF' "$DIR/metrics_om.txt"
 grep -q 'fpm_candidates_total ' "$DIR/metrics_om.txt"
 grep -q 'request_id="' "$DIR/metrics_om.txt"
 
+# Both bodies join the tracer, runtime and SLO families into one
+# exposition: no family may be declared twice, and the OpenMetrics body
+# ends in exactly one # EOF.
+for body in "$DIR/metrics.txt" "$DIR/metrics_om.txt"; do
+    dup=$(grep '^# TYPE' "$body" | awk '{print $3}' | sort | uniq -d)
+    if [ -n "$dup" ]; then
+        echo "families declared twice in $body: $dup" >&2
+        exit 1
+    fi
+done
+if [ "$(grep -c '^# EOF$' "$DIR/metrics_om.txt")" != 1 ] || [ "$(tail -n 1 "$DIR/metrics_om.txt")" != '# EOF' ]; then
+    echo "OpenMetrics body does not end in exactly one # EOF" >&2
+    exit 1
+fi
+
 fetch "http://localhost:$PORT/v1/progress/$ID" "$DIR/progress.json"
 grep -q '"done": true' "$DIR/progress.json"
 fetch "http://localhost:$PORT/v1/progress" "$DIR/progress_list.json"
