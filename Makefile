@@ -1,6 +1,6 @@
 # Development targets for the H-DivExplorer reproduction.
 #
-#   make check        vet + build + race tests + bench/trace smoke (CI entry)
+#   make check        vet (+ gofmt) + build + race tests + bench/trace smoke (CI entry)
 #   make test         go test ./...
 #   make race         go test -race ./...
 #   make bench        full benchmark suite (slow; paper artifacts + ablations)
@@ -31,8 +31,11 @@ BENCHBASE ?= BENCH_PR9.json
 
 check: vet build race test-faults test-crash bench-test smoke smoke-daemon
 
+# vet also fails when gofmt would rewrite any file.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...

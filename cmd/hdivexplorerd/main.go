@@ -14,9 +14,9 @@
 //
 // Datasets are live: POST /v1/datasets/{name}/rows appends a row batch,
 // atomically bumping the dataset's epoch. New explorations see the new
-// rows (the universe is grown incrementally when the appended batch's
-// quantile drift allows, re-discretized otherwise — tune with
-// -rediscretize-drift), in-flight and epoch-pinned explorations keep
+// rows (the universe is grown incrementally while every continuous
+// column's Kolmogorov–Smirnov drift stays within 0.2, re-discretized
+// otherwise), in-flight and epoch-pinned explorations keep
 // their frozen snapshot, and a debounced background re-mine compares
 // subgroup t-values across epochs: GET /v1/drift/{name} lists subgroups
 // whose |t| crossed -drift-t since the last baseline.
@@ -30,19 +30,18 @@
 // OpenMetrics with request-ID exemplars when the Accept header asks;
 // both include curated runtime/metrics families).
 //
-// -trace-ring bounds how many completed requests keep their trace,
-// explain profile and flight record queryable; -slow-threshold sets the
-// latency bar over which requests are retained in full (trace +
-// explain) for post-hoc debugging, -slow-requests how many such
-// captures are kept.
+// The 64 most recent completed requests keep their trace, explain
+// profile and flight record queryable; the 8 slowest requests over the
+// slow bar are retained in full (trace + explain) for post-hoc
+// debugging.
 //
 // -slo declares service-level objectives (e.g.
 // -slo p99=250ms,availability=99.9): GET /v1/slo then reports each
 // endpoint class's error-budget burn rate over sliding short/long
 // windows, and /metrics grows windowed server_window_* and server_slo_*
-// gauge families. With -slow-threshold left at its automatic default the
-// flight recorder's slow bar follows the tightest -slo latency target,
-// so every objective-violating request keeps its full trace.
+// gauge families. The flight recorder's slow bar is the tightest -slo
+// latency target (1s without one), so every objective-violating request
+// keeps its full trace.
 //
 // The listener comes up immediately; GET /readyz answers 503 while the
 // datasets load, 200 once the daemon can take traffic, and 503 again
@@ -58,17 +57,22 @@
 // replay runs, /readyz answers 503 with a JSON progress body
 // {"state":"recovering","replayed":N,"total":M}. -wal-sync picks the
 // durability/throughput trade (always = fsync before every ack, with
-// group commit; interval = background flush; none = page cache),
-// -wal-segment-bytes the segment rotation size (each rotation also
-// triggers a background full-table snapshot that lets old segments be
-// deleted), and -epoch-retain how many recent epochs, the current one
+// group commit; interval = background flush every 50ms; none = page
+// cache), and -epoch-retain how many recent epochs, the current one
 // included, stay servable as "epoch": e pins, with or without -wal-dir
 // (older pins answer 410 Gone; compaction keeps every retained epoch).
+// Segments rotate at 4 MiB; each rotation also triggers a background
+// full-table snapshot that lets old segments be deleted.
 //
 // The -budget-* flags bound every exploration's resource consumption;
 // on exhaustion the request is answered 200 with a ranked report flagged
 // "truncated" instead of stalling or exhausting the machine. Requests
 // may tighten (never loosen) the budget via the body's budget object.
+//
+// The HTTP server reads headers within 10s, whole requests within 1m,
+// reaps idle keep-alive connections after 2m, and bounds each response
+// write at -timeout + 90s, so a reply always outlives the exploration
+// it carries.
 //
 // Every exploration carries a correlation ID (client-supplied via
 // X-Request-ID or generated, echoed in the response header) that keys
@@ -135,100 +139,89 @@ type daemonConfig struct {
 	drain     time.Duration
 	logJSON   bool
 	budget    fpm.Budget
+	slo       server.SLOConfig
 
-	traceRing     int
-	slowThreshold time.Duration
-	slowRequests  int
-	slo           server.SLOConfig
+	driftT        float64
+	driftDebounce time.Duration
 
-	rediscretizeDrift float64
-	driftT            float64
-	driftDebounce     time.Duration
-
-	walDir          string
-	walSync         string
-	walSegmentBytes int64
-	epochRetain     int
-
-	readHeaderTimeout time.Duration
-	readTimeout       time.Duration
-	writeTimeout      time.Duration
-	idleTimeout       time.Duration
+	walDir      string
+	walSync     string
+	epochRetain int
 
 	// onListen, when non-nil, receives the bound listener address before
 	// serving starts. Tests use it to reach a daemon started on port 0.
 	onListen func(addr string)
 }
 
-func main() {
+// HTTP server timeouts. The write bound is derived from -timeout so a
+// response always outlives the exploration it carries.
+const (
+	readHeaderTimeout = 10 * time.Second // slow-header (Slowloris) guard
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+	writeSlack        = 90 * time.Second
+)
+
+// parseFlags registers the daemon's flags on fs and parses args into a
+// daemonConfig.
+func parseFlags(fs *flag.FlagSet, args []string) (daemonConfig, error) {
 	var (
-		datasets  datasetFlags
-		addr      = flag.String("addr", ":8080", "listen address")
-		debugAddr = flag.String("debug-addr", "", "optional second listener for /debug/pprof and /debug/vars (e.g. localhost:6060); off when empty")
-		inflight  = flag.Int("max-inflight", 0, "max concurrent explorations (0 = GOMAXPROCS)")
-		cacheMax  = flag.Int("cache-max", 32, "max cached universes before LRU eviction (negative = unbounded)")
-		timeout   = flag.Duration("timeout", 30*time.Second, "per-request exploration timeout")
-		drain     = flag.Duration("drain", 30*time.Second, "graceful shutdown drain budget")
-		logJSON   = flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
-
-		traceRing     = flag.Int("trace-ring", server.DefaultTraceRing, "completed requests whose trace/explain/flight record stay queryable (clamped to 4096)")
-		slowThreshold = flag.Duration("slow-threshold", 0, "latency over which a request's full trace and explain profile are retained (0 = auto: the tightest -slo latency target, else 1s; negative = off)")
-		slowRequests  = flag.Int("slow-requests", 8, "how many slow requests to retain, competing by latency")
-		sloSpec       = flag.String("slo", "", "service-level objectives as key=value pairs, e.g. p99=250ms,availability=99.9,short=10s,long=60s; GET /v1/slo reports windowed burn rates against them")
-
-		rediscretizeDrift = flag.Float64("rediscretize-drift", 0, "per-column Kolmogorov–Smirnov drift of an appended batch above which the universe is re-discretized instead of grown incrementally (0 = default 0.2; negative = always re-discretize)")
-		driftT            = flag.Float64("drift-t", 0, "|t| threshold for drift events after appends (0 = default 3; negative = disable the drift monitor)")
-		driftDebounce     = flag.Duration("drift-debounce", 0, "quiet period coalescing append bursts before the background drift re-mine (0 = default 2s)")
-
-		walDir          = flag.String("wal-dir", "", "directory for per-dataset write-ahead logs; appends become durable and survive restarts (empty = in-memory only)")
-		walSync         = flag.String("wal-sync", "always", "WAL durability policy: always (fsync before every ack, group-committed), interval (background flush) or none (page cache)")
-		walSegmentBytes = flag.Int64("wal-segment-bytes", 0, "WAL segment rotation size in bytes; each rotation triggers background snapshot/compaction (0 = default 4 MiB)")
-		epochRetain     = flag.Int("epoch-retain", 0, "recent epochs, the current one included, servable as \"epoch\": e pins; older pins answer 410 Gone (0 or negative = default 8)")
-
-		readHeaderTimeout = flag.Duration("read-header-timeout", 10*time.Second, "http.Server.ReadHeaderTimeout: slow-header (Slowloris) guard")
-		readTimeout       = flag.Duration("read-timeout", time.Minute, "http.Server.ReadTimeout: full request read bound (0 = none)")
-		writeTimeout      = flag.Duration("write-timeout", 2*time.Minute, "http.Server.WriteTimeout: response write bound; keep it above -timeout (0 = none)")
-		idleTimeout       = flag.Duration("idle-timeout", 2*time.Minute, "http.Server.IdleTimeout: keep-alive connection reap (0 = none)")
-
-		budgetCandidates = flag.Int("budget-candidates", 0, "per-exploration cap on evaluated itemset candidates (0 = unlimited); exhaustion truncates the report")
-		budgetItemsets   = flag.Int("budget-itemsets", 0, "per-exploration cap on frequent itemsets kept (0 = unlimited); exhaustion truncates the report")
-		budgetDeadline   = flag.Duration("budget-deadline", 0, "per-exploration soft mining deadline (0 = none); expiry truncates the report instead of failing the request")
-		budgetHeap       = flag.Uint64("budget-heap-bytes", 0, "process heap watermark that truncates in-flight mining (0 = off)")
+		cfg     daemonConfig
+		sloSpec string
 	)
-	flag.Var(&datasets, "dataset", "dataset to serve as name=path.csv (repeatable, required)")
-	flag.Parse()
-	slo, err := server.ParseSLO(*sloSpec)
+	fs.Var((*datasetFlags)(&cfg.datasets), "dataset", "dataset to serve as name=path.csv (repeatable, required)")
+	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&cfg.debugAddr, "debug-addr", "", "optional second listener for /debug/pprof and /debug/vars (e.g. localhost:6060); off when empty")
+	fs.IntVar(&cfg.inflight, "max-inflight", 0, "max concurrent explorations (0 = GOMAXPROCS)")
+	fs.IntVar(&cfg.cacheMax, "cache-max", 32, "max cached universes before LRU eviction (negative = unbounded)")
+	fs.DurationVar(&cfg.timeout, "timeout", 30*time.Second, "per-request exploration timeout; the HTTP write timeout is this plus 90s")
+	fs.DurationVar(&cfg.drain, "drain", 30*time.Second, "graceful shutdown drain budget")
+	fs.BoolVar(&cfg.logJSON, "log-json", false, "emit structured logs as JSON instead of text")
+	fs.StringVar(&sloSpec, "slo", "", "service-level objectives as key=value pairs, e.g. p99=250ms,availability=99.9,short=10s,long=60s; GET /v1/slo reports windowed burn rates against them, and the tightest latency target (else 1s) is the flight recorder's slow-capture bar")
+
+	fs.Float64Var(&cfg.driftT, "drift-t", 0, "|t| threshold for drift events after appends (0 = default 3; negative = disable the drift monitor)")
+	fs.DurationVar(&cfg.driftDebounce, "drift-debounce", 0, "quiet period coalescing append bursts before the background drift re-mine (0 = default 2s)")
+
+	fs.StringVar(&cfg.walDir, "wal-dir", "", "directory for per-dataset write-ahead logs; appends become durable and survive restarts (empty = in-memory only)")
+	fs.StringVar(&cfg.walSync, "wal-sync", "always", "WAL durability policy: always (fsync before every ack, group-committed), interval (background flush) or none (page cache)")
+	fs.IntVar(&cfg.epochRetain, "epoch-retain", 0, "recent epochs, the current one included, servable as \"epoch\": e pins; older pins answer 410 Gone (0 or negative = default 8)")
+
+	fs.IntVar(&cfg.budget.MaxCandidates, "budget-candidates", 0, "per-exploration cap on evaluated itemset candidates (0 = unlimited); exhaustion truncates the report")
+	fs.IntVar(&cfg.budget.MaxItemsets, "budget-itemsets", 0, "per-exploration cap on frequent itemsets kept (0 = unlimited); exhaustion truncates the report")
+	fs.DurationVar(&cfg.budget.SoftDeadline, "budget-deadline", 0, "per-exploration soft mining deadline (0 = none); expiry truncates the report instead of failing the request")
+	fs.Uint64Var(&cfg.budget.MaxHeapBytes, "budget-heap-bytes", 0, "process heap watermark that truncates in-flight mining (0 = off)")
+
+	if err := fs.Parse(args); err != nil {
+		return daemonConfig{}, err
+	}
+	var err error
+	if cfg.slo, err = server.ParseSLO(sloSpec); err != nil {
+		return daemonConfig{}, err
+	}
+	return cfg, nil
+}
+
+func main() {
+	cfg, err := parseFlags(flag.NewFlagSet(os.Args[0], flag.ExitOnError), os.Args[1:])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hdivexplorerd:", err)
 		os.Exit(2)
 	}
-	cfg := daemonConfig{
-		datasets: datasets, addr: *addr, debugAddr: *debugAddr,
-		inflight: *inflight, cacheMax: *cacheMax,
-		timeout: *timeout, drain: *drain, logJSON: *logJSON,
-		traceRing: *traceRing, slowThreshold: *slowThreshold, slowRequests: *slowRequests,
-		slo:               slo,
-		rediscretizeDrift: *rediscretizeDrift,
-		driftT:            *driftT,
-		driftDebounce:     *driftDebounce,
-		walDir:            *walDir,
-		walSync:           *walSync,
-		walSegmentBytes:   *walSegmentBytes,
-		epochRetain:       *epochRetain,
-		budget: fpm.Budget{
-			MaxCandidates: *budgetCandidates,
-			MaxItemsets:   *budgetItemsets,
-			SoftDeadline:  *budgetDeadline,
-			MaxHeapBytes:  *budgetHeap,
-		},
-		readHeaderTimeout: *readHeaderTimeout,
-		readTimeout:       *readTimeout,
-		writeTimeout:      *writeTimeout,
-		idleTimeout:       *idleTimeout,
-	}
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "hdivexplorerd:", err)
 		os.Exit(1)
+	}
+}
+
+// newHTTPServer builds the main listener's http.Server around h.
+func newHTTPServer(cfg daemonConfig, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              cfg.addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      cfg.timeout + writeSlack,
+		IdleTimeout:       idleTimeout,
 	}
 }
 
@@ -311,14 +304,7 @@ func run(cfg daemonConfig) error {
 		(*handler.Load()).ServeHTTP(w, r)
 	})
 
-	srv := &http.Server{
-		Addr:              cfg.addr,
-		Handler:           root,
-		ReadHeaderTimeout: cfg.readHeaderTimeout,
-		ReadTimeout:       cfg.readTimeout,
-		WriteTimeout:      cfg.writeTimeout,
-		IdleTimeout:       cfg.idleTimeout,
-	}
+	srv := newHTTPServer(cfg, root)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
@@ -327,24 +313,19 @@ func run(cfg daemonConfig) error {
 	var explorer atomic.Pointer[server.Server]
 	go func() {
 		h, err := server.New(server.Config{
-			Datasets:          cfg.datasets,
-			MaxInFlight:       cfg.inflight,
-			RequestTimeout:    cfg.timeout,
-			CacheMax:          cfg.cacheMax,
-			Budget:            cfg.budget,
-			TraceRing:         cfg.traceRing,
-			SlowThreshold:     cfg.slowThreshold,
-			SlowRequests:      cfg.slowRequests,
-			SLO:               cfg.slo,
-			RediscretizeDrift: cfg.rediscretizeDrift,
-			DriftT:            cfg.driftT,
-			DriftDebounce:     cfg.driftDebounce,
-			WALDir:            cfg.walDir,
-			WALSync:           walSync,
-			WALSegmentBytes:   cfg.walSegmentBytes,
-			EpochRetain:       cfg.epochRetain,
-			Recovery:          rec,
-			Logger:            logger,
+			Datasets:       cfg.datasets,
+			MaxInFlight:    cfg.inflight,
+			RequestTimeout: cfg.timeout,
+			CacheMax:       cfg.cacheMax,
+			Budget:         cfg.budget,
+			SLO:            cfg.slo,
+			DriftT:         cfg.driftT,
+			DriftDebounce:  cfg.driftDebounce,
+			WALDir:         cfg.walDir,
+			WALSync:        walSync,
+			EpochRetain:    cfg.epochRetain,
+			Recovery:       rec,
+			Logger:         logger,
 		})
 		if err != nil {
 			loaded <- err
@@ -365,7 +346,7 @@ func run(cfg daemonConfig) error {
 		dsrv = &http.Server{
 			Addr:              cfg.debugAddr,
 			Handler:           debugMux(),
-			ReadHeaderTimeout: cfg.readHeaderTimeout,
+			ReadHeaderTimeout: readHeaderTimeout,
 		}
 		go func() {
 			logger.Info("debug listener on", slog.String("addr", cfg.debugAddr))

@@ -2,10 +2,13 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
+	"reflect"
+	"sort"
 	"strings"
 	"syscall"
 	"testing"
@@ -343,5 +346,65 @@ func TestDaemonArmsFailpointsFromEnv(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("daemon did not exit after SIGTERM")
+	}
+}
+
+// TestDaemonFlagSurface pins the daemon's operator surface: exactly the
+// 18 kept flags are registered, a removed flag is a parse error, the
+// default HTTP timeouts are 10s/1m/2m/2m, and the write timeout derived
+// from -timeout always exceeds it.
+func TestDaemonFlagSurface(t *testing.T) {
+	newFlags := func() *flag.FlagSet {
+		fs := flag.NewFlagSet("hdivexplorerd", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		return fs
+	}
+	fs := newFlags()
+	cfg, err := parseFlags(fs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	want := []string{
+		"addr", "budget-candidates", "budget-deadline", "budget-heap-bytes",
+		"budget-itemsets", "cache-max", "dataset", "debug-addr", "drain",
+		"drift-debounce", "drift-t", "epoch-retain", "log-json",
+		"max-inflight", "slo", "timeout", "wal-dir", "wal-sync",
+	}
+	sort.Strings(names)
+	if !reflect.DeepEqual(names, want) {
+		t.Errorf("registered flags = %v, want %v", names, want)
+	}
+
+	set, err := parseFlags(newFlags(), []string{"-dataset", "d=d.csv", "-dataset", "e=e.csv", "-slo", "p99=250ms"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(set.datasets) != 2 || set.datasets[1] != (server.DatasetConfig{Name: "e", Path: "e.csv"}) || len(set.slo.Latency) != 1 {
+		t.Errorf("parsed datasets %+v, slo %+v", set.datasets, set.slo)
+	}
+	if _, err := parseFlags(newFlags(), []string{"-slo", "p99"}); err == nil {
+		t.Error("malformed -slo parsed")
+	}
+	if _, err := parseFlags(newFlags(), []string{"-trace-ring", "8"}); err == nil {
+		t.Error("-trace-ring 8 parsed; the flag is removed")
+	}
+
+	srv := newHTTPServer(cfg, nil)
+	if srv.ReadHeaderTimeout != 10*time.Second || srv.ReadTimeout != time.Minute ||
+		srv.WriteTimeout != 2*time.Minute || srv.IdleTimeout != 2*time.Minute {
+		t.Errorf("default timeouts = header %v, read %v, write %v, idle %v; want 10s/1m/2m/2m",
+			srv.ReadHeaderTimeout, srv.ReadTimeout, srv.WriteTimeout, srv.IdleTimeout)
+	}
+
+	for _, timeout := range []string{"1s", "30s", "10m"} {
+		cfg, err := parseFlags(newFlags(), []string{"-timeout", timeout})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := newHTTPServer(cfg, nil).WriteTimeout; w <= cfg.timeout {
+			t.Errorf("-timeout %s: write timeout %v does not exceed it", timeout, w)
+		}
 	}
 }

@@ -339,7 +339,7 @@ func (e *Explain) Deterministic() *Explain {
 		return nil
 	}
 	d := &Explain{
-		Mining: e.Mining,
+		Mining:    e.Mining,
 		Shards:    append([]ExplainShard(nil), e.Shards...),
 		ShardSkew: e.ShardSkew,
 	}

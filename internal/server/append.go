@@ -106,18 +106,25 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, appendReply{Dataset: name, Epoch: epoch, Rows: batch.N, TotalRows: total})
 }
 
+// rediscretizeKS is the per-column quantile-drift gate of incremental
+// universe maintenance: when the two-sample Kolmogorov–Smirnov statistic
+// between an appended batch and the rows before it exceeds this value,
+// the epoch-bump build abandons the cached discretization cutpoints and
+// re-discretizes from scratch.
+const rediscretizeKS = 0.2
+
 // buildOrAppend is the universe-cache build function for a current-epoch
 // miss: when a prior epoch of the same build is still cached and the
 // appended rows pass the drift policy, the entry is grown incrementally
 // (discretization cutpoints kept, item bitvecs extended by tail words);
 // otherwise — large quantile drift, new categorical levels, no prior, or
-// incremental maintenance disabled or failing — it is built from scratch.
+// a failing incremental build — it is built from scratch.
 // Either way the resulting entry is byte-identical for identical data, so
 // the choice is purely a latency/throughput optimization.
 func (s *Server) buildOrAppend(e *cacheEntry, p *exploreParams, tracer *obs.Tracer) error {
 	key := p.key()
 	prior := s.cache.prior(key)
-	if prior != nil && s.rediscretizeDrift >= 0 && s.canAppend(prior.tab, p.tab) {
+	if prior != nil && canAppend(prior.tab, p.tab) {
 		if err := appendEntry(e, p.tab, key, prior); err == nil {
 			s.tracer.Counter(obs.CtrServerUniverseIncremental).Add(1)
 			return nil
@@ -137,10 +144,10 @@ func (s *Server) buildOrAppend(e *cacheEntry, p *exploreParams, tracer *obs.Trac
 // discretization: the old table must be a frozen prefix of the new one
 // with unchanged categorical dictionaries (new level names force a
 // rebuild — the cached hierarchies carry no items for them), and every
-// continuous column's appended batch must sit within the configured
-// Kolmogorov–Smirnov drift of the rows before it (otherwise the cached
-// cutpoints no longer reflect the data's quantile structure).
-func (s *Server) canAppend(old, cur *dataset.Table) bool {
+// continuous column's appended batch must sit within rediscretizeKS of
+// the rows before it (otherwise the cached cutpoints no longer reflect
+// the data's quantile structure).
+func canAppend(old, cur *dataset.Table) bool {
 	oldN, newN := old.NumRows(), cur.NumRows()
 	if newN < oldN {
 		return false
@@ -156,7 +163,7 @@ func (s *Server) canAppend(old, cur *dataset.Table) bool {
 			continue
 		}
 		vals := cur.Floats(f.Name)
-		if discretize.KSDrift(vals[:oldN], vals[oldN:]) > s.rediscretizeDrift {
+		if discretize.KSDrift(vals[:oldN], vals[oldN:]) > rediscretizeKS {
 			return false
 		}
 	}

@@ -1,13 +1,17 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -368,8 +372,8 @@ func snapshotSubgroups(rep *core.Report) map[string]subgroupSnap {
 }
 
 // diffSubgroups returns the subgroups whose |t| crossed the threshold
-// between two epoch snapshots, in deterministic order (crossing-up first,
-// larger |t-after| first).
+// between two epoch snapshots, in deterministic order: crossing-up
+// first, then larger |t-after|, then the subgroup label.
 func diffSubgroups(before, after map[string]subgroupSnap, thresh float64, fromEpoch, toEpoch uint64) []DriftEvent {
 	now := time.Now().UnixNano()
 	var events []DriftEvent
@@ -381,8 +385,8 @@ func diffSubgroups(before, after map[string]subgroupSnap, thresh float64, fromEp
 		seen[label] = true
 		b := before[label] // zero value: absent ⇒ t = 0
 		a := after[label]
-		wasOver := abs(b.T) >= thresh
-		isOver := abs(a.T) >= thresh
+		wasOver := math.Abs(b.T) >= thresh
+		isOver := math.Abs(a.T) >= thresh
 		if wasOver == isOver {
 			return
 		}
@@ -408,33 +412,19 @@ func diffSubgroups(before, after map[string]subgroupSnap, thresh float64, fromEp
 	for label := range before {
 		consider(label)
 	}
-	sortDriftEvents(events)
-	return events
-}
-
-func sortDriftEvents(events []DriftEvent) {
-	for i := 1; i < len(events); i++ {
-		for j := i; j > 0 && driftLess(events[j], events[j-1]); j-- {
-			events[j], events[j-1] = events[j-1], events[j]
+	slices.SortFunc(events, func(a, b DriftEvent) int {
+		if a.Direction != b.Direction {
+			if a.Direction == "crossed_up" {
+				return -1
+			}
+			return 1
 		}
-	}
-}
-
-func driftLess(a, b DriftEvent) bool {
-	if a.Direction != b.Direction {
-		return a.Direction == "crossed_up"
-	}
-	if abs(a.TAfter) != abs(b.TAfter) {
-		return abs(a.TAfter) > abs(b.TAfter)
-	}
-	return a.Subgroup < b.Subgroup
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
+		if c := cmp.Compare(math.Abs(b.TAfter), math.Abs(a.TAfter)); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Subgroup, b.Subgroup)
+	})
+	return events
 }
 
 // driftReply is the GET /v1/drift/{name} response body.

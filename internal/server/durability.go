@@ -46,15 +46,14 @@ func (r *RecoveryState) noteReplayed() {
 	}
 }
 
-// walOptions derives one dataset's log options from the server config.
+// walOptions derives one dataset's log options from the server config;
+// segment size and flush interval keep the wal package defaults.
 func (cfg *Config) walOptions(name string) wal.Options {
 	return wal.Options{
-		Dir:          filepath.Join(cfg.WALDir, name),
-		SegmentBytes: cfg.WALSegmentBytes,
-		Sync:         cfg.WALSync,
-		SyncInterval: cfg.WALSyncInterval,
-		Name:         name,
-		Tracer:       cfg.Tracer,
+		Dir:    filepath.Join(cfg.WALDir, name),
+		Sync:   cfg.WALSync,
+		Name:   name,
+		Tracer: cfg.Tracer,
 		Logf: func(format string, args ...any) {
 			cfg.Logger.Warn(fmt.Sprintf(format, args...), slog.String("dataset", name))
 		},

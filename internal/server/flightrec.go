@@ -67,8 +67,12 @@ type flightRecorder struct {
 	slow []*SlowCapture // sorted by latency descending, at most slowCap
 }
 
+// slowCaptures is how many slow requests the server's flight recorder
+// retains, competing by latency.
+const slowCaptures = 8
+
 // newFlightRecorder sizes the ring and the slow capture. size and keep
-// are assumed validated (positive) by the server's Config handling.
+// must be positive.
 func newFlightRecorder(size, keep int, threshold time.Duration) *flightRecorder {
 	return &flightRecorder{
 		slots:     make([]atomic.Pointer[FlightRecord], size),
@@ -82,9 +86,6 @@ func newFlightRecorder(size, keep int, threshold time.Duration) *flightRecorder 
 // outnumber the ring, two of them may race for a slot; the last store
 // wins and the other record is dropped.
 func (f *flightRecorder) record(rec FlightRecord) {
-	if f == nil {
-		return
-	}
 	seq := f.cursor.Add(1) - 1
 	rec.Seq = seq
 	f.slots[seq%uint64(len(f.slots))].Store(&rec)
@@ -93,9 +94,6 @@ func (f *flightRecorder) record(rec FlightRecord) {
 // recorded returns the lifetime count of record calls (including any
 // dropped under contention).
 func (f *flightRecorder) recorded() uint64 {
-	if f == nil {
-		return 0
-	}
 	return f.cursor.Load()
 }
 
@@ -103,9 +101,6 @@ func (f *flightRecorder) recorded() uint64 {
 // whose sequence number is claimed but not yet published is skipped; the
 // result is a consistent sample, not a transactional view.
 func (f *flightRecorder) snapshot() []FlightRecord {
-	if f == nil {
-		return nil
-	}
 	n := uint64(len(f.slots))
 	head := f.cursor.Load()
 	out := make([]FlightRecord, 0, n)
@@ -125,7 +120,7 @@ func (f *flightRecorder) snapshot() []FlightRecord {
 // over the latency threshold keep their full trace and explain profile,
 // competing for the slowCap slots by latency.
 func (f *flightRecorder) noteSlow(rec FlightRecord, trace *obs.Trace) {
-	if f == nil || f.threshold <= 0 || time.Duration(rec.LatencyNS) < f.threshold {
+	if time.Duration(rec.LatencyNS) < f.threshold {
 		return
 	}
 	f.mu.Lock()
@@ -144,9 +139,6 @@ func (f *flightRecorder) noteSlow(rec FlightRecord, trace *obs.Trace) {
 
 // slowList returns the captured slow requests, slowest first.
 func (f *flightRecorder) slowList() []*SlowCapture {
-	if f == nil {
-		return nil
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return append([]*SlowCapture(nil), f.slow...)
@@ -158,7 +150,7 @@ type debugRequestsReply struct {
 	// count (so Recorded − len(Recent) requests have rotated out).
 	RingSize int    `json:"ring_size"`
 	Recorded uint64 `json:"recorded"`
-	// SlowThresholdMS is the slow-capture latency bar (0 = capture off).
+	// SlowThresholdMS is the slow-capture latency bar.
 	SlowThresholdMS int64 `json:"slow_threshold_ms"`
 	// Recent holds the ring's stable records, newest first. Slow holds the
 	// retained slow captures with their explain profiles, slowest first.
@@ -189,9 +181,6 @@ func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 // nil. Lets /v1/trace/{id} and /v1/explain/{id} answer for slow requests
 // that have already rotated out of the recent-request ring.
 func (f *flightRecorder) slowTrace(id string) *obs.Trace {
-	if f == nil {
-		return nil
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for _, c := range f.slow {

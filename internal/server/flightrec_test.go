@@ -79,17 +79,6 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderNilSafe exercises every method on a nil recorder —
-// the disabled configuration must be a no-op, not a panic.
-func TestFlightRecorderNilSafe(t *testing.T) {
-	var f *flightRecorder
-	f.record(FlightRecord{})
-	f.noteSlow(FlightRecord{LatencyNS: 1 << 40}, nil)
-	if f.recorded() != 0 || f.snapshot() != nil || f.slowList() != nil || f.slowTrace("x") != nil {
-		t.Error("nil recorder returned non-zero state")
-	}
-}
-
 // TestNoteSlowCompetition checks the N-slowest capture: requests under
 // the threshold are ignored, the capture keeps only the slowest keep
 // entries sorted slowest-first, and the retained trace is recoverable by
@@ -224,12 +213,17 @@ func TestExplainEndpoint(t *testing.T) {
 // explain profiles and keep /v1/explain answering after the request
 // rotates out of the trace ring.
 func TestDebugRequestsEndpoint(t *testing.T) {
+	slo, err := ParseSLO("p99=1ns") // every request is "slow"
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := newTestServer(t, Config{
-		Datasets:      []DatasetConfig{{Name: "anomaly", Table: anomalyTable(t)}},
-		TraceRing:     1,               // rotate traces out immediately
-		SlowThreshold: time.Nanosecond, // every request is "slow"
-		SlowRequests:  4,
+		Datasets: []DatasetConfig{{Name: "anomaly", Table: anomalyTable(t)}},
+		SLO:      slo,
 	})
+	// Size-1 rings rotate traces out immediately.
+	s.requests = newRequestRegistry(1)
+	s.flight = newFlightRecorder(1, 4, s.flight.threshold)
 	const first = "debug-req-1"
 	body, _ := json.Marshal(ExploreRequest{Dataset: "anomaly", Stat: "error", Actual: "y", Predicted: "p"})
 	rec := httptest.NewRecorder()

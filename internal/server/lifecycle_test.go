@@ -585,6 +585,49 @@ func TestDriftMonitorDetectsCrossing(t *testing.T) {
 	}
 }
 
+// TestDiffSubgroupsOrder pins the drift-event order: crossed_up before
+// crossed_down, then larger |t_after| first, then the subgroup label;
+// a subgroup absent from one side reads as t = 0 there, and subgroups
+// that stay on one side of the threshold produce no event.
+func TestDiffSubgroupsOrder(t *testing.T) {
+	before := map[string]subgroupSnap{
+		"a": {T: 1}, "b": {T: 4}, "c": {T: -5}, "d": {T: 0.5},
+		"gone": {T: 6}, "stay": {T: 5}, "quiet": {T: 1},
+	}
+	after := map[string]subgroupSnap{
+		"a": {T: 4}, "b": {T: 1}, "c": {T: -0.5}, "d": {T: -4},
+		"new": {T: 5}, "stay": {T: 6}, "quiet": {T: 2},
+	}
+	want := []struct {
+		label, dir      string
+		tBefore, tAfter float64
+	}{
+		{"new", "crossed_up", 0, 5},
+		{"a", "crossed_up", 1, 4},
+		{"d", "crossed_up", 0.5, -4}, // ties a on |t_after|: label decides
+		{"b", "crossed_down", 4, 1},
+		{"c", "crossed_down", -5, -0.5},
+		{"gone", "crossed_down", 6, 0},
+	}
+	// Map iteration order varies between calls; the result must not.
+	for run := 0; run < 20; run++ {
+		events := diffSubgroups(before, after, 3, 4, 5)
+		if len(events) != len(want) {
+			t.Fatalf("run %d: %d events, want %d: %+v", run, len(events), len(want), events)
+		}
+		for i, w := range want {
+			ev := events[i]
+			if ev.Subgroup != w.label || ev.Direction != w.dir || ev.TBefore != w.tBefore || ev.TAfter != w.tAfter {
+				t.Fatalf("run %d: event %d = %s %s %v -> %v, want %s %s %v -> %v", run, i,
+					ev.Subgroup, ev.Direction, ev.TBefore, ev.TAfter, w.label, w.dir, w.tBefore, w.tAfter)
+			}
+			if ev.FromEpoch != 4 || ev.ToEpoch != 5 {
+				t.Fatalf("run %d: event %d epochs = %d -> %d, want 4 -> 5", run, i, ev.FromEpoch, ev.ToEpoch)
+			}
+		}
+	}
+}
+
 // TestCacheStaleEviction proves eviction prefers stale-epoch entries
 // over the plain LRU tail: with the cache full, an append that outdates
 // the most-recently-used entry makes it the victim, and the

@@ -10,17 +10,12 @@ import (
 	"repro/internal/obs"
 )
 
-// DefaultTraceRing is the default capacity of the completed-request
-// ring: only the most recent explorations keep their progress and trace
-// snapshot queryable, so the registry's memory is bounded no matter how
-// many requests the daemon serves over its lifetime. Configurable via
-// Config.TraceRing (the daemon's -trace-ring flag).
+// DefaultTraceRing is the capacity of the completed-request ring and of
+// the flight recorder: only the most recent explorations keep their
+// progress, trace snapshot and flight record queryable, so the
+// registry's memory is bounded no matter how many requests the daemon
+// serves over its lifetime.
 const DefaultTraceRing = 64
-
-// maxTraceRing bounds configurable ring sizes: each retained entry holds
-// a full trace snapshot, so an unbounded ring would reintroduce the
-// unbounded memory growth the ring exists to avoid.
-const maxTraceRing = 4096
 
 // requestState tracks one exploration request for the progress and trace
 // endpoints. Progress is written lock-free by the miner; the remaining
@@ -51,9 +46,6 @@ type requestRegistry struct {
 func newRequestRegistry(cap int) *requestRegistry {
 	if cap <= 0 {
 		cap = DefaultTraceRing
-	}
-	if cap > maxTraceRing {
-		cap = maxTraceRing
 	}
 	return &requestRegistry{cap: cap, active: map[string]*requestState{}}
 }

@@ -58,34 +58,14 @@ type Config struct {
 	// Requests may tighten individual dimensions via the body's budget
 	// object but never loosen them. The zero value is unlimited.
 	Budget fpm.Budget
-	// TraceRing bounds how many completed requests keep their progress,
-	// trace snapshot and flight record queryable (GET /v1/trace/{id},
-	// /v1/explain/{id}, /v1/debug/requests). 0 defaults to
-	// DefaultTraceRing; values above 4096 are clamped.
-	TraceRing int
-	// SlowThreshold is the flight recorder's slow-request latency bar:
-	// requests at least this slow keep their full trace and explain
-	// profile even after rotating out of the trace ring. 0 is automatic:
-	// the tightest SLO latency target when one is declared, else 1s —
-	// so every objective-violating request is captured in full. Negative
-	// disables slow capture.
-	SlowThreshold time.Duration
 	// SLO declares the server's service-level objectives and measurement
 	// windows (see SLOConfig and ParseSLO). The windowed latency/error
 	// tracking behind GET /v1/slo and the server_window_* metric families
-	// runs whether or not objectives are declared.
+	// runs whether or not objectives are declared. The tightest latency
+	// target is also the flight recorder's slow-capture bar (1s when no
+	// latency objective is declared), so every objective-violating
+	// request keeps its full trace and explain profile.
 	SLO SLOConfig
-	// SlowRequests caps how many slow requests are retained (competing by
-	// latency). 0 defaults to 8.
-	SlowRequests int
-	// RediscretizeDrift is the per-column quantile-drift threshold (two-
-	// sample Kolmogorov–Smirnov statistic between an appended batch and the
-	// rows before it) above which an epoch-bump universe build abandons the
-	// cached discretization cutpoints and re-discretizes from scratch.
-	// Batches introducing new categorical levels always re-discretize.
-	// 0 defaults to 0.2; negative disables incremental maintenance
-	// entirely (every epoch bump re-discretizes).
-	RediscretizeDrift float64
 	// DriftT is the Welch t-value threshold of the divergence-drift
 	// monitor: a subgroup whose |t| crosses this value between epochs is
 	// reported by GET /v1/drift/{name}. 0 defaults to 3 (the paper's
@@ -102,14 +82,9 @@ type Config struct {
 	// Empty disables durability: appends live only in memory.
 	WALDir string
 	// WALSync is the append durability policy (see wal.SyncPolicy). The
-	// zero value is wal.SyncAlways.
+	// zero value is wal.SyncAlways. Segment size and the wal.SyncInterval
+	// flush period are the wal package defaults (4 MiB, 50ms).
 	WALSync wal.SyncPolicy
-	// WALSyncInterval is the background flush period under
-	// wal.SyncInterval. 0 defaults to 50ms.
-	WALSyncInterval time.Duration
-	// WALSegmentBytes rotates WAL segments at this size (0 = 4 MiB).
-	// Each rotation also triggers background snapshot/compaction.
-	WALSegmentBytes int64
 	// EpochRetain bounds how many recent epochs of a dataset, the
 	// current one included, stay servable as "epoch": e pins, with or
 	// without a WAL: once the dataset reaches epoch E, pins at or below
@@ -135,25 +110,24 @@ type Config struct {
 // it directly on an http.Server. All fields are internal — construct
 // with New.
 type Server struct {
-	mux               *http.ServeMux
-	tracer            *obs.Tracer
-	logger            *slog.Logger
-	requests          *requestRegistry
-	flight            *flightRecorder
-	slo               *sloEngine
-	hLatency          *obs.Histogram
-	tables            map[string]*dataset.Versioned
-	order             []string                // dataset names in registration order
-	wals              map[string]*wal.Log     // nil values when WALDir is unset
-	compacting        map[string]*atomic.Bool // per-dataset compaction latch
-	cache             *universeCache
-	drift             *driftMonitor
-	sem               chan struct{}
-	timeout           time.Duration
-	budget            fpm.Budget
-	rediscretizeDrift float64
-	inFlight          atomic.Int64
-	draining          atomic.Bool
+	mux        *http.ServeMux
+	tracer     *obs.Tracer
+	logger     *slog.Logger
+	requests   *requestRegistry
+	flight     *flightRecorder
+	slo        *sloEngine
+	hLatency   *obs.Histogram
+	tables     map[string]*dataset.Versioned
+	order      []string                // dataset names in registration order
+	wals       map[string]*wal.Log     // nil values when WALDir is unset
+	compacting map[string]*atomic.Bool // per-dataset compaction latch
+	cache      *universeCache
+	drift      *driftMonitor
+	sem        chan struct{}
+	timeout    time.Duration
+	budget     fpm.Budget
+	inFlight   atomic.Int64
+	draining   atomic.Bool
 }
 
 // New loads every configured dataset and returns the ready-to-serve
@@ -172,38 +146,14 @@ func New(cfg Config) (*Server, error) {
 	if cfg.CacheMax == 0 {
 		cfg.CacheMax = 32
 	}
-	if cfg.TraceRing <= 0 {
-		cfg.TraceRing = DefaultTraceRing
-	}
-	if cfg.TraceRing > maxTraceRing {
-		cfg.TraceRing = maxTraceRing
-	}
 	if err := cfg.SLO.normalize(); err != nil {
 		return nil, fmt.Errorf("server: %w", err)
-	}
-	switch {
-	case cfg.SlowThreshold == 0:
-		// Automatic: capture everything that violates the tightest latency
-		// objective; 1s when no SLO is declared.
-		if t := cfg.SLO.slowCaptureThreshold(); t > 0 {
-			cfg.SlowThreshold = t
-		} else {
-			cfg.SlowThreshold = time.Second
-		}
-	case cfg.SlowThreshold < 0:
-		cfg.SlowThreshold = 0 // disables slow capture
-	}
-	if cfg.SlowRequests <= 0 {
-		cfg.SlowRequests = 8
 	}
 	if cfg.Tracer == nil {
 		cfg.Tracer = obs.New()
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = obs.NopLogger()
-	}
-	if cfg.RediscretizeDrift == 0 {
-		cfg.RediscretizeDrift = 0.2
 	}
 	if cfg.DriftT == 0 {
 		cfg.DriftT = 3
@@ -218,19 +168,18 @@ func New(cfg Config) (*Server, error) {
 		mux:      http.NewServeMux(),
 		tracer:   cfg.Tracer,
 		logger:   cfg.Logger,
-		requests: newRequestRegistry(cfg.TraceRing),
-		flight:   newFlightRecorder(cfg.TraceRing, cfg.SlowRequests, cfg.SlowThreshold),
+		requests: newRequestRegistry(DefaultTraceRing),
+		flight:   newFlightRecorder(DefaultTraceRing, slowCaptures, cfg.SLO.slowCaptureThreshold()),
 		hLatency: cfg.Tracer.Histogram(obs.HistRequestSeconds, obs.LatencyBuckets),
 		tables:   map[string]*dataset.Versioned{},
 		cache: newUniverseCache(cfg.CacheMax,
 			cfg.Tracer.Counter(obs.CtrServerCacheEvictions),
 			cfg.Tracer.Counter(obs.CtrServerCacheStaleEvictions)),
-		sem:               make(chan struct{}, cfg.MaxInFlight),
-		timeout:           cfg.RequestTimeout,
-		budget:            cfg.Budget,
-		rediscretizeDrift: cfg.RediscretizeDrift,
-		wals:              map[string]*wal.Log{},
-		compacting:        map[string]*atomic.Bool{},
+		sem:        make(chan struct{}, cfg.MaxInFlight),
+		timeout:    cfg.RequestTimeout,
+		budget:     cfg.Budget,
+		wals:       map[string]*wal.Log{},
+		compacting: map[string]*atomic.Bool{},
 	}
 	s.slo = newSLOEngine(cfg.SLO, cfg.Tracer)
 	for _, d := range cfg.Datasets {
@@ -624,25 +573,14 @@ func (s *Server) resolve(req ExploreRequest) (*exploreParams, int, error) {
 		}
 		p.budget.MaxCandidates = tighten(p.budget.MaxCandidates, b.MaxCandidates)
 		p.budget.MaxItemsets = tighten(p.budget.MaxItemsets, b.MaxItemsets)
-		p.budget.SoftDeadline = time.Duration(tighten64(int64(p.budget.SoftDeadline),
-			int64(b.SoftDeadlineMS)*int64(time.Millisecond)))
+		p.budget.SoftDeadline = tighten(p.budget.SoftDeadline, time.Duration(b.SoftDeadlineMS)*time.Millisecond)
 	}
 	return p, 0, nil
 }
 
 // tighten combines a configured limit with a requested one: the smaller
 // nonzero value wins, 0 meaning "no limit from this side".
-func tighten(configured, requested int) int {
-	if requested <= 0 {
-		return configured
-	}
-	if configured <= 0 || requested < configured {
-		return requested
-	}
-	return configured
-}
-
-func tighten64(configured, requested int64) int64 {
+func tighten[T int | time.Duration](configured, requested T) T {
 	if requested <= 0 {
 		return configured
 	}
@@ -825,7 +763,7 @@ func (s *Server) serveExplore(w http.ResponseWriter, r *http.Request, batch bool
 		frec.LatencyNS = lat.Nanoseconds()
 		frec.UnixNano = time.Now().UnixNano()
 		s.flight.noteSlow(frec, trace)
-		if s.flight != nil && s.flight.threshold > 0 && lat >= s.flight.threshold {
+		if lat >= s.flight.threshold {
 			logger.Warn("slow request",
 				slog.String("dataset", p.req.Dataset),
 				slog.String("stat", p.req.Stat),

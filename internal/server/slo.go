@@ -175,16 +175,18 @@ func (c *SLOConfig) normalize() error {
 	return nil
 }
 
-// slowCaptureThreshold is the latency bar the flight recorder derives
-// from the objectives when -slow-threshold is left on auto: the tightest
-// latency target, so every objective-violating request is retained in
-// full. 0 when no latency objective is declared.
+// slowCaptureThreshold is the flight recorder's slow-capture bar: the
+// tightest latency target, so every objective-violating request is
+// retained in full, or 1s when no latency objective is declared.
 func (c SLOConfig) slowCaptureThreshold() time.Duration {
 	var min time.Duration
 	for _, o := range c.Latency {
 		if min == 0 || o.Target < min {
 			min = o.Target
 		}
+	}
+	if min == 0 {
+		return time.Second
 	}
 	return min
 }

@@ -249,8 +249,7 @@ func TestSLOAvailabilityBurn(t *testing.T) {
 }
 
 // TestSLOSlowThresholdAutoDerived checks the flight recorder's slow bar
-// follows the tightest latency objective when -slow-threshold is left on
-// auto, and stays at the explicit value otherwise.
+// follows the tightest latency objective, and is 1s without one.
 func TestSLOSlowThresholdAutoDerived(t *testing.T) {
 	slo, err := ParseSLO("p99=250ms,p95=2s")
 	if err != nil {
@@ -262,14 +261,6 @@ func TestSLOSlowThresholdAutoDerived(t *testing.T) {
 	})
 	if s.flight.threshold != 250*time.Millisecond {
 		t.Errorf("auto slow threshold = %v, want 250ms (tightest objective)", s.flight.threshold)
-	}
-	s = newTestServer(t, Config{
-		Datasets:      []DatasetConfig{{Name: "anomaly", Table: anomalyTable(t)}},
-		SLO:           slo,
-		SlowThreshold: 5 * time.Second,
-	})
-	if s.flight.threshold != 5*time.Second {
-		t.Errorf("explicit slow threshold overridden: %v", s.flight.threshold)
 	}
 	s = newTestServer(t, Config{Datasets: []DatasetConfig{{Name: "anomaly", Table: anomalyTable(t)}}})
 	if s.flight.threshold != time.Second {
