@@ -31,9 +31,11 @@ BENCHBASE ?= BENCH_PR9.json
 
 check: vet build race test-faults test-crash bench-test smoke smoke-daemon
 
-# vet also fails when gofmt would rewrite any file.
+# vet covers the bench module too (its own go.mod keeps the root
+# ./... from reaching it), and fails when gofmt would rewrite any file.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 
@@ -113,8 +115,9 @@ smoke:
 # histograms (classic + OpenMetrics with runtime families and
 # exemplars), /v1/progress/{id}, the Chrome-trace export (validated by
 # checktrace -chrome), the /v1/explain/{id} cost profile, the
-# /v1/debug/requests flight recorder, the pprof/expvar debug listener
-# and the structured request log. Artifacts land in .smoke-daemon/ for
+# /v1/debug/requests request log (a malformed explore shows there as
+# rejected and stays off /v1/progress), the pprof/expvar debug listener
+# and the structured slog output. Artifacts land in .smoke-daemon/ for
 # CI upload.
 smoke-daemon:
 	./scripts/daemon_smoke.sh .smoke-daemon

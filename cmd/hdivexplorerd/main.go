@@ -25,21 +25,21 @@
 // statistics over one mining pass), GET /v1/datasets, GET /v1/progress,
 // GET /v1/progress/{id}, GET /v1/trace/{id}, GET /v1/explain/{id}
 // (query cost-attribution profile), GET /v1/debug/requests (always-on
-// flight recorder: recent requests plus retained slow captures),
+// request log: recent requests plus retained slow captures),
 // GET /healthz, GET /readyz, GET /metrics (Prometheus text format, or
 // OpenMetrics with request-ID exemplars when the Accept header asks;
 // both include curated runtime/metrics families).
 //
-// The 64 most recent completed requests keep their trace, explain
-// profile and flight record queryable; the 8 slowest requests over the
-// slow bar are retained in full (trace + explain) for post-hoc
-// debugging.
+// The 64 most recent requests, rejections included, keep their flight
+// record queryable, and the admitted ones their trace and explain
+// profile; the 8 slowest requests over the slow bar are retained in full
+// (trace + explain) for post-hoc debugging.
 //
 // -slo declares service-level objectives (e.g.
 // -slo p99=250ms,availability=99.9): GET /v1/slo then reports each
 // endpoint class's error-budget burn rate over sliding short/long
 // windows, and /metrics grows windowed server_window_* and server_slo_*
-// gauge families. The flight recorder's slow bar is the tightest -slo
+// gauge families. The request log's slow bar is the tightest -slo
 // latency target (1s without one), so every objective-violating request
 // keeps its full trace.
 //
@@ -177,7 +177,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (daemonConfig, error) {
 	fs.DurationVar(&cfg.timeout, "timeout", 30*time.Second, "per-request exploration timeout; the HTTP write timeout is this plus 90s")
 	fs.DurationVar(&cfg.drain, "drain", 30*time.Second, "graceful shutdown drain budget")
 	fs.BoolVar(&cfg.logJSON, "log-json", false, "emit structured logs as JSON instead of text")
-	fs.StringVar(&sloSpec, "slo", "", "service-level objectives as key=value pairs, e.g. p99=250ms,availability=99.9,short=10s,long=60s; GET /v1/slo reports windowed burn rates against them, and the tightest latency target (else 1s) is the flight recorder's slow-capture bar")
+	fs.StringVar(&sloSpec, "slo", "", "service-level objectives as key=value pairs, e.g. p99=250ms,availability=99.9,short=10s,long=60s; GET /v1/slo reports windowed burn rates against them, and the tightest latency target (else 1s) is the request log's slow-capture bar")
 
 	fs.Float64Var(&cfg.driftT, "drift-t", 0, "|t| threshold for drift events after appends (0 = default 3; negative = disable the drift monitor)")
 	fs.DurationVar(&cfg.driftDebounce, "drift-debounce", 0, "quiet period coalescing append bursts before the background drift re-mine (0 = default 2s)")

@@ -96,17 +96,9 @@ type Config struct {
 	// upgraded to a fresh one so Explain is self-sufficient.
 	Explain bool
 
-	// span nests exploration under an enclosing span (internal).
+	// span is the explore span exploreBundle opens; mining and ranking
+	// nest under it (internal).
 	span *obs.Span
-}
-
-// ensureExplainTracer upgrades a nil tracer to a fresh one when an
-// explain profile was requested, so Explain works without the caller
-// wiring observability explicitly.
-func (cfg *Config) ensureExplainTracer() {
-	if cfg.Explain && cfg.Tracer == nil && cfg.span == nil {
-		cfg.Tracer = obs.New()
-	}
 }
 
 // Subgroup is one explored data subgroup.
@@ -176,45 +168,14 @@ func Explore(t *dataset.Table, cfg Config) (*Report, error) {
 // ExploreContext is Explore with cancellation: the miners poll ctx at
 // candidate granularity, so a cancelled or timed-out context makes the
 // exploration return promptly with an error wrapping ctx.Err(). A
-// context.Background() ctx behaves exactly like Explore.
+// context.Background() ctx behaves exactly like Explore. It is the
+// bundle-of-one case of ExploreMultiContext, so single- and
+// multi-statistic explorations share one code path and cannot diverge.
 func ExploreContext(ctx context.Context, t *dataset.Table, cfg Config) (*Report, error) {
 	if cfg.Outcome == nil {
-		return nil, fmt.Errorf("core: Config.Outcome is nil")
+		return nil, errNilOutcome
 	}
-	if cfg.Hierarchies == nil {
-		return nil, fmt.Errorf("core: Config.Hierarchies is nil")
-	}
-	if err := cfg.Hierarchies.Validate(); err != nil {
-		return nil, fmt.Errorf("core: invalid hierarchies: %w", err)
-	}
-	switch cfg.Mode {
-	case Hierarchical, Base:
-	default:
-		return nil, fmt.Errorf("core: unknown mode %v", cfg.Mode)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: exploration cancelled: %w", err)
-	}
-	cfg.ensureExplainTracer()
-	if id := obs.RequestIDFrom(ctx); id != "" {
-		cfg.Tracer.SetID(id)
-	}
-	span := cfg.Tracer.Start(obs.SpanExplore)
-	cfg.span = span
-	us := span.Start(obs.SpanUniverse)
-	var u *fpm.Universe
-	if cfg.Mode == Hierarchical {
-		u = fpm.GeneralizedUniverse(t, cfg.Hierarchies, cfg.Outcome)
-	} else {
-		u = fpm.BaseUniverse(t, cfg.Hierarchies, cfg.Outcome)
-	}
-	us.End()
-	rep, err := exploreUniverse(ctx, u, cfg)
-	span.End()
-	if err == nil {
-		rep.snapshotTrace(cfg.Tracer, cfg.Explain)
-	}
-	return rep, err
+	return first(ExploreMultiContext(ctx, t, cfg, outcome.Single(cfg.Outcome)))
 }
 
 // ExploreUniverse runs the exploration over a prebuilt item universe; use
@@ -228,24 +189,20 @@ func ExploreUniverse(u *fpm.Universe, cfg Config) (*Report, error) {
 // cancelled run leaves it valid for reuse (the serving layer relies on
 // this to keep cached universes intact across aborted requests).
 func ExploreUniverseContext(ctx context.Context, u *fpm.Universe, cfg Config) (*Report, error) {
-	span := cfg.span
-	owned := span == nil // Explore manages the span (and snapshot) itself
-	if owned {
-		cfg.ensureExplainTracer()
-		if id := obs.RequestIDFrom(ctx); id != "" {
-			cfg.Tracer.SetID(id)
-		}
-		span = cfg.Tracer.Start(obs.SpanExplore)
-		cfg.span = span
+	if cfg.Outcome == nil {
+		return nil, errNilOutcome
 	}
-	rep, err := exploreUniverse(ctx, u, cfg)
-	if owned {
-		span.End()
-		if err == nil {
-			rep.snapshotTrace(cfg.Tracer, cfg.Explain)
-		}
+	return first(ExploreUniverseMultiContext(ctx, u, cfg, outcome.Single(cfg.Outcome)))
+}
+
+var errNilOutcome = fmt.Errorf("core: Config.Outcome is nil")
+
+// first unwraps a bundle-of-one exploration.
+func first(reps []*Report, err error) (*Report, error) {
+	if err != nil {
+		return nil, err
 	}
-	return rep, err
+	return reps[0], nil
 }
 
 // ExploreMulti runs the exploration once for a bundle of statistics: the
@@ -267,7 +224,6 @@ func ExploreMultiContext(ctx context.Context, t *dataset.Table, cfg Config, b *o
 	if b == nil || b.Len() == 0 {
 		return nil, fmt.Errorf("core: empty outcome bundle")
 	}
-	cfg.Outcome = b.Primary()
 	if cfg.Hierarchies == nil {
 		return nil, fmt.Errorf("core: Config.Hierarchies is nil")
 	}
@@ -282,26 +238,7 @@ func ExploreMultiContext(ctx context.Context, t *dataset.Table, cfg Config, b *o
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: exploration cancelled: %w", err)
 	}
-	cfg.ensureExplainTracer()
-	if id := obs.RequestIDFrom(ctx); id != "" {
-		cfg.Tracer.SetID(id)
-	}
-	span := cfg.Tracer.Start(obs.SpanExplore)
-	cfg.span = span
-	us := span.Start(obs.SpanUniverse)
-	var u *fpm.Universe
-	if cfg.Mode == Hierarchical {
-		u = fpm.GeneralizedUniverse(t, cfg.Hierarchies, cfg.Outcome)
-	} else {
-		u = fpm.BaseUniverse(t, cfg.Hierarchies, cfg.Outcome)
-	}
-	us.End()
-	reps, err := exploreUniverseMulti(ctx, u, cfg, b)
-	span.End()
-	if err == nil {
-		snapshotTraceAll(reps, cfg.Tracer, cfg.Explain)
-	}
-	return reps, err
+	return exploreBundle(ctx, t, nil, cfg, b)
 }
 
 // ExploreUniverseMultiContext is ExploreMultiContext over a prebuilt item
@@ -312,54 +249,48 @@ func ExploreUniverseMultiContext(ctx context.Context, u *fpm.Universe, cfg Confi
 	if b == nil || b.Len() == 0 {
 		return nil, fmt.Errorf("core: empty outcome bundle")
 	}
-	cfg.Outcome = b.Primary()
-	span := cfg.span
-	owned := span == nil
-	if owned {
-		cfg.ensureExplainTracer()
-		if id := obs.RequestIDFrom(ctx); id != "" {
-			cfg.Tracer.SetID(id)
-		}
-		span = cfg.Tracer.Start(obs.SpanExplore)
-		cfg.span = span
-	}
-	reps, err := exploreUniverseMulti(ctx, u, cfg, b)
-	if owned {
-		span.End()
-		if err == nil {
-			snapshotTraceAll(reps, cfg.Tracer, cfg.Explain)
-		}
-	}
-	return reps, err
+	return exploreBundle(ctx, nil, u, cfg, b)
 }
 
-// snapshotTraceAll attaches one tracer snapshot (and, when requested,
-// one shared explain profile) to every report.
-func snapshotTraceAll(reps []*Report, t *obs.Tracer, explain bool) {
-	if t == nil {
-		return
+// exploreBundle is the body every entry point shares: it opens the
+// explore span, builds the item universe over t when u is nil, mines and
+// ranks the bundle, and attaches one tracer snapshot (and, when
+// requested, one shared explain profile) to every report. An explain
+// request upgrades a nil tracer to a fresh one, so Explain works without
+// the caller wiring observability explicitly.
+func exploreBundle(ctx context.Context, t *dataset.Table, u *fpm.Universe, cfg Config, b *outcome.Bundle) ([]*Report, error) {
+	cfg.Outcome = b.Primary()
+	if cfg.Explain && cfg.Tracer == nil {
+		cfg.Tracer = obs.New()
 	}
-	trace := t.Snapshot()
+	if id := obs.RequestIDFrom(ctx); id != "" {
+		cfg.Tracer.SetID(id)
+	}
+	cfg.span = cfg.Tracer.Start(obs.SpanExplore)
+	if u == nil {
+		us := cfg.span.Start(obs.SpanUniverse)
+		if cfg.Mode == Hierarchical {
+			u = fpm.GeneralizedUniverse(t, cfg.Hierarchies, cfg.Outcome)
+		} else {
+			u = fpm.BaseUniverse(t, cfg.Hierarchies, cfg.Outcome)
+		}
+		us.End()
+	}
+	reps, err := exploreUniverseMulti(ctx, u, cfg, b)
+	cfg.span.End()
+	if err != nil || cfg.Tracer == nil {
+		return reps, err
+	}
+	trace := cfg.Tracer.Snapshot()
 	var ex *obs.Explain
-	if explain {
+	if cfg.Explain {
 		ex = obs.NewExplain(trace)
 	}
 	for _, r := range reps {
 		r.Trace = trace
 		r.Explain = ex
 	}
-}
-
-// exploreUniverse is the shared mining+ranking body; cfg.span (possibly
-// nil) encloses the emitted spans. It is the bundle-of-one special case of
-// exploreUniverseMulti, so single- and multi-statistic explorations share
-// one code path and cannot diverge.
-func exploreUniverse(ctx context.Context, u *fpm.Universe, cfg Config) (*Report, error) {
-	reps, err := exploreUniverseMulti(ctx, u, cfg, outcome.Single(cfg.Outcome))
-	if err != nil {
-		return nil, err
-	}
-	return reps[0], nil
+	return reps, nil
 }
 
 // exploreUniverseMulti mines the universe once for every statistic of the
@@ -400,9 +331,6 @@ func exploreUniverseMulti(ctx context.Context, u *fpm.Universe, cfg Config, b *o
 	elapsed := time.Since(start)
 
 	rank := cfg.span.Start(obs.SpanRank)
-	if rank == nil {
-		rank = cfg.Tracer.Start(obs.SpanRank)
-	}
 	defer rank.End()
 	reps := make([]*Report, b.Len())
 	for k := range reps {
@@ -442,19 +370,6 @@ func exploreUniverseMulti(ctx context.Context, u *fpm.Universe, cfg Config, b *o
 		reps[k] = rep
 	}
 	return reps, nil
-}
-
-// snapshotTrace attaches the tracer's snapshot — and, when requested,
-// the explain profile computed from it — to the report (no-op on a nil
-// tracer).
-func (r *Report) snapshotTrace(t *obs.Tracer, explain bool) {
-	if t == nil {
-		return
-	}
-	r.Trace = t.Snapshot()
-	if explain {
-		r.Explain = obs.NewExplain(r.Trace)
-	}
 }
 
 // TopK returns the k subgroups with largest |divergence| (fewer if the

@@ -170,6 +170,18 @@ func TestExploreConfigErrors(t *testing.T) {
 	}
 }
 
+// TestExploreUniverseNilOutcome checks the prebuilt-universe entry point
+// rejects a missing outcome with the same error Explore returns, rather
+// than dereferencing it inside the miner.
+func TestExploreUniverseNilOutcome(t *testing.T) {
+	tab, o, hs := fixture(t, 200, 6)
+	u := fpm.GeneralizedUniverse(tab, hs, o)
+	_, err := ExploreUniverse(u, Config{MinSupport: 0.1})
+	if err == nil || !strings.Contains(err.Error(), "Config.Outcome is nil") {
+		t.Errorf("ExploreUniverse with nil outcome: err = %v, want the nil-outcome error", err)
+	}
+}
+
 func TestReportHelpers(t *testing.T) {
 	tab, o, hs := fixture(t, 1500, 7)
 	rep, err := Explore(tab, Config{Outcome: o, Hierarchies: hs, MinSupport: 0.05})

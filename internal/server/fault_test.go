@@ -439,7 +439,7 @@ func TestRetryAfterEstimate(t *testing.T) {
 		if got := s.retryAfter(now); got != tc.want {
 			t.Errorf("elapsed %v: Retry-After %d, want %d", tc.elapsed, got, tc.want)
 		}
-		s.requests.finish(st, nil, "done")
+		s.requests.finish(st, FlightRecord{ID: "retry-test", Status: "done"}, nil)
 	}
 
 	// Several in flight: the oldest one drives the estimate.
@@ -450,6 +450,6 @@ func TestRetryAfterEstimate(t *testing.T) {
 	if got := s.retryAfter(now); got != 10 {
 		t.Errorf("two active: Retry-After %d, want 10 (oldest wins)", got)
 	}
-	s.requests.finish(a, nil, "done")
-	s.requests.finish(b, nil, "done")
+	s.requests.finish(a, FlightRecord{ID: "retry-a", Status: "done"}, nil)
+	s.requests.finish(b, FlightRecord{ID: "retry-b", Status: "done"}, nil)
 }

@@ -304,26 +304,28 @@ func (l lockedWriter) Write(p []byte) (int, error) {
 // TestRecentRingBounded checks completed requests are retained for
 // trace export but the retention is bounded.
 func TestRecentRingBounded(t *testing.T) {
-	g := newRequestRegistry(0) // 0 takes the default capacity
+	g := newRequestLog(DefaultTraceRing, slowCaptures, time.Second)
 	for i := 0; i < DefaultTraceRing+20; i++ {
-		st := g.start(obs.NewRequestID(), "d", obs.NewProgress())
-		g.finish(st, &obs.Trace{}, "done")
+		id := obs.NewRequestID()
+		st := g.start(id, "d", obs.NewProgress())
+		g.finish(st, FlightRecord{ID: id, Status: "done"}, &obs.Trace{})
 	}
 	g.mu.Lock()
-	n, active := len(g.recent), len(g.active)
+	n, active := len(g.ring), len(g.active)
 	g.mu.Unlock()
 	if n != DefaultTraceRing || active != 0 {
 		t.Errorf("registry holds %d recent / %d active, want %d / 0", n, active, DefaultTraceRing)
 	}
 
 	// An explicit capacity is honoured.
-	small := newRequestRegistry(3)
+	small := newRequestLog(3, slowCaptures, time.Second)
 	for i := 0; i < 10; i++ {
-		st := small.start(obs.NewRequestID(), "d", obs.NewProgress())
-		small.finish(st, &obs.Trace{}, "done")
+		id := obs.NewRequestID()
+		st := small.start(id, "d", obs.NewProgress())
+		small.finish(st, FlightRecord{ID: id, Status: "done"}, &obs.Trace{})
 	}
 	small.mu.Lock()
-	n = len(small.recent)
+	n = len(small.ring)
 	small.mu.Unlock()
 	if n != 3 {
 		t.Errorf("registry with cap 3 holds %d recent", n)

@@ -62,7 +62,7 @@ type Config struct {
 	// windows (see SLOConfig and ParseSLO). The windowed latency/error
 	// tracking behind GET /v1/slo and the server_window_* metric families
 	// runs whether or not objectives are declared. The tightest latency
-	// target is also the flight recorder's slow-capture bar (1s when no
+	// target is also the request log's slow-capture bar (1s when no
 	// latency objective is declared), so every objective-violating
 	// request keeps its full trace and explain profile.
 	SLO SLOConfig
@@ -113,8 +113,7 @@ type Server struct {
 	mux        *http.ServeMux
 	tracer     *obs.Tracer
 	logger     *slog.Logger
-	requests   *requestRegistry
-	flight     *flightRecorder
+	requests   *requestLog
 	slo        *sloEngine
 	hLatency   *obs.Histogram
 	tables     map[string]*dataset.Versioned
@@ -168,8 +167,7 @@ func New(cfg Config) (*Server, error) {
 		mux:      http.NewServeMux(),
 		tracer:   cfg.Tracer,
 		logger:   cfg.Logger,
-		requests: newRequestRegistry(DefaultTraceRing),
-		flight:   newFlightRecorder(DefaultTraceRing, slowCaptures, cfg.SLO.slowCaptureThreshold()),
+		requests: newRequestLog(DefaultTraceRing, slowCaptures, cfg.SLO.slowCaptureThreshold()),
 		hLatency: cfg.Tracer.Histogram(obs.HistRequestSeconds, obs.LatencyBuckets),
 		tables:   map[string]*dataset.Versioned{},
 		cache: newUniverseCache(cfg.CacheMax,
@@ -253,7 +251,7 @@ func New(cfg Config) (*Server, error) {
 // naming the request's correlation ID (best-effort — the reply may
 // already be partially written) while the daemon keeps serving. The
 // panic value and stack go to the log and obs.CtrServerPanics; per-panic
-// state (spans, registry entries, semaphore slots) is released by the
+// state (spans, request-log entries, semaphore slots) is released by the
 // handlers' own defers during unwinding, so a recovered panic leaks
 // nothing. http.ErrAbortHandler is re-raised: it is net/http's own
 // drop-the-connection idiom, not a failure.
@@ -670,15 +668,49 @@ func (s *Server) serveExplore(w http.ResponseWriter, r *http.Request, batch bool
 	logger := obs.RequestLogger(s.logger, id)
 
 	// The flight record accumulates through the handler and lands in the
-	// always-on ring from this outermost defer, after the exploration
-	// defer below has settled the status fields. The latency histogram is
-	// observed by ServeHTTP, keyed on the X-Request-ID header set above.
+	// request log from this one outermost defer. A request rejected
+	// before admission never starts, so it enters the log with no trace
+	// and no progress. The latency histogram is observed by ServeHTTP,
+	// keyed on the X-Request-ID header set above.
 	frec := FlightRecord{ID: id, Endpoint: endpoint, Status: "rejected"}
+	var (
+		p         *exploreParams
+		reqState  *requestState
+		reqTracer *obs.Tracer
+	)
 	defer func() {
+		var trace *obs.Trace
+		if reqState != nil {
+			reqState.Progress.Finish() // idempotent; covers paths that never reach the miner
+			trace = reqTracer.Snapshot()
+			s.tracer.Absorb(trace)
+		}
 		now := time.Now()
-		frec.LatencyNS = now.Sub(start).Nanoseconds()
+		lat := now.Sub(start)
+		frec.LatencyNS = lat.Nanoseconds()
 		frec.UnixNano = now.UnixNano()
-		s.flight.record(frec)
+		s.requests.finish(reqState, frec, trace)
+		if reqState == nil {
+			return
+		}
+		if lat >= s.requests.threshold {
+			logger.Warn("slow request",
+				slog.String("dataset", p.req.Dataset),
+				slog.String("stat", p.req.Stat),
+				slog.String("status", frec.Status),
+				slog.Int64("elapsed_ms", lat.Milliseconds()),
+				slog.Int64("threshold_ms", s.requests.threshold.Milliseconds()),
+			)
+		}
+		logger.Info("explore",
+			slog.String("dataset", p.req.Dataset),
+			slog.String("stat", p.req.Stat),
+			slog.String("algorithm", p.algorithm.String()),
+			slog.String("status", frec.Status),
+			slog.Bool("cache_hit", frec.CacheHit),
+			slog.Int("subgroups", frec.Subgroups),
+			slog.Int64("elapsed_ms", lat.Milliseconds()),
+		)
 	}()
 
 	var req ExploreRequest
@@ -741,51 +773,19 @@ func (s *Server) serveExplore(w http.ResponseWriter, r *http.Request, batch bool
 	defer cancel()
 
 	// Every exploration runs on its own tracer: spans stay bounded per
-	// request, and the completion hook below folds the counters, gauges
-	// and histograms into the lifetime tracer so /metrics stays
-	// cumulative. The snapshot also feeds GET /v1/trace/{id}.
-	reqTracer := obs.New()
+	// request, and the outermost defer folds the counters, gauges and
+	// histograms into the lifetime tracer so /metrics stays cumulative.
+	// The snapshot also feeds GET /v1/trace/{id}.
+	reqTracer = obs.New()
 	reqTracer.SetID(id)
 	prog := obs.NewProgress()
-	reqState := s.requests.start(id, p.req.Dataset, prog)
-	status := "error"
-	subgroups := 0
-	hit := false
-	defer func() {
-		prog.Finish() // idempotent; covers paths that never reach the miner
-		trace := reqTracer.Snapshot()
-		s.tracer.Absorb(trace)
-		s.requests.finish(reqState, trace, status)
-		frec.Status = status
-		frec.CacheHit = hit
-		frec.Subgroups = subgroups
-		lat := time.Since(start)
-		frec.LatencyNS = lat.Nanoseconds()
-		frec.UnixNano = time.Now().UnixNano()
-		s.flight.noteSlow(frec, trace)
-		if lat >= s.flight.threshold {
-			logger.Warn("slow request",
-				slog.String("dataset", p.req.Dataset),
-				slog.String("stat", p.req.Stat),
-				slog.String("status", status),
-				slog.Int64("elapsed_ms", lat.Milliseconds()),
-				slog.Int64("threshold_ms", s.flight.threshold.Milliseconds()),
-			)
-		}
-		logger.Info("explore",
-			slog.String("dataset", p.req.Dataset),
-			slog.String("stat", p.req.Stat),
-			slog.String("algorithm", p.algorithm.String()),
-			slog.String("status", status),
-			slog.Bool("cache_hit", hit),
-			slog.Int("subgroups", subgroups),
-			slog.Int64("elapsed_ms", lat.Milliseconds()),
-		)
-	}()
+	reqState = s.requests.start(id, p.req.Dataset, prog)
+	frec.Status = "error"
 
 	entry, hit, err := s.cache.get(ctx, p.key(), func(e *cacheEntry) error {
 		return s.buildOrAppend(e, p, reqTracer)
 	})
+	frec.CacheHit = hit
 	if hit {
 		s.tracer.Counter(obs.CtrServerCacheHits).Add(1)
 		reqTracer.SetGauge(obs.GaugeCacheHit, 1)
@@ -796,7 +796,7 @@ func (s *Server) serveExplore(w http.ResponseWriter, r *http.Request, batch bool
 	}
 	if err != nil {
 		if ctx.Err() != nil {
-			status = "cancelled"
+			frec.Status = "cancelled"
 			s.exploreCancelled(w, ctx)
 			return
 		}
@@ -854,14 +854,14 @@ func (s *Server) serveExplore(w http.ResponseWriter, r *http.Request, batch bool
 	}, bundle)
 	if err != nil {
 		if ctx.Err() != nil {
-			status = "cancelled"
+			frec.Status = "cancelled"
 			s.exploreCancelled(w, ctx)
 			return
 		}
 		s.httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	status = "done"
+	frec.Status = "done"
 	// A complete current-epoch exploration becomes (or refreshes) the
 	// dataset's drift-watch baseline.
 	if !p.pinned && !reps[0].Truncated {
@@ -870,10 +870,10 @@ func (s *Server) serveExplore(w http.ResponseWriter, r *http.Request, batch bool
 	if reps[0].Truncated {
 		// Still a 200: the ranked prefix is valid, the lattice just was
 		// not fully explored. The flag travels in the report body.
-		status = "truncated"
+		frec.Status = "truncated"
 		s.tracer.Counter(obs.CtrServerTruncated).Add(1)
 	}
-	subgroups = len(reps[0].Subgroups)
+	frec.Subgroups = len(reps[0].Subgroups)
 	frec.Truncated = reps[0].Truncated
 	frec.Candidates = int64(reps[0].Mining.Candidates)
 	frec.Itemsets = int64(reps[0].Mining.Frequent)
@@ -932,7 +932,7 @@ func (s *Server) retryAfter(now time.Time) int {
 	oldest, ok := s.requests.oldestActive()
 	if !ok {
 		// Saturated with nothing registered: requests sit between semaphore
-		// acquire and registry start, a microseconds-wide window. The
+		// acquire and request-log start, a microseconds-wide window. The
 		// tightest honest hint is 1s.
 		return 1
 	}

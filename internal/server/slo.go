@@ -175,7 +175,7 @@ func (c *SLOConfig) normalize() error {
 	return nil
 }
 
-// slowCaptureThreshold is the flight recorder's slow-capture bar: the
+// slowCaptureThreshold is the request log's slow-capture bar: the
 // tightest latency target, so every objective-violating request is
 // retained in full, or 1s when no latency objective is declared.
 func (c SLOConfig) slowCaptureThreshold() time.Duration {

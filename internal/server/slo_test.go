@@ -259,12 +259,12 @@ func TestSLOSlowThresholdAutoDerived(t *testing.T) {
 		Datasets: []DatasetConfig{{Name: "anomaly", Table: anomalyTable(t)}},
 		SLO:      slo,
 	})
-	if s.flight.threshold != 250*time.Millisecond {
-		t.Errorf("auto slow threshold = %v, want 250ms (tightest objective)", s.flight.threshold)
+	if s.requests.threshold != 250*time.Millisecond {
+		t.Errorf("auto slow threshold = %v, want 250ms (tightest objective)", s.requests.threshold)
 	}
 	s = newTestServer(t, Config{Datasets: []DatasetConfig{{Name: "anomaly", Table: anomalyTable(t)}}})
-	if s.flight.threshold != time.Second {
-		t.Errorf("no-SLO auto slow threshold = %v, want 1s", s.flight.threshold)
+	if s.requests.threshold != time.Second {
+		t.Errorf("no-SLO auto slow threshold = %v, want 1s", s.requests.threshold)
 	}
 }
 

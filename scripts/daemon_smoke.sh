@@ -4,7 +4,8 @@
 # surface end to end — /metrics histograms (classic and OpenMetrics with
 # the runtime families), /v1/progress/{id}, the Chrome-trace export
 # (structurally validated by checktrace -chrome), the explain profile at
-# /v1/explain/{id}, the flight recorder at /v1/debug/requests, the debug
+# /v1/explain/{id}, the request log at /v1/debug/requests (a malformed
+# explore must show there as rejected and stay off /v1/progress), the debug
 # listener (pprof + expvar) and the structured request log — then walks
 # the live-dataset lifecycle: append rows over HTTP, watch the epoch
 # gauge advance, wait for the drift monitor's background re-mine, and
@@ -12,7 +13,7 @@
 # -wal-dir, so the script ends with the durability leg: SIGKILL the
 # process mid-flight, restart it against the same WAL directory, and
 # assert the epoch gauge and the pinned epoch-1 replay survive the
-# crash. Any non-200 response or empty body fails the script.
+# crash. Any unexpected status or empty body fails the script.
 #
 # Usage: scripts/daemon_smoke.sh [workdir]    (default .smoke-daemon)
 # The workdir is left in place so CI can upload the trace as an artifact.
@@ -22,6 +23,7 @@ DIR=${1:-.smoke-daemon}
 PORT=${PORT:-18080}
 DEBUG_PORT=${DEBUG_PORT:-18081}
 ID=smoke-req-1
+BAD_ID=smoke-bad-1
 
 rm -rf "$DIR" && mkdir -p "$DIR"
 go run ./cmd/mkdata -dataset compas -n 1000 -out "$DIR"
@@ -71,6 +73,16 @@ curl -fsS -X POST "http://localhost:$PORT/v1/explore" \
     -o "$DIR/truncated.json"
 grep -q '"truncated": true' "$DIR/truncated.json"
 
+# A malformed exploration is answered 400. The request log records it as
+# rejected, but /v1/progress never lists it (checked below).
+code=$(curl -sS -X POST "http://localhost:$PORT/v1/explore" \
+    -H "X-Request-ID: $BAD_ID" -d '{not json' \
+    -o "$DIR/rejected.json" -w '%{http_code}')
+if [ "$code" != 400 ]; then
+    echo "malformed explore answered $code, want 400" >&2
+    exit 1
+fi
+
 fetch "http://localhost:$PORT/metrics" "$DIR/metrics.txt"
 grep -q 'server_request_seconds_bucket{le="+Inf"}' "$DIR/metrics.txt"
 grep -q 'fpm_candidate_batch_count' "$DIR/metrics.txt"
@@ -118,6 +130,10 @@ fi
 fetch "http://localhost:$PORT/v1/progress/$ID" "$DIR/progress.json"
 grep -q '"done": true' "$DIR/progress.json"
 fetch "http://localhost:$PORT/v1/progress" "$DIR/progress_list.json"
+if grep -q "\"$BAD_ID\"" "$DIR/progress_list.json"; then
+    echo "/v1/progress lists the rejected request $BAD_ID" >&2
+    exit 1
+fi
 
 fetch "http://localhost:$PORT/v1/trace/$ID" "$DIR/chrome_trace.json"
 "$DIR/checktrace" -chrome "$DIR/chrome_trace.json"
@@ -137,12 +153,13 @@ fetch "http://localhost:$PORT/v1/explain/$ID?format=text" "$DIR/explain_profile.
 grep -q 'mining: candidates=' "$DIR/explain_profile.txt"
 grep -q 'memory: pool hits=' "$DIR/explain_profile.txt"
 
-# The always-on flight recorder has seen every request, including both
-# explorations above.
+# The always-on request log has seen every request, including both
+# explorations above and the rejected one.
 fetch "http://localhost:$PORT/v1/debug/requests" "$DIR/debug_requests.json"
 grep -q '"recent"' "$DIR/debug_requests.json"
 grep -q '"ring_size"' "$DIR/debug_requests.json"
 grep -q "\"$ID\"" "$DIR/debug_requests.json"
+grep -q '"status": "rejected"' "$DIR/debug_requests.json"
 
 fetch "http://localhost:$DEBUG_PORT/debug/vars" "$DIR/vars.json"
 fetch "http://localhost:$DEBUG_PORT/debug/pprof/cmdline" "$DIR/cmdline.bin"
