@@ -100,6 +100,12 @@ func ReadCSV(r io.Reader, opts CSVOptions) (*Table, error) {
 				if err != nil {
 					return nil, fmt.Errorf("dataset: column %q row %d: %w", name, i+1, err)
 				}
+				// ParseFloat accepts "Inf" and "infinity"; one such cell
+				// would make every mean, Δ and t over the column Inf or NaN.
+				// A literal "NaN" stays: NaN is how a missing value is stored.
+				if math.IsInf(v, 0) {
+					return nil, fmt.Errorf("dataset: column %q row %d: non-finite value %q", name, i+1, s)
+				}
 				vals[i] = v
 			}
 			b.AddFloat(name, vals)

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -315,6 +316,31 @@ func TestQuickCSVRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestReadCSVRejectsNonFinite pins input validation at the loader: a
+// ±Inf cell in a numeric column is an error naming the column and row,
+// not a stored value that would turn every mean over it into Inf and every
+// Δ and t-value into NaN. A literal NaN still reads as a missing value.
+func TestReadCSVRejectsNonFinite(t *testing.T) {
+	for _, cell := range []string{"Inf", "+Inf", "-Inf", "infinity", "-INFINITY"} {
+		_, err := ReadCSV(strings.NewReader("x,y\n1,0.5\n2,"+cell+"\n3,1.5\n"), CSVOptions{})
+		if err == nil {
+			t.Errorf("%q cell accepted", cell)
+			continue
+		}
+		want := fmt.Sprintf(`dataset: column "y" row 2: non-finite value %q`, cell)
+		if err.Error() != want {
+			t.Errorf("%q cell: error %q, want %q", cell, err, want)
+		}
+	}
+	tab, err := ReadCSV(strings.NewReader("x,y\n1,0.5\n2,NaN\n"), CSVOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.KindOf("y") != Continuous || !math.IsNaN(tab.Floats("y")[1]) {
+		t.Error("literal NaN should read as a missing continuous value")
 	}
 }
 

@@ -16,6 +16,7 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add("a,a\n1,2\n")         // duplicate header
 	f.Add("a,b\n\"q\"\"\",2\n") // quoting
 	f.Add(",\n,\n")
+	f.Add("a,b\n1,Inf\n2,-infinity\n") // non-finite numeric cells
 	f.Fuzz(func(t *testing.T, input string) {
 		tab, err := ReadCSV(strings.NewReader(input), CSVOptions{})
 		if err != nil {

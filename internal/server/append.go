@@ -119,8 +119,11 @@ const rediscretizeKS = 0.2
 // (discretization cutpoints kept, item bitvecs extended by tail words);
 // otherwise — large quantile drift, new categorical levels, no prior, or
 // a failing incremental build — it is built from scratch.
-// Either way the resulting entry is byte-identical for identical data, so
-// the choice is purely a latency/throughput optimization.
+// The two paths are not interchangeable: an incremental build keeps the
+// prior epoch's cutpoints, while a fresh build chooses its own, so the
+// reply for an epoch depends on which earlier epoch of the shape the cache
+// held when the epoch was first built (request timing, eviction, a
+// restart), not on the epoch's rows alone.
 func (s *Server) buildOrAppend(e *cacheEntry, p *exploreParams, tracer *obs.Tracer) error {
 	key := p.key()
 	prior := s.cache.prior(key)

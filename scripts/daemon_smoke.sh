@@ -5,15 +5,16 @@
 # the runtime families), /v1/progress/{id}, the Chrome-trace export
 # (structurally validated by checktrace -chrome), the explain profile at
 # /v1/explain/{id}, the request log at /v1/debug/requests (a malformed
-# explore must show there as rejected and stay off /v1/progress), the debug
-# listener (pprof + expvar) and the structured request log — then walks
-# the live-dataset lifecycle: append rows over HTTP, watch the epoch
-# gauge advance, wait for the drift monitor's background re-mine, and
-# replay an epoch-pinned exploration byte for byte. The daemon runs with
-# -wal-dir, so the script ends with the durability leg: SIGKILL the
-# process mid-flight, restart it against the same WAL directory, and
-# assert the epoch gauge and the pinned epoch-1 replay survive the
-# crash. Any unexpected status or empty body fails the script.
+# explore must show there as rejected and stay off /v1/progress), the SLO
+# surface (/v1/slo and the windowed burn-rate and error-budget families on
+# /metrics), the debug listener (pprof + expvar) and the structured request
+# log — then walks the live-dataset lifecycle: append rows over HTTP,
+# watch the epoch gauge advance, wait for the drift monitor's background
+# re-mine, and replay an epoch-pinned exploration byte for byte. The
+# daemon runs with -wal-dir, so the script ends with the durability
+# leg: SIGKILL the process mid-flight, restart it against the same WAL
+# directory, and assert the epoch gauge and the pinned epoch-1 replay
+# survive the crash. Any unexpected status or empty body fails the script.
 #
 # Usage: scripts/daemon_smoke.sh [workdir]    (default .smoke-daemon)
 # The workdir is left in place so CI can upload the trace as an artifact.
@@ -94,6 +95,7 @@ grep -q '# TYPE go_gc_pauses_seconds histogram' "$DIR/metrics.txt"
 grep -q 'server_window_requests{endpoint="explore"}' "$DIR/metrics.txt"
 grep -q 'server_window_latency_seconds{endpoint="explore",quantile="0.99"}' "$DIR/metrics.txt"
 grep -q 'server_slo_burn_rate{endpoint="explore",objective="p99",window="long"}' "$DIR/metrics.txt"
+grep -q 'server_slo_budget_remaining{endpoint="explore"' "$DIR/metrics.txt"
 
 # GET /v1/slo reports windowed objective status in JSON and text.
 fetch "http://localhost:$PORT/v1/slo" "$DIR/slo.json"
@@ -101,6 +103,7 @@ grep -q '"endpoint": "explore"' "$DIR/slo.json"
 grep -q '"name": "p99"' "$DIR/slo.json"
 grep -q '"name": "availability"' "$DIR/slo.json"
 grep -q '"burn_long"' "$DIR/slo.json"
+grep -q '"budget_remaining"' "$DIR/slo.json"
 fetch "http://localhost:$PORT/v1/slo?format=text" "$DIR/slo.txt"
 grep -q '^slo: ' "$DIR/slo.txt"
 
