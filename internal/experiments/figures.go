@@ -26,6 +26,8 @@ type Fig2Point struct {
 	HierMax  float64
 	BaseTime time.Duration
 	HierTime time.Duration
+	// BaseMining and HierMining are the two explorations' mining counts.
+	BaseMining, HierMining fpm.MiningStats
 }
 
 // Figure2 reproduces Figure 2 (and the quality half of Figure 4's
@@ -60,6 +62,7 @@ func Figure2(cfg Config) ([]Fig2Point, error) {
 				Dataset: name, S: s,
 				BaseMax: base.MaxAbsDivergence(), HierMax: hier.MaxAbsDivergence(),
 				BaseTime: base.Elapsed, HierTime: hier.Elapsed,
+				BaseMining: base.Mining, HierMining: hier.Mining,
 			})
 		}
 	}

@@ -137,6 +137,7 @@ type Table3Row struct {
 	Support    float64
 	Divergence float64
 	T          float64
+	Mining     fpm.MiningStats // the exploration's mining counts
 }
 
 // compasManualHierarchies reproduces the manual discretization used by
@@ -214,16 +215,11 @@ func topByApproach(w *Workload, manualSet, treeSet *hierarchy.Set, supports []fl
 		if err != nil {
 			return err
 		}
-		best := topPositive(rep)
-		if best == nil {
-			rows = append(rows, Table3Row{S: s, Approach: label, Itemset: "(none)"})
-			return nil
+		row := Table3Row{S: s, Approach: label, Itemset: "(none)", Mining: rep.Mining}
+		if best := topPositive(rep); best != nil {
+			row.Itemset, row.Support, row.Divergence, row.T = best.Itemset.String(), best.Support, best.Divergence, best.T
 		}
-		rows = append(rows, Table3Row{
-			S: s, Approach: label,
-			Itemset: best.Itemset.String(), Support: best.Support,
-			Divergence: best.Divergence, T: best.T,
-		})
+		rows = append(rows, row)
 		return nil
 	}
 	for _, s := range supports {

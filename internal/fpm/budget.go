@@ -5,6 +5,8 @@ import (
 	"runtime/metrics"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Budget bounds the resources one mining run may consume. The
@@ -15,23 +17,22 @@ import (
 //
 // Dimensions fall in two classes with different determinism guarantees:
 //
-//   - MaxCandidates and MaxItemsets are counted at the deterministic
-//     MiningStats sites, so the truncated ranked output is byte-identical
-//     across Workers and Shards settings: Apriori trims each level's
-//     candidate batch to a deterministic prefix, and FP-Growth runs its
-//     growth phase serially under these caps (a capped run is bounded by
+//   - MaxCandidates and MaxItemsets check the counts MiningStats
+//     reports, so the truncated ranked output is byte-identical across
+//     Workers and Shards settings: Apriori trims each level's candidate
+//     batch to a deterministic prefix, and FP-Growth runs its growth
+//     phase serially under these caps (a capped run is bounded by
 //     construction, so the lost parallelism is bounded too).
 //   - SoftDeadline and MaxHeapBytes are wall-clock and heap watermarks
-//     polled cooperatively at the same sites; where the run stops depends
-//     on timing, so the truncated output is best-effort, not
-//     reproducible.
+//     polled cooperatively by the miners; where the run stops depends on
+//     timing, so the truncated output is best-effort, not reproducible.
 //
 // On exhaustion the miner stops expanding the lattice, finishes scoring
 // the itemsets it has already admitted, and returns a Result flagged
 // Truncated with the exhausted dimension.
 type Budget struct {
-	// MaxCandidates caps the number of itemset candidates whose support is
-	// evaluated (the MiningStats.Candidates counter). 0 = unlimited.
+	// MaxCandidates caps MiningStats.Candidates, the run's count of
+	// itemsets admitted for support evaluation. 0 = unlimited.
 	MaxCandidates int
 	// MaxItemsets caps the number of frequent itemsets kept live. 0 =
 	// unlimited.
@@ -87,31 +88,34 @@ const heapSampleEvery = 1 << 12
 // heapMetric is the runtime/metrics sample name for live heap bytes.
 const heapMetric = "/memory/classes/heap/objects:bytes"
 
-// budgetTracker is the runtime state of one mining run's budget. The
-// deterministic counters (candidates, itemsets) are only touched from
-// deterministic contexts — Apriori's level loop on the caller goroutine,
-// FP-Growth's serialized growth — so they need no synchronization. The
-// soft flag is an atomic written by the deadline timer and the heap
-// sampler and polled from any goroutine. A nil tracker (no budget)
-// reports unlimited everywhere.
+// budgetTracker is the runtime state of one mining run's budget. It
+// keeps no counts: the deterministic caps check the run's counter set
+// plus the caller's unpublished tally, from deterministic contexts only
+// (Apriori's caller goroutine, FP-Growth's serialized growth), where
+// that sum is exact. A cap that overflows once admits nothing after, even
+// where the caller dropped the partial batch it was offered, so a
+// smaller later batch cannot slip under it. The soft flag is an atomic
+// written by the deadline timer and the heap sampler and polled from any
+// goroutine. A nil tracker (no budget) reports unlimited everywhere.
 type budgetTracker struct {
-	b          Budget
-	candidates int
-	itemsets   int
-	exhausted  string       // first deterministic dimension exhausted
-	soft       atomic.Value // string: ExhaustedDeadline or ExhaustedHeap
-	timer      *time.Timer
-	heapTick   atomic.Int64
-	heapPeak   atomic.Uint64 // high-water mark of sampled live-heap bytes
+	b         Budget
+	counts    *obs.MiningCounters
+	exhausted string       // first deterministic dimension exhausted
+	candsOut  bool         // the candidate cap overflowed
+	itemsOut  bool         // the itemset cap overflowed
+	soft      atomic.Value // string: ExhaustedDeadline or ExhaustedHeap
+	timer     *time.Timer
+	heapTick  atomic.Int64
+	heapPeak  atomic.Uint64 // high-water mark of sampled live-heap bytes
 }
 
 // newBudgetTracker returns a tracker for b, or nil when b is zero.
 // Callers must release a non-nil tracker to stop its deadline timer.
-func newBudgetTracker(b Budget) *budgetTracker {
+func newBudgetTracker(b Budget, counts *obs.MiningCounters) *budgetTracker {
 	if b.IsZero() {
 		return nil
 	}
-	t := &budgetTracker{b: b}
+	t := &budgetTracker{b: b, counts: counts}
 	if b.SoftDeadline > 0 {
 		t.timer = time.AfterFunc(b.SoftDeadline, func() {
 			t.soft.CompareAndSwap(nil, ExhaustedDeadline)
@@ -128,48 +132,46 @@ func (t *budgetTracker) release() {
 }
 
 // allowCandidates admits up to n more candidate evaluations against the
-// deterministic candidate cap, consuming the admitted amount, and reports
-// how many of the n are allowed. It also advances the heap sampler. A
-// nil tracker admits everything.
-func (t *budgetTracker) allowCandidates(n int) int {
+// candidate cap and reports how many of the n are allowed; the caller
+// counts those it evaluates in pending. It also advances the heap
+// sampler. A nil tracker admits everything.
+func (t *budgetTracker) allowCandidates(n int, pending *tally) int {
 	if t == nil {
 		return n
 	}
 	t.sampleHeap(n)
 	if t.b.MaxCandidates == 0 {
-		// No deterministic cap: only the (atomic) heap sampler ran above.
-		// Skipping the counter keeps this path safe from parallel branches.
+		// No deterministic cap: only the (atomic) heap sampler ran above,
+		// which keeps this path safe from parallel branches.
 		return n
 	}
-	remaining := t.b.MaxCandidates - t.candidates
-	if remaining < 0 {
-		remaining = 0
-	}
-	if n > remaining {
-		n = remaining
-		t.markExhausted(ExhaustedCandidates)
-	}
-	t.candidates += n
-	return n
+	return t.admit(n, t.b.MaxCandidates-int(t.counts.Candidates.Load())-pending.candidates, ExhaustedCandidates, &t.candsOut)
 }
 
-// allowItemsets admits up to n more frequent itemsets against the
-// deterministic itemset cap, consuming the admitted amount. A nil
-// tracker admits everything.
-func (t *budgetTracker) allowItemsets(n int) int {
+// allowItemsets admits up to n more frequent itemsets against the itemset
+// cap; the caller counts those it emits in pending. A nil tracker admits
+// everything.
+func (t *budgetTracker) allowItemsets(n int, pending *tally) int {
 	if t == nil || t.b.MaxItemsets == 0 {
 		return n
 	}
-	remaining := t.b.MaxItemsets - t.itemsets
-	if remaining < 0 {
-		remaining = 0
+	return t.admit(n, t.b.MaxItemsets-int(t.counts.Frequent.Load())-pending.frequent, ExhaustedItemsets, &t.itemsOut)
+}
+
+// admit returns how many of n fit in remaining. When not all do, it
+// closes the cap (out) and marks dim exhausted; a closed cap admits 0.
+func (t *budgetTracker) admit(n, remaining int, dim string, out *bool) int {
+	if *out {
+		return 0
 	}
-	if n > remaining {
-		n = remaining
-		t.markExhausted(ExhaustedItemsets)
+	if n <= remaining {
+		return n
 	}
-	t.itemsets += n
-	return n
+	*out = true
+	if t.exhausted == "" {
+		t.exhausted = dim
+	}
+	return max(remaining, 0)
 }
 
 // detExhausted reports whether a deterministic dimension has run out,
@@ -177,13 +179,6 @@ func (t *budgetTracker) allowItemsets(n int) int {
 // only; nil-safe.
 func (t *budgetTracker) detExhausted() bool {
 	return t != nil && t.exhausted != ""
-}
-
-// markExhausted records the first deterministic dimension to run out.
-func (t *budgetTracker) markExhausted(dim string) {
-	if t.exhausted == "" {
-		t.exhausted = dim
-	}
 }
 
 // sampleHeap reads the live-heap metric once per heapSampleEvery
@@ -203,24 +198,10 @@ func (t *budgetTracker) sampleHeap(n int) {
 		return
 	}
 	heap := sample[0].Value.Uint64()
-	for {
-		old := t.heapPeak.Load()
-		if heap <= old || t.heapPeak.CompareAndSwap(old, heap) {
-			break
-		}
-	}
+	raise[uint64](&t.heapPeak, heap)
 	if heap > t.b.MaxHeapBytes {
 		t.soft.CompareAndSwap(nil, ExhaustedHeap)
 	}
-}
-
-// heapHighWater returns the largest live-heap sample the tracker
-// observed (0 when heap budgeting is off or never sampled). Nil-safe.
-func (t *budgetTracker) heapHighWater() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.heapPeak.Load()
 }
 
 // softExhausted reports the nondeterministic dimension (deadline or heap)

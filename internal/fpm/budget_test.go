@@ -127,7 +127,7 @@ func TestBudgetTruncationDeterministic(t *testing.T) {
 // deadline timer and the heap watermark both raise the soft flag, and
 // truncated() reports them.
 func TestBudgetSoftDimensions(t *testing.T) {
-	dl := newBudgetTracker(Budget{SoftDeadline: time.Millisecond})
+	dl := newBudgetTracker(Budget{SoftDeadline: time.Millisecond}, &obs.MiningCounters{})
 	defer dl.release()
 	deadline := time.Now().Add(2 * time.Second)
 	for dl.softExhausted() == "" && time.Now().Before(deadline) {
@@ -142,17 +142,17 @@ func TestBudgetSoftDimensions(t *testing.T) {
 
 	// Any live process holds more than one byte of heap, so the first
 	// sample must trip a 1-byte watermark.
-	hp := newBudgetTracker(Budget{MaxHeapBytes: 1})
+	hp := newBudgetTracker(Budget{MaxHeapBytes: 1}, &obs.MiningCounters{})
 	defer hp.release()
-	hp.allowCandidates(1)
+	hp.allowCandidates(1, &tally{})
 	if dim := hp.softExhausted(); dim != ExhaustedHeap {
 		t.Fatalf("heap flag = %q", dim)
 	}
 
 	// Deterministic exhaustion wins the label when both fire.
-	both := newBudgetTracker(Budget{MaxCandidates: 1, MaxHeapBytes: 1})
+	both := newBudgetTracker(Budget{MaxCandidates: 1, MaxHeapBytes: 1}, &obs.MiningCounters{})
 	defer both.release()
-	both.allowCandidates(5)
+	both.allowCandidates(5, &tally{})
 	if trunc, dim := both.truncated(); !trunc || dim != ExhaustedCandidates {
 		t.Fatalf("mixed truncated() = %v, %q", trunc, dim)
 	}
@@ -240,5 +240,71 @@ func TestBudgetExhaustionCounted(t *testing.T) {
 	}
 	if c := tr.Snapshot().Counters[obs.CtrBudgetExhaustedPrefix+res.Exhausted]; c != 1 {
 		t.Fatalf("budget_exhausted.%s = %d, want 1", res.Exhausted, c)
+	}
+}
+
+// TestBudgetCapClosesOnOverflow pins the tracker's cap contract: once a
+// batch overflows a cap, the cap admits nothing more, even when the
+// caller dropped the partial batch it was offered (as FP-Growth does)
+// and a later batch would fit in what the counts leave.
+func TestBudgetCapClosesOnOverflow(t *testing.T) {
+	bt := newBudgetTracker(Budget{MaxCandidates: 10, MaxItemsets: 3}, &obs.MiningCounters{})
+	var pending tally
+	if got := bt.allowCandidates(4, &pending); got != 4 {
+		t.Fatalf("first batch admitted %d, want 4", got)
+	}
+	pending.candidates += 4
+	if got := bt.allowCandidates(8, &pending); got != 6 {
+		t.Fatalf("overflowing batch admitted %d, want 6", got)
+	}
+	// The caller rejects the partial batch and counts none of it.
+	if got := bt.allowCandidates(2, &pending); got != 0 {
+		t.Fatalf("batch after overflow admitted %d, want 0", got)
+	}
+	if got := bt.allowItemsets(5, &pending); got != 3 {
+		t.Fatalf("itemsets admitted %d, want 3", got)
+	}
+	if got := bt.allowItemsets(1, &pending); got != 0 {
+		t.Fatalf("itemset after overflow admitted %d, want 0", got)
+	}
+	if trunc, dim := bt.truncated(); !trunc || dim != ExhaustedCandidates {
+		t.Fatalf("truncated() = %v, %q", trunc, dim)
+	}
+}
+
+// TestBudgetCappedStatsPinned pins the counts of deterministically capped
+// runs to reference values, so a change in how the caps are checked
+// (FP-Growth drops a conditional batch that does not fit whole) shows up
+// as a count change rather than only as a cross-Workers mismatch.
+func TestBudgetCappedStatsPinned(t *testing.T) {
+	u, o := randomUniverse(t, 11, 400, true)
+	cases := []struct {
+		alg      Algorithm
+		polarity bool
+		b        Budget
+		want     MiningStats
+		dim      string
+	}{
+		{Apriori, false, Budget{MaxCandidates: 40}, MiningStats{Candidates: 40, Frequent: 38, PrunedSupport: 2}, ExhaustedCandidates},
+		{Apriori, true, Budget{MaxCandidates: 40}, MiningStats{Candidates: 40, Frequent: 38, PrunedSupport: 2, PrunedPolarity: 43}, ExhaustedCandidates},
+		{Apriori, false, Budget{MaxItemsets: 12}, MiningStats{Candidates: 13, Frequent: 12}, ExhaustedItemsets},
+		{Apriori, true, Budget{MaxCandidates: 60, MaxItemsets: 9}, MiningStats{Candidates: 10, Frequent: 9}, ExhaustedItemsets},
+		{FPGrowth, false, Budget{MaxCandidates: 40}, MiningStats{Candidates: 38, Frequent: 21, PrunedSupport: 17}, ExhaustedCandidates},
+		{FPGrowth, true, Budget{MaxCandidates: 40}, MiningStats{Candidates: 37, Frequent: 20, PrunedSupport: 17, PrunedPolarity: 174}, ExhaustedCandidates},
+		{FPGrowth, false, Budget{MaxItemsets: 12}, MiningStats{Candidates: 91, Frequent: 12, PrunedSupport: 59}, ExhaustedItemsets},
+		{FPGrowth, true, Budget{MaxItemsets: 12}, MiningStats{Candidates: 85, Frequent: 12, PrunedSupport: 58, PrunedPolarity: 40}, ExhaustedItemsets},
+		{FPGrowth, false, Budget{MaxCandidates: 60, MaxItemsets: 9}, MiningStats{Candidates: 59, Frequent: 9, PrunedSupport: 33}, ExhaustedCandidates},
+		{FPGrowth, true, Budget{MaxCandidates: 60, MaxItemsets: 9}, MiningStats{Candidates: 58, Frequent: 9, PrunedSupport: 34, PrunedPolarity: 14}, ExhaustedCandidates},
+	}
+	for _, c := range cases {
+		label := fmt.Sprintf("%v/pol=%v/%+v", c.alg, c.polarity, c.b)
+		res, err := Mine(u, o, Options{MinSupport: 0.05, Algorithm: c.alg, PolarityPrune: c.polarity, Budget: c.b})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if res.Stats != c.want || len(res.Itemsets) != c.want.Frequent || res.Exhausted != c.dim {
+			t.Errorf("%s: stats %+v, %d itemsets, exhausted %q; want %+v, %q",
+				label, res.Stats, len(res.Itemsets), res.Exhausted, c.want, c.dim)
+		}
 	}
 }

@@ -321,34 +321,32 @@ func (sc *growScratch) putTree(t *fpTree) {
 // surfaces in the run pool's hit counters), the conditional pattern base
 // is consumed in two header-chain passes with no materialized path list,
 // and emitted Items slices are carved from per-branch chunk slabs.
-func mineFPGrowth(u *Universe, bun *outcome.Bundle, opt Options, minCount int, plan engine.Plan, pool *engine.Pool, span *obs.Span, cancel *canceller, budget *budgetTracker, hBatch *obs.Histogram) (*Result, error) {
+func mineFPGrowth(u *Universe, bun *outcome.Bundle, opt Options, minCount int, plan engine.Plan, pool *engine.Pool, span *obs.Span, cancel *canceller, counts *obs.MiningCounters, budget *budgetTracker, hBatch *obs.Histogram) (*Result, error) {
 	res := &Result{}
-	prog := opt.Progress
 	nOut := bun.Len()
 	numItems := len(u.Items)
 	stopped := func() bool { return cancel.cancelled() || budget.softExhausted() != "" }
 
 	// Global frequent items, ranked by support descending (ties by index).
 	scan := span.Start(obs.SpanMineScan)
-	prog.SetLevel(1)
 	hBatch.Observe(float64(len(u.Items)))
 	if err := faultinject.Hit(faultinject.SiteCandidateBatch); err != nil {
 		scan.End()
 		return nil, err
 	}
-	nAllowed := budget.allowCandidates(len(u.Items))
+	var scanned tally
+	nAllowed := budget.allowCandidates(len(u.Items), &scanned)
 	type freq struct{ item, count int }
 	var fr []freq
 	for i := 0; i < nAllowed; i++ {
-		res.Stats.Candidates++
-		prog.AddCandidates(1)
+		scanned.candidates++
 		if c := u.Rows[i].Count(); c >= minCount {
 			fr = append(fr, freq{i, c})
 		} else {
-			res.Stats.PrunedSupport++
-			prog.AddPruned(1)
+			scanned.prunedSupport++
 		}
 	}
+	scanned.publish(counts)
 	sort.Slice(fr, func(a, b int) bool {
 		if fr[a].count != fr[b].count {
 			return fr[a].count > fr[b].count
@@ -446,7 +444,7 @@ func mineFPGrowth(u *Universe, bun *outcome.Bundle, opt Options, minCount int, p
 		// Itemset budget: consumed in the fixed serial order (a
 		// deterministic budget forces Workers=1 on the growth phase), so
 		// which itemsets make the cut is reproducible.
-		if budget.allowItemsets(1) < 1 {
+		if budget.allowItemsets(1, &acc.tally) < 1 {
 			return
 		}
 		depth := len(sc.suffix) + 1
@@ -455,13 +453,10 @@ func mineFPGrowth(u *Universe, bun *outcome.Bundle, opt Options, minCount int, p
 		sorted[depth-1] = it
 		sort.Ints(sorted)
 		acc.emit(MinedItemset{Items: sorted, Count: total, M: m, Multi: mx})
-		prog.AddFrequent(1)
-		// FP-Growth has no global level sweep, so the live "level" is the
-		// deepest itemset emitted so far across all branches.
-		prog.RaiseLevel(depth)
-		if depth > acc.maxDepth {
-			acc.maxDepth = depth
-		}
+		acc.frequent++
+		// FP-Growth has no global level sweep, so its level is the deepest
+		// itemset emitted so far across all branches.
+		acc.level = max(acc.level, depth)
 
 		if opt.MaxLen > 0 && depth >= opt.MaxLen {
 			return
@@ -484,7 +479,6 @@ func mineFPGrowth(u *Universe, bun *outcome.Bundle, opt Options, minCount int, p
 				}
 				if opt.PolarityPrune && u.Polarity[pi] != pol {
 					acc.prunedPolarity++
-					prog.AddPruned(1)
 					continue
 				}
 				sc.cnt[pi] += w
@@ -501,21 +495,21 @@ func mineFPGrowth(u *Universe, bun *outcome.Bundle, opt Options, minCount int, p
 		// Conditional universe: items frequent within the base, keeping
 		// the parent tree's rank order. The whole batch must fit the
 		// remaining candidate budget; otherwise this expansion stops here.
-		if budget.allowCandidates(len(t.order)) < len(t.order) {
+		if budget.allowCandidates(len(t.order), &acc.tally) < len(t.order) {
 			sc.resetCnt(t.order)
 			return
 		}
 		condOrder := sc.condBuf[:0]
 		for _, oi := range t.order {
 			acc.candidates++
-			prog.AddCandidates(1)
 			if sc.cnt[oi] >= minCount {
 				condOrder = append(condOrder, oi)
 			} else {
 				acc.prunedSupport++
-				prog.AddPruned(1)
 			}
 		}
+		// The batch boundary: one publish per conditional tree.
+		acc.tally.publish(counts)
 		sc.condBuf = condOrder
 		if len(condOrder) == 0 {
 			sc.resetCnt(t.order)
@@ -600,13 +594,13 @@ func mineFPGrowth(u *Universe, bun *outcome.Bundle, opt Options, minCount int, p
 		idx := nBranch - 1 - j
 		sc := getScratch()
 		local(&locals[j], sc, tree, idx)
+		locals[j].tally.publish(counts)
 		// On a panic the scratch is simply dropped (its counters may be
 		// dirty); ParallelFor recovers and the run fails.
 		scratchPool.Put(sc)
 	}); err != nil {
 		return nil, err
 	}
-	maxDepth := 0
 	total := len(res.Itemsets)
 	for j := range locals {
 		if locals[j].err != nil {
@@ -614,12 +608,6 @@ func mineFPGrowth(u *Universe, bun *outcome.Bundle, opt Options, minCount int, p
 		}
 		for _, ch := range locals[j].sets {
 			total += len(ch)
-		}
-		res.Stats.Candidates += locals[j].candidates
-		res.Stats.PrunedSupport += locals[j].prunedSupport
-		res.Stats.PrunedPolarity += locals[j].prunedPolarity
-		if locals[j].maxDepth > maxDepth {
-			maxDepth = locals[j].maxDepth
 		}
 	}
 	// One exact-size allocation for the concatenated result: branch slabs
@@ -632,7 +620,7 @@ func mineFPGrowth(u *Universe, bun *outcome.Bundle, opt Options, minCount int, p
 		}
 	}
 	res.Itemsets = all
-	opt.Tracer.MaxGauge(obs.GaugeMaxDepth, float64(maxDepth))
+	opt.Tracer.MaxGauge(obs.GaugeMaxDepth, float64(counts.Level.Load()))
 	return res, nil
 }
 
@@ -643,13 +631,10 @@ func mineFPGrowth(u *Universe, bun *outcome.Bundle, opt Options, minCount int, p
 // Items sub-slices are handed out at full capacity, so an append by a
 // consumer cannot clobber a neighbour.
 type fpLocal struct {
-	sets           [][]MinedItemset // chunked emissions, in order; last is open
-	chunk          []int            // current Items slab
-	candidates     int
-	prunedSupport  int
-	prunedPolarity int
-	maxDepth       int
-	err            error // injected failure surfaced from this branch
+	tally                  // the branch's unpublished mining events
+	sets  [][]MinedItemset // chunked emissions, in order; last is open
+	chunk []int            // current Items slab
+	err   error            // injected failure surfaced from this branch
 }
 
 // fpChunkSize is the slab granularity for emitted Items storage;

@@ -74,12 +74,11 @@ type Options struct {
 	// (e.g. core's explore span). When nil, spans are emitted top-level on
 	// Tracer.
 	TraceParent *obs.Span
-	// Progress, when non-nil, receives live mining progress: the current
-	// (or, for FP-Growth, deepest) itemset length, candidates evaluated,
-	// candidates pruned and frequent itemsets found. Updates happen at the
-	// same sites as the MiningStats increments, so on an uncancelled run
-	// the final Progress totals equal the deterministic Stats. The caller
-	// owns the lifecycle (and calls Finish); a nil Progress costs nothing.
+	// Progress, when non-nil, reads the run's counter set live: the
+	// current (or, for FP-Growth, deepest) itemset length, candidates,
+	// pruned candidates and frequent itemsets, advancing per batch and
+	// ending equal to Result.Stats. The caller owns its lifecycle (and
+	// calls Finish).
 	Progress *obs.Progress
 	// Budget bounds the run's resource consumption; on exhaustion the
 	// miner stops expanding the lattice and returns a Result flagged
@@ -92,7 +91,9 @@ type Options struct {
 // MiningStats reports work done by a mining run. All fields are
 // deterministic for a given universe and options, independent of Workers.
 type MiningStats struct {
-	// Candidates is the number of itemsets whose support was evaluated.
+	// Candidates is the number of itemsets whose support was evaluated,
+	// counted as each batch is admitted, so an Apriori level a soft stop
+	// cuts short counts its whole batch. Budget.MaxCandidates caps it.
 	Candidates int `json:"candidates"`
 	// Frequent is the number of frequent itemsets found.
 	Frequent int `json:"frequent"`
@@ -173,7 +174,9 @@ func MineMulti(u *Universe, b *outcome.Bundle, opt Options) (*Result, error) {
 	opt.Tracer.SetGauge(obs.GaugeShards, float64(plan.NumShards()))
 	cancel := watchContext(ctx)
 	defer cancel.release()
-	budget := newBudgetTracker(opt.Budget)
+	counts := &obs.MiningCounters{}
+	opt.Progress.Attach(counts)
+	budget := newBudgetTracker(opt.Budget, counts)
 	defer budget.release()
 	span := opt.TraceParent.Start(obs.SpanMine)
 	if span == nil {
@@ -198,9 +201,9 @@ func MineMulti(u *Universe, b *outcome.Bundle, opt Options) (*Result, error) {
 		}()
 		switch opt.Algorithm {
 		case Apriori:
-			return mineApriori(u, b, opt, minCount, plan, pool, span, cancel, budget, hBatch)
+			return mineApriori(u, b, opt, minCount, plan, pool, span, cancel, counts, budget, hBatch)
 		case FPGrowth:
-			return mineFPGrowth(u, b, opt, minCount, plan, pool, span, cancel, budget, hBatch)
+			return mineFPGrowth(u, b, opt, minCount, plan, pool, span, cancel, counts, budget, hBatch)
 		default:
 			return nil, fmt.Errorf("fpm: unknown algorithm %v", opt.Algorithm)
 		}
@@ -215,7 +218,7 @@ func MineMulti(u *Universe, b *outcome.Bundle, opt Options) (*Result, error) {
 		return nil, fmt.Errorf("fpm: mining cancelled: %w", err)
 	}
 	res.NumRows = u.NumRows
-	res.Stats.Frequent = len(res.Itemsets)
+	res.Stats = statsOf(counts)
 	if trunc, dim := budget.truncated(); trunc {
 		res.Truncated = true
 		res.Exhausted = dim
@@ -244,7 +247,7 @@ func MineMulti(u *Universe, b *outcome.Bundle, opt Options) (*Result, error) {
 			}
 			if b.MaxHeapBytes > 0 {
 				tr.SetGauge(obs.GaugeBudgetMaxHeapBytes, float64(b.MaxHeapBytes))
-				if hw := budget.heapHighWater(); hw > 0 {
+				if hw := budget.heapPeak.Load(); hw > 0 { // budget is non-nil: b is not zero
 					tr.MaxGauge(obs.GaugeBudgetHeapBytes, float64(hw))
 				}
 			}
@@ -337,9 +340,12 @@ func momentsMulti(p engine.Plan, b *outcome.Bundle, rows bitvec.Set) (m stats.Mo
 // (never returned to the pool); level-k≥2 entries own pooled vectors that
 // are recycled once the next level is built. Pooled vectors are fully
 // overwritten by AndInto before any read, so reuse cannot leak state.
-func mineApriori(u *Universe, bun *outcome.Bundle, opt Options, minCount int, plan engine.Plan, pool *engine.Pool, span *obs.Span, cancel *canceller, budget *budgetTracker, hBatch *obs.Histogram) (*Result, error) {
+func mineApriori(u *Universe, bun *outcome.Bundle, opt Options, minCount int, plan engine.Plan, pool *engine.Pool, span *obs.Span, cancel *canceller, counts *obs.MiningCounters, budget *budgetTracker, hBatch *obs.Histogram) (*Result, error) {
 	res := &Result{}
-	prog := opt.Progress
+	// Every event is counted in ev, on the caller goroutine, and published
+	// per phase; the deferred publish covers the early returns.
+	var ev tally
+	defer ev.publish(counts)
 	nShards := plan.NumShards()
 	stopped := func() bool { return cancel.cancelled() || budget.softExhausted() != "" }
 
@@ -353,30 +359,28 @@ func mineApriori(u *Universe, bun *outcome.Bundle, opt Options, minCount int, pl
 
 	// Level 1.
 	scan := span.Start(obs.SpanMineScan)
-	prog.SetLevel(1)
+	ev.level = 1
 	hBatch.Observe(float64(len(u.Items)))
 	if err := faultinject.Hit(faultinject.SiteCandidateBatch); err != nil {
 		scan.End()
 		return nil, err
 	}
-	nAllowed := budget.allowCandidates(len(u.Items))
+	nAllowed := budget.allowCandidates(len(u.Items), &ev)
 	var level []entry
 	for i := 0; i < nAllowed; i++ {
-		res.Stats.Candidates++
-		prog.AddCandidates(1)
+		ev.candidates++
 		if u.Rows[i].Count() < minCount {
-			res.Stats.PrunedSupport++
-			prog.AddPruned(1)
+			ev.prunedSupport++
 			continue
 		}
-		if budget.allowItemsets(1) < 1 {
+		if budget.allowItemsets(1, &ev) < 1 {
 			break
 		}
 		// Frequent items are almost always dense (minCount exceeds the
 		// compression cutoff for typical supports); a compressed frequent
 		// item materializes a dense working copy once here.
 		level = append(level, entry{items: []int{i}, rows: u.Rows[i].Dense()})
-		prog.AddFrequent(1)
+		ev.frequent++
 		m, extra := momentsMulti(plan, bun, u.Rows[i])
 		res.Itemsets = append(res.Itemsets, MinedItemset{
 			Items: []int{i},
@@ -386,6 +390,7 @@ func mineApriori(u *Universe, bun *outcome.Bundle, opt Options, minCount int, pl
 		})
 	}
 
+	ev.publish(counts)
 	scan.End()
 
 	frequent := map[string]bool{}
@@ -399,7 +404,7 @@ func mineApriori(u *Universe, bun *outcome.Bundle, opt Options, minCount int, pl
 		if budget.detExhausted() || stopped() {
 			return res, nil
 		}
-		prog.SetLevel(k)
+		ev.level = k
 		// Phase 1: candidate generation. The level is sorted
 		// lexicographically by construction (level 1 is index-ordered;
 		// joins preserve order), enabling prefix grouping.
@@ -424,14 +429,12 @@ func mineApriori(u *Universe, bun *outcome.Bundle, opt Options, minCount int, pl
 					continue
 				}
 				if opt.PolarityPrune && !polarityCompatible(u, ea.items, y) {
-					res.Stats.PrunedPolarity++
-					prog.AddPruned(1)
+					ev.prunedPolarity++
 					continue
 				}
 				cand := append(append([]int{}, ea.items...), y)
 				if k > 2 && !allSubsetsFrequent(cand, frequent) {
-					res.Stats.PrunedSupport++
-					prog.AddPruned(1)
+					ev.prunedSupport++
 					continue
 				}
 				cands = append(cands, candidate{items: cand, base: a, extra: y})
@@ -440,10 +443,11 @@ func mineApriori(u *Universe, bun *outcome.Bundle, opt Options, minCount int, pl
 		// Trim the deterministically-generated candidate list to the
 		// remaining candidate budget: a prefix cut, so the truncation point
 		// is independent of Workers and Shards.
-		if allowed := budget.allowCandidates(len(cands)); allowed < len(cands) {
+		if allowed := budget.allowCandidates(len(cands), &ev); allowed < len(cands) {
 			cands = cands[:allowed]
 		}
-		res.Stats.Candidates += len(cands)
+		ev.candidates += len(cands)
+		ev.publish(counts)
 		hBatch.Observe(float64(len(cands)))
 		if err := faultinject.Hit(faultinject.SiteCandidateBatch); err != nil {
 			return nil, err
@@ -461,11 +465,6 @@ func mineApriori(u *Universe, bun *outcome.Bundle, opt Options, minCount int, pl
 				return
 			}
 			c, s := t/nShards, t%nShards
-			if s == 0 {
-				// Counted once per candidate so the live view advances while
-				// a wide level is being evaluated.
-				prog.AddCandidates(1)
-			}
 			lo, hi := plan.WordRange(s)
 			partial[t] = u.Rows[cands[c].extra].AndCountRange(level[cands[c].base].rows, lo, hi)
 		}); err != nil {
@@ -477,14 +476,14 @@ func mineApriori(u *Universe, bun *outcome.Bundle, opt Options, minCount int, pl
 		if err := faultinject.Hit(faultinject.SiteShardMerge); err != nil {
 			return nil, err
 		}
-		counts := make([]int, len(cands))
+		supports := make([]int, len(cands))
 		var survivors []int
 		for c := range cands {
 			total := 0
 			for s := 0; s < nShards; s++ {
 				total += partial[c*nShards+s]
 			}
-			counts[c] = total
+			supports[c] = total
 			if total >= minCount {
 				survivors = append(survivors, c)
 			}
@@ -530,23 +529,23 @@ func mineApriori(u *Universe, bun *outcome.Bundle, opt Options, minCount int, pl
 		nextKeys := map[string]bool{}
 		for i, e := range evaluated {
 			if e == nil {
-				res.Stats.PrunedSupport++
-				prog.AddPruned(1)
+				ev.prunedSupport++
 				continue
 			}
-			if budget.allowItemsets(1) < 1 {
+			if budget.allowItemsets(1, &ev) < 1 {
 				return res, nil
 			}
 			next = append(next, *e)
-			prog.AddFrequent(1)
+			ev.frequent++
 			nextKeys[key(e.items)] = true
 			res.Itemsets = append(res.Itemsets, MinedItemset{
 				Items: e.items,
-				Count: counts[i],
+				Count: supports[i],
 				M:     moments[i],
 				Multi: multi[i],
 			})
 		}
+		ev.publish(counts)
 		// The finished level's pooled row vectors are dead (the next level
 		// materialized its own); recycle them. Level-1 dense views are
 		// universe-owned and skipped. Early returns above simply drop their

@@ -163,20 +163,25 @@ func TestValidateChromeTraceRejects(t *testing.T) {
 
 func TestProgressMonotonicAndFinish(t *testing.T) {
 	var nilP *Progress
-	nilP.SetLevel(1)
-	nilP.AddCandidates(1)
+	nilP.Attach(&MiningCounters{})
 	nilP.Finish()
 	if s := nilP.Snapshot(); s.Done || s.Candidates != 0 {
 		t.Errorf("nil progress snapshot = %+v", s)
 	}
 
 	p := NewProgress()
+	if s := p.Snapshot(); s.Candidates != 0 || s.Level != 0 {
+		t.Errorf("unattached snapshot = %+v", s)
+	}
+	c := &MiningCounters{}
+	p.Attach(c)
 	var prev int64
 	for i := 0; i < 5; i++ {
-		p.AddCandidates(10)
-		p.AddPruned(3)
-		p.AddFrequent(2)
-		p.SetLevel(i + 1)
+		c.Candidates.Add(10)
+		c.PrunedSupport.Add(2)
+		c.PrunedPolarity.Add(1)
+		c.Frequent.Add(2)
+		c.Level.Store(int64(i + 1))
 		s := p.Snapshot()
 		if s.Candidates <= prev {
 			t.Errorf("candidates not advancing: %d after %d", s.Candidates, prev)
@@ -186,14 +191,9 @@ func TestProgressMonotonicAndFinish(t *testing.T) {
 			t.Error("done before Finish")
 		}
 	}
-	p.RaiseLevel(3) // below current level 5: ignored
-	if s := p.Snapshot(); s.Level != 5 {
-		t.Errorf("RaiseLevel lowered level to %d", s.Level)
-	}
-	p.RaiseLevel(9)
 	p.Finish()
 	s1 := p.Snapshot()
-	if !s1.Done || s1.Level != 9 || s1.Candidates != 50 || s1.Pruned != 15 || s1.Frequent != 10 {
+	if !s1.Done || s1.Level != 5 || s1.Candidates != 50 || s1.Pruned != 15 || s1.Frequent != 10 {
 		t.Errorf("final snapshot = %+v", s1)
 	}
 	time.Sleep(2 * time.Millisecond)

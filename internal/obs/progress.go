@@ -5,22 +5,33 @@ import (
 	"time"
 )
 
-// Progress is a live, lock-free view into a running mining pass. The
-// miners publish into it from their hot loops (single atomic adds, same
-// cost profile as Counter) and any number of readers — the daemon's
-// GET /v1/progress/{id}, the CLI's -progress ticker — snapshot it
-// concurrently. Candidate, pruned and frequent counts only ever grow, so
-// successive snapshots of a live run advance monotonically.
+// MiningCounters is a mining run's one counter set. The miner counts
+// each event once, in tallies its goroutines own, and adds them here at
+// batch boundaries; the run's MiningStats are the set's final value, its
+// budget caps check it, and an attached Progress reads it live. Counts
+// only grow.
+type MiningCounters struct {
+	Level          atomic.Int64 // Apriori's current level; FP-Growth's deepest itemset
+	Candidates     atomic.Int64
+	PrunedSupport  atomic.Int64
+	PrunedPolarity atomic.Int64
+	Frequent       atomic.Int64
+}
+
+// Progress is a live, lock-free view into a running mining pass. It
+// keeps no counts: the miner attaches its run's MiningCounters, the set
+// its MiningStats come from, and every Snapshot reads it, so a finished
+// run's final snapshot equals its MiningStats. Any number of readers —
+// the daemon's GET /v1/progress/{id}, the CLI's -progress ticker —
+// snapshot it concurrently; counts advance in the miner's batch steps
+// and never decrease.
 //
 // A nil *Progress accepts every call as a no-op, matching the package's
-// nil-safe contract: un-instrumented runs pay a nil check per update.
+// nil-safe contract.
 type Progress struct {
-	startNS    int64 // tracer-independent wall clock origin (UnixNano)
-	level      atomic.Int64
-	candidates atomic.Int64
-	pruned     atomic.Int64
-	frequent   atomic.Int64
-	doneNS     atomic.Int64 // UnixNano at Finish, 0 while running
+	startNS int64                          // tracer-independent wall clock origin (UnixNano)
+	run     atomic.Pointer[MiningCounters] // once attached
+	doneNS  atomic.Int64                   // UnixNano at Finish, 0 while running
 }
 
 // NewProgress returns a progress reporter whose clock starts now.
@@ -28,48 +39,11 @@ func NewProgress() *Progress {
 	return &Progress{startNS: time.Now().UnixNano()}
 }
 
-// SetLevel records the mining level currently being processed (Apriori's
-// itemset length k). No-op on nil.
-func (p *Progress) SetLevel(l int) {
+// Attach makes p read c. A miner attaches its counter set once, when its
+// run starts. No-op on nil.
+func (p *Progress) Attach(c *MiningCounters) {
 	if p != nil {
-		p.level.Store(int64(l))
-	}
-}
-
-// RaiseLevel records l only if it exceeds the current level — the deepest
-// itemset length reached so far (FP-Growth's recursion depth, which has
-// no single global "current level"). No-op on nil.
-func (p *Progress) RaiseLevel(l int) {
-	if p == nil {
-		return
-	}
-	for {
-		cur := p.level.Load()
-		if int64(l) <= cur || p.level.CompareAndSwap(cur, int64(l)) {
-			return
-		}
-	}
-}
-
-// AddCandidates counts candidates whose support was evaluated. No-op on nil.
-func (p *Progress) AddCandidates(n int64) {
-	if p != nil {
-		p.candidates.Add(n)
-	}
-}
-
-// AddPruned counts candidates discarded by support or polarity pruning.
-// No-op on nil.
-func (p *Progress) AddPruned(n int64) {
-	if p != nil {
-		p.pruned.Add(n)
-	}
-}
-
-// AddFrequent counts frequent itemsets emitted so far. No-op on nil.
-func (p *Progress) AddFrequent(n int64) {
-	if p != nil {
-		p.frequent.Add(n)
+		p.run.Store(c)
 	}
 }
 
@@ -82,16 +56,16 @@ func (p *Progress) Finish() {
 }
 
 // Snapshot captures the current state. Snapshots of a nil reporter are
-// zero-valued with Done false.
+// zero-valued with Done false, and so are the counts of one no run has
+// attached to.
 func (p *Progress) Snapshot() ProgressSnapshot {
+	var s ProgressSnapshot
 	if p == nil {
-		return ProgressSnapshot{}
+		return s
 	}
-	s := ProgressSnapshot{
-		Level:      int(p.level.Load()),
-		Candidates: p.candidates.Load(),
-		Pruned:     p.pruned.Load(),
-		Frequent:   p.frequent.Load(),
+	if c := p.run.Load(); c != nil {
+		s.Level, s.Candidates, s.Frequent = int(c.Level.Load()), c.Candidates.Load(), c.Frequent.Load()
+		s.Pruned = c.PrunedSupport.Load() + c.PrunedPolarity.Load()
 	}
 	end := p.doneNS.Load()
 	if end != 0 {

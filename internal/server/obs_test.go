@@ -125,6 +125,12 @@ func TestProgressEndpointLive(t *testing.T) {
 		S: 0.008, ST: 0.05, Algorithm: "apriori", MaxLen: 3, Top: 5,
 	})
 	var wg sync.WaitGroup
+	var reply struct {
+		Mining struct {
+			Candidates int64 `json:"candidates"`
+			Frequent   int64 `json:"frequent"`
+		} `json:"mining"`
+	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -134,6 +140,8 @@ func TestProgressEndpointLive(t *testing.T) {
 		s.ServeHTTP(rec, req)
 		if rec.Code != 200 {
 			t.Errorf("explore: %d %s", rec.Code, rec.Body.String())
+		} else if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
+			t.Errorf("explore reply: %v", err)
 		}
 	}()
 
@@ -181,6 +189,9 @@ func TestProgressEndpointLive(t *testing.T) {
 	}
 	if pr.Progress.Candidates <= 0 || pr.Progress.Frequent <= 0 {
 		t.Errorf("final counts empty: %+v", pr.Progress)
+	}
+	if pr.Progress.Candidates != reply.Mining.Candidates || pr.Progress.Frequent != reply.Mining.Frequent {
+		t.Errorf("final progress %+v disagrees with the reply's mining %+v", pr.Progress, reply.Mining)
 	}
 	if pr.Dataset != "slow" || pr.ID != id {
 		t.Errorf("progress identity: %+v", pr)

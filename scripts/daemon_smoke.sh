@@ -2,7 +2,8 @@
 # Daemon smoke test: start hdivexplorerd with a generated dataset, run one
 # exploration under a known correlation ID, then verify the observability
 # surface end to end — /metrics histograms (classic and OpenMetrics with
-# the runtime families), /v1/progress/{id}, the Chrome-trace export
+# the runtime families), /v1/progress/{id} (its final candidate count must
+# equal the explain profile's mining count), the Chrome-trace export
 # (structurally validated by checktrace -chrome), the explain profile at
 # /v1/explain/{id}, the request log at /v1/debug/requests (a malformed
 # explore must show there as rejected and stay off /v1/progress), the SLO
@@ -155,6 +156,14 @@ grep -q '"universe_bytes"' "$DIR/explain_profile.json"
 fetch "http://localhost:$PORT/v1/explain/$ID?format=text" "$DIR/explain_profile.txt"
 grep -q 'mining: candidates=' "$DIR/explain_profile.txt"
 grep -q 'memory: pool hits=' "$DIR/explain_profile.txt"
+# One mining counter set: the final /v1/progress reading and the explain
+# profile's mining section report the same candidate count.
+prog_cand=$(grep -o '"candidates": *[0-9]*' "$DIR/progress.json" | head -n 1 | sed 's/.*: *//')
+mining_cand=$(sed -n '/"mining": *{/,/}/p' "$DIR/explain_profile.json" | grep -o '"candidates": *[0-9]*' | head -n 1 | sed 's/.*: *//')
+if [ -z "$prog_cand" ] || [ "$prog_cand" != "$mining_cand" ]; then
+    echo "progress candidates '$prog_cand' differ from the explain profile's mining candidates '$mining_cand'" >&2
+    exit 1
+fi
 
 # The always-on request log has seen every request, including both
 # explorations above and the rejected one.
