@@ -57,6 +57,18 @@ func FromIndices(n int, idx []int) *Vector {
 	return v
 }
 
+// FromWords returns a vector of length n backed by words, which it takes
+// over without copying: words[i] holds bits 64i..64i+63, and its length
+// must be the word count of n bits. Bits at or beyond n are cleared.
+func FromWords(words []uint64, n int) *Vector {
+	if len(words) != (n+wordBits-1)/wordBits {
+		panic(fmt.Sprintf("bitvec: FromWords got %d words for %d bits", len(words), n))
+	}
+	v := &Vector{words: words, n: n}
+	v.trim()
+	return v
+}
+
 // trim clears any bits beyond the logical length in the last word.
 func (v *Vector) trim() {
 	if r := v.n % wordBits; r != 0 && len(v.words) > 0 {

@@ -10,8 +10,6 @@ package dataset
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strconv"
 )
 
@@ -58,6 +56,10 @@ type Table struct {
 	cols   []column
 	byName map[string]int
 	nrows  int
+	orders []rowOrder // per column, filled on first SortedRows
+	// versioned is set on a Versioned snapshot: its SortedRows merge into
+	// the newest order the Versioned holds instead of sorting every row.
+	versioned *Versioned
 }
 
 // Builder incrementally assembles a Table column by column. All columns must
@@ -144,6 +146,7 @@ func (b *Builder) Build() (*Table, error) {
 		return nil, b.err
 	}
 	t := b.t
+	t.orders = make([]rowOrder, len(t.cols))
 	return &t, nil
 }
 
@@ -301,27 +304,6 @@ func (t *Table) FilterRows(rows []int) *Table {
 		}
 	}
 	return b.MustBuild()
-}
-
-// SortedUniqueFloats returns the sorted distinct values of a continuous
-// column, ignoring NaNs. It is the split-candidate source for the
-// discretization trees.
-func (t *Table) SortedUniqueFloats(name string) []float64 {
-	vals := t.Floats(name)
-	s := make([]float64, 0, len(vals))
-	for _, v := range vals {
-		if !math.IsNaN(v) {
-			s = append(s, v)
-		}
-	}
-	sort.Float64s(s)
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // CountKinds returns the number of continuous and categorical attributes,

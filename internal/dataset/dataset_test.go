@@ -151,22 +151,6 @@ func TestFilterRows(t *testing.T) {
 	}
 }
 
-func TestSortedUniqueFloats(t *testing.T) {
-	tab, _ := NewBuilder().
-		AddFloat("x", []float64{3, 1, 3, math.NaN(), 2, 1}).
-		Build()
-	got := tab.SortedUniqueFloats("x")
-	want := []float64{1, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-}
-
 const sampleCSV = `age,sex,zip,score
 23,M,90210,0.5
 45,F,10001,0.25

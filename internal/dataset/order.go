@@ -1,0 +1,97 @@
+package dataset
+
+import (
+	"math"
+	"sync"
+)
+
+// rowOrder lazily holds one continuous column's sorted row order for one
+// table (see Table.SortedRows).
+type rowOrder struct {
+	once sync.Once
+	rows []int32
+}
+
+// SortedRows returns the rows of a continuous column whose value is not
+// NaN, in ascending (value, row index) order: a total order, so the result
+// is unique and a merged order equals a fresh sort element for element.
+// It is the split order of the tree discretizer. The order is computed on
+// first use and shared by every later caller; the slice must not be
+// modified. Safe for concurrent use.
+func (t *Table) SortedRows(name string) []int32 {
+	i := t.mustIndex(name)
+	vals := t.Floats(name)
+	o := &t.orders[i]
+	o.once.Do(func() {
+		if t.versioned != nil {
+			o.rows = t.versioned.sortedRows(i, vals)
+		} else {
+			o.rows = sortRows(vals, 0)
+		}
+	})
+	return o.rows
+}
+
+// sortRows returns the non-NaN rows at or after from in (value, row)
+// order: a stable least-significant-digit radix sort, one byte per pass,
+// of the rows in ascending order keyed by an order-preserving integer
+// image of their values, so equal values keep ascending rows. −0 is keyed
+// as +0, the value it equals.
+func sortRows(vals []float64, from int) []int32 {
+	type keyed struct {
+		key uint64
+		row int32
+	}
+	a := make([]keyed, 0, len(vals)-from)
+	for i := from; i < len(vals); i++ {
+		v := vals[i]
+		if math.IsNaN(v) {
+			continue
+		}
+		if v == 0 {
+			v = 0
+		}
+		// Negative values flip every bit, the others only the sign bit.
+		k := math.Float64bits(v)
+		k ^= uint64(int64(k)>>63) | 1<<63
+		a = append(a, keyed{k, int32(i)})
+	}
+	b := make([]keyed, len(a))
+	for shift := 0; shift < 64 && len(a) > 1; shift += 8 {
+		var start [257]int
+		for _, e := range a {
+			start[int(byte(e.key>>shift))+1]++
+		}
+		if start[int(byte(a[0].key>>shift))+1] == len(a) {
+			continue // every key has the same digit here
+		}
+		for d := 1; d < len(start); d++ {
+			start[d] += start[d-1]
+		}
+		for _, e := range a {
+			d := byte(e.key >> shift)
+			b[start[d]] = e
+			start[d]++
+		}
+		a, b = b, a
+	}
+	rows := make([]int32, len(a))
+	for i, e := range a {
+		rows[i] = e.row
+	}
+	return rows
+}
+
+// mergeRows merges two (value, row)-sorted row lists where every row of b
+// is above every row of a, so equal values keep a's rows first.
+func mergeRows(vals []float64, a, b []int32) []int32 {
+	out := make([]int32, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if vals[b[0]] < vals[a[0]] {
+			out, b = append(out, b[0]), b[1:]
+		} else {
+			out, a = append(out, a[0]), a[1:]
+		}
+	}
+	return append(append(out, a...), b...)
+}

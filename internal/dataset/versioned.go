@@ -28,13 +28,26 @@ import (
 // row count and each categorical column's level count. Versioned keeps
 // those marks for the most recent epochs in a bounded ring, so SnapshotAt
 // can rebuild any retained epoch's view without storing a table per epoch.
+//
+// The frozen prefix also makes sorted row orders incremental: a snapshot's
+// Table.SortedRows merges the epoch's sorted appended rows into the newest
+// order the Versioned holds for that column, instead of sorting every row.
 type Versioned struct {
-	mu    sync.Mutex
-	epoch uint64
-	cols  []vcol
-	nrows int
-	marks []mark // ring indexed by epoch % len(marks)
-	snap  *Table // cached snapshot of the current epoch
+	mu     sync.Mutex
+	epoch  uint64
+	cols   []vcol
+	nrows  int
+	marks  []mark      // ring indexed by epoch % len(marks)
+	snap   *Table      // cached snapshot of the current epoch
+	orders []heldOrder // per column, the newest SortedRows computed
+}
+
+// heldOrder is the newest SortedRows order computed for one column of a
+// Versioned: the order of its first n rows.
+type heldOrder struct {
+	mu   sync.Mutex
+	n    int
+	rows []int32
 }
 
 // DefaultRetain is how many recent epochs, the current one included,
@@ -87,6 +100,7 @@ func NewVersionedAt(t *Table, epoch uint64) *Versioned {
 		}
 		v.cols = append(v.cols, vc)
 	}
+	v.orders = make([]heldOrder, len(v.cols))
 	v.markLocked()
 	return v
 }
@@ -209,7 +223,34 @@ func (v *Versioned) view(m *mark) *Table {
 			b.AddCategoricalCodes(c.field.Name, c.codes[:m.nrows:m.nrows], c.levels[:nl:nl])
 		}
 	}
-	return b.MustBuild()
+	t := b.MustBuild()
+	t.versioned = v
+	return t
+}
+
+// sortedRows computes SortedRows for the snapshot column col holding vals.
+// A snapshot past the newest order held for the column merges its sorted
+// extra rows into that order; the first snapshot, or an older one, sorts
+// in full. A newer result replaces the held order, so the Versioned keeps
+// one order per column and each snapshot only its own epoch's.
+func (v *Versioned) sortedRows(col int, vals []float64) []int32 {
+	h := &v.orders[col]
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	n := len(vals)
+	var rows []int32
+	switch {
+	case h.rows != nil && h.n == n:
+		return h.rows
+	case h.rows != nil && h.n < n:
+		rows = mergeRows(vals, h.rows, sortRows(vals, h.n))
+	default:
+		rows = sortRows(vals, 0)
+	}
+	if n > h.n || h.rows == nil {
+		h.n, h.rows = n, rows
+	}
+	return rows
 }
 
 // Batch is a parsed, schema-checked set of rows to append: per column of
@@ -375,25 +416,4 @@ func (v *Versioned) applyLocked(b *Batch) {
 	v.epoch++
 	v.snap = nil
 	v.markLocked()
-}
-
-// NewLevels reports whether the batch introduces categorical level names
-// absent from the current dictionaries — the trigger that forces a full
-// re-discretization, since hierarchies built on the old dictionary carry
-// no items for the new levels. Read-only; callable before Append.
-func (v *Versioned) NewLevels(b *Batch) bool {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for i := range v.cols {
-		c := &v.cols[i]
-		if c.field.Kind != Categorical {
-			continue
-		}
-		for _, name := range b.Levels[c.field.Name] {
-			if _, ok := c.index[name]; !ok {
-				return true
-			}
-		}
-	}
-	return false
 }

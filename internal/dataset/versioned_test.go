@@ -97,16 +97,6 @@ func TestVersionedDictionaryStability(t *testing.T) {
 	}
 }
 
-func TestVersionedNewLevels(t *testing.T) {
-	v := NewVersioned(seedTable())
-	if v.NewLevels(floatBatch([]float64{1}, []string{"male"})) {
-		t.Error("NewLevels true for known level")
-	}
-	if !v.NewLevels(floatBatch([]float64{1}, []string{"other"})) {
-		t.Error("NewLevels false for unknown level")
-	}
-}
-
 func TestVersionedAppendAtomicity(t *testing.T) {
 	v := NewVersioned(seedTable())
 	// Ragged batch: float column shorter than N.

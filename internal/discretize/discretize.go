@@ -100,14 +100,8 @@ func Tree(t *dataset.Table, attr string, o *outcome.Outcome, opts TreeOptions) (
 	defer span.End()
 
 	vals := t.Floats(attr)
-	// Sort row order by attribute value, dropping NaNs.
-	order := make([]int, 0, len(vals))
-	for i, v := range vals {
-		if !math.IsNaN(v) {
-			order = append(order, i)
-		}
-	}
-	sort.Slice(order, func(a, b int) bool { return vals[order[a]] < vals[order[b]] })
+	// The table's shared (value, row) order of the non-NaN rows.
+	order := t.SortedRows(attr)
 
 	n := len(order)
 	// Prefix sums over the sorted order: valid-outcome count and outcome sum.
@@ -118,7 +112,7 @@ func Tree(t *dataset.Table, attr string, o *outcome.Outcome, opts TreeOptions) (
 		sorted[i] = vals[row]
 		prefValid[i+1] = prefValid[i]
 		prefSum[i+1] = prefSum[i]
-		if o.Valid.Get(row) {
+		if o.Valid.Get(int(row)) {
 			prefValid[i+1]++
 			prefSum[i+1] += o.Values[row]
 		}
@@ -279,20 +273,19 @@ func Quantile(t *dataset.Table, attr string, bins int) (*hierarchy.Hierarchy, er
 	if bins < 2 {
 		return nil, fmt.Errorf("discretize: quantile bins must be ≥ 2, got %d", bins)
 	}
-	vals := nonNaN(t.Floats(attr))
-	if len(vals) == 0 {
+	vals, rows := t.Floats(attr), t.SortedRows(attr)
+	if len(rows) == 0 {
 		return nil, fmt.Errorf("discretize: attribute %q has no values", attr)
 	}
-	sort.Float64s(vals)
 	// Cuts are snapped to observed order statistics (the lower neighbour of
 	// the interpolated quantile) so that every resulting half-open bin
 	// (c_i, c_{i+1}] contains at least one observed value.
 	cuts := make([]float64, 0, bins-1)
 	for i := 1; i < bins; i++ {
-		pos := float64(i) / float64(bins) * float64(len(vals)-1)
-		cuts = append(cuts, vals[int(pos)])
+		pos := float64(i) / float64(bins) * float64(len(rows)-1)
+		cuts = append(cuts, vals[rows[int(pos)]])
 	}
-	return flatFromCuts(attr, dedupCuts(cuts, vals[0], vals[len(vals)-1])), nil
+	return flatFromCuts(attr, dedupCuts(cuts, vals[rows[0]], vals[rows[len(rows)-1]])), nil
 }
 
 // UniformWidth builds a flat equal-width discretization with the given
@@ -301,14 +294,11 @@ func UniformWidth(t *dataset.Table, attr string, bins int) (*hierarchy.Hierarchy
 	if bins < 2 {
 		return nil, fmt.Errorf("discretize: uniform bins must be ≥ 2, got %d", bins)
 	}
-	vals := nonNaN(t.Floats(attr))
-	if len(vals) == 0 {
+	vals, rows := t.Floats(attr), t.SortedRows(attr)
+	if len(rows) == 0 {
 		return nil, fmt.Errorf("discretize: attribute %q has no values", attr)
 	}
-	lo, hi := vals[0], vals[0]
-	for _, v := range vals {
-		lo, hi = math.Min(lo, v), math.Max(hi, v)
-	}
+	lo, hi := vals[rows[0]], vals[rows[len(rows)-1]]
 	if lo == hi {
 		return flatFromCuts(attr, nil), nil
 	}
@@ -357,16 +347,6 @@ func dedupCuts(cuts []float64, lo, hi float64) []float64 {
 			continue
 		}
 		out = append(out, c)
-	}
-	return out
-}
-
-func nonNaN(vals []float64) []float64 {
-	out := make([]float64, 0, len(vals))
-	for _, v := range vals {
-		if !math.IsNaN(v) {
-			out = append(out, v)
-		}
 	}
 	return out
 }

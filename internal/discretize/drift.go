@@ -7,11 +7,10 @@ import (
 
 // KSDrift returns the two-sample Kolmogorov–Smirnov statistic between two
 // samples of a continuous attribute: the maximum absolute difference of
-// their empirical CDFs, in [0, 1]. NaNs (missing values) are ignored. It is
-// the drift measure the server uses to decide whether an appended batch can
-// reuse the existing discretization cutpoints (small drift: the quantile
-// structure moved little, so the split points remain near-optimal) or
-// forces a full re-discretization.
+// their empirical CDFs, in [0, 1]. NaNs (missing values) are ignored. The
+// server has no caller: every epoch is discretized on its own rows. It is
+// kept for the benchmark's probe, which records how far appended batches
+// drift from the rows before them.
 //
 // Degenerate samples — either side empty after dropping NaNs — report zero
 // drift: a batch contributing no observations of an attribute cannot move

@@ -14,9 +14,9 @@ import (
 )
 
 // appendFixture builds a dataset with a rare categorical level (so at least
-// one item compresses), returning the full table, a prefix table of oldN
-// rows sharing the same values, outcomes over both, and the item set built
-// on the prefix.
+// one item compresses) and a level that first appears after the prefix,
+// returning the full table, a prefix table of oldN rows sharing the same
+// values, outcomes over both, and the item set built on the prefix.
 func appendFixture(t testing.TB, seed int64, oldN, newN int) (full, prefix *dataset.Table, oFull, oPrefix *outcome.Outcome, items []*hierarchy.Item) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
@@ -29,6 +29,8 @@ func appendFixture(t testing.TB, seed int64, oldN, newN int) (full, prefix *data
 		switch {
 		case i < 4:
 			c[i] = "rare" // ensure the rare level exists in the prefix
+		case i == oldN || (i > oldN && r.Float64() < 0.01):
+			c[i] = "late"
 		case r.Float64() < 0.005:
 			c[i] = "rare"
 		case r.Float64() < 0.5:
@@ -43,9 +45,13 @@ func appendFixture(t testing.TB, seed int64, oldN, newN int) (full, prefix *data
 		}
 	}
 	full = dataset.NewBuilder().AddFloat("a", a).AddCategorical("c", c).MustBuild()
+	levels := full.Levels("c")
+	if levels[len(levels)-1] == "late" {
+		levels = levels[:len(levels)-1] // the prefix's dictionary
+	}
 	prefix = dataset.NewBuilder().
 		AddFloat("a", a[:oldN:oldN]).
-		AddCategoricalCodes("c", full.Codes("c")[:oldN:oldN], full.Levels("c")).
+		AddCategoricalCodes("c", full.Codes("c")[:oldN:oldN], levels).
 		MustBuild()
 	oFull = outcome.ErrorRate(actual, pred)
 	oPrefix = outcome.ErrorRate(actual[:oldN], pred[:oldN])
@@ -57,10 +63,13 @@ func appendFixture(t testing.TB, seed int64, oldN, newN int) (full, prefix *data
 	return full, prefix, oFull, oPrefix, hs.AllItems()
 }
 
-// TestAppendUniverseMatchesRebuild pins the incremental-maintenance
-// contract: AppendUniverse is byte-identical — row sets, representations,
-// polarity, memory stats — to NewUniverse over the full table with the
-// same items.
+// TestAppendUniverseMatchesRebuild pins the epoch build's reuse contract:
+// AppendUniverse is byte-identical — row sets, representations, polarity,
+// memory stats — to NewUniverse over the full table with the same items,
+// and so is NewUniverseFrom when the item list changed between epochs
+// (intervals moved by a re-discretization, an item dropped, a categorical
+// level added), reusing the unchanged items' row sets and building the
+// others fresh.
 func TestAppendUniverseMatchesRebuild(t *testing.T) {
 	for _, tc := range []struct{ oldN, newN int }{
 		{1000, 1100},   // small, all-dense
@@ -86,6 +95,34 @@ func TestAppendUniverseMatchesRebuild(t *testing.T) {
 			if base.Rows[i].Len() != tc.oldN {
 				t.Fatalf("%d->%d: base row set %d grew", tc.oldN, tc.newN, i)
 			}
+		}
+
+		hs, err := discretize.TreeSet(full, oFull, discretize.TreeOptions{MinSupport: 0.15})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs.Add(hierarchy.FlatCategorical(full, "c"))
+		changed := hs.AllItems()
+		changed = append(changed[:1], changed[2:]...) // drop an item
+		changed = append(changed, items[0])           // keep a prefix interval
+		if got, want := NewUniverseFrom(full, changed, oFull, base), NewUniverse(full, changed, oFull); !reflect.DeepEqual(got, want) {
+			t.Errorf("%d->%d: universe over changed items differs from a fresh build", tc.oldN, tc.newN)
+		}
+		old := map[itemKey]bool{}
+		for _, it := range items {
+			old[keyOf(it)] = true
+		}
+		var reused, fresh int
+		for _, it := range changed {
+			if old[keyOf(it)] {
+				reused++
+			} else {
+				fresh++
+			}
+		}
+		if reused == 0 || fresh == 0 || len(full.Levels("c")) == len(prefix.Levels("c")) {
+			t.Errorf("%d->%d: %d reused and %d fresh items, %d -> %d levels; the case needs both kinds and a new level",
+				tc.oldN, tc.newN, reused, fresh, len(prefix.Levels("c")), len(full.Levels("c")))
 		}
 	}
 }

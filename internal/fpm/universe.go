@@ -68,19 +68,42 @@ type MemStats struct {
 // NewUniverse precomputes row sets, attribute groups and polarities for
 // the given items. The outcome determines polarity: items whose individual
 // divergence is ≥ 0 get polarity +1, otherwise -1. Polarity is computed on
-// the dense vector before representation selection, so packing cannot
-// perturb it.
+// the packed row set, which visits its bits in ascending order whatever
+// its representation, so packing cannot perturb it.
 func NewUniverse(t *dataset.Table, items []*hierarchy.Item, o *outcome.Outcome) *Universe {
+	return NewUniverseFrom(t, items, o, nil)
+}
+
+// NewUniverseFrom is NewUniverse reusing the row sets of prior, a
+// universe built over a frozen prefix of t (an earlier epoch of the same
+// dataset.Versioned) or nil. An item whose attribute and interval, or
+// level codes, equal those of a prior item takes that item's row set
+// grown by the rows prior lacks (bitvec.Grow) instead of a scan of every
+// row; every other item is built fresh. prior is never mutated. The
+// result is byte-identical — row sets, representations, polarities,
+// memory stats — to NewUniverse(t, items, o): appended bits land in the
+// same words, bitvec.Grow re-selects the representation by Pack's rule
+// and encodes containers from their bits alone.
+func NewUniverseFrom(t *dataset.Table, items []*hierarchy.Item, o *outcome.Outcome, prior *Universe) *Universe {
+	n := t.NumRows()
 	u := &Universe{
 		Items:    items,
 		Rows:     make([]bitvec.Set, len(items)),
 		AttrID:   make([]int, len(items)),
 		Polarity: make([]int8, len(items)),
-		NumRows:  t.NumRows(),
+		NumRows:  n,
+	}
+	var reuse map[itemKey]bitvec.Set
+	var tail []uint64
+	if prior != nil {
+		reuse = make(map[itemKey]bitvec.Set, len(prior.Items))
+		for i, it := range prior.Items {
+			reuse[keyOf(it)] = prior.Rows[i]
+		}
+		tail = make([]uint64, (n+63)/64-prior.NumRows/64)
 	}
 	attrIndex := map[string]int{}
 	for i, it := range items {
-		rows := it.Rows(t)
 		id, ok := attrIndex[it.Attr]
 		if !ok {
 			id = len(u.attrs)
@@ -88,13 +111,23 @@ func NewUniverse(t *dataset.Table, items []*hierarchy.Item, o *outcome.Outcome) 
 			u.attrs = append(u.attrs, it.Attr)
 		}
 		u.AttrID[i] = id
-		if d := o.DivergenceOf(rows); d < 0 {
+		var old bitvec.Set
+		if prior != nil {
+			old = reuse[keyOf(it)]
+		}
+		if old != nil {
+			clear(tail)
+			it.MarkRows(t, prior.NumRows, tail)
+			u.Rows[i] = bitvec.Grow(old, tail, n)
+		} else {
+			u.Rows[i] = bitvec.Pack(it.Rows(t))
+		}
+		if d := o.DivergenceOfSet(u.Rows[i]); d < 0 {
 			u.Polarity[i] = -1
 		} else {
 			u.Polarity[i] = 1
 		}
-		u.Rows[i] = bitvec.Pack(rows)
-		denseBytes := int64(rows.NumWords()) * 8
+		denseBytes := int64(u.Rows[i].NumWords()) * 8
 		u.mem.DenseBytes += denseBytes
 		if c, isCompressed := u.Rows[i].(*bitvec.Compressed); isCompressed {
 			st := c.Stats()
@@ -109,6 +142,18 @@ func NewUniverse(t *dataset.Table, items []*hierarchy.Item, o *outcome.Outcome) 
 		}
 	}
 	return u
+}
+
+// itemKey identifies an item's constraint: two items with equal keys
+// cover the same rows of any table.
+type itemKey struct {
+	attr   string
+	lo, hi float64
+	codes  string
+}
+
+func keyOf(it *hierarchy.Item) itemKey {
+	return itemKey{attr: it.Attr, lo: it.Lo, hi: it.Hi, codes: fmt.Sprint(it.Codes)}
 }
 
 // Memory returns the universe's representation statistics.

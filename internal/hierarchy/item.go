@@ -169,28 +169,40 @@ func (it *Item) SubsumesItem(other *Item) bool {
 // Rows returns the bitset of table rows satisfying the item. Missing
 // (NaN) continuous values match no item.
 func (it *Item) Rows(t *dataset.Table) *bitvec.Vector {
-	v := bitvec.New(t.NumRows())
+	words := make([]uint64, (t.NumRows()+63)/64)
+	it.MarkRows(t, 0, words)
+	return bitvec.FromWords(words, t.NumRows())
+}
+
+// MarkRows sets, in words, the bit of every table row at or after from
+// that satisfies the item. words[0] holds the word containing row from
+// (rows from/64*64 onward), the tail convention of bitvec.Grow, and must
+// span the table's remaining rows.
+func (it *Item) MarkRows(t *dataset.Table, from int, words []uint64) {
+	base := from / 64 * 64
+	mark := func(i int) { words[(i-base)/64] |= 1 << uint((i-base)%64) }
 	switch it.Kind {
 	case dataset.Continuous:
-		for i, x := range t.Floats(it.Attr) {
-			if it.MatchesFloat(x) {
-				v.Set(i)
+		vals := t.Floats(it.Attr)
+		for i := from; i < len(vals); i++ {
+			if it.MatchesFloat(vals[i]) {
+				mark(i)
 			}
 		}
 	case dataset.Categorical:
-		codes := t.Codes(it.Attr)
-		// Small covered sets: mark membership via map for O(n).
-		in := make(map[int]bool, len(it.Codes))
+		in := make([]bool, len(t.Levels(it.Attr)))
 		for _, c := range it.Codes {
-			in[c] = true
+			if c < len(in) {
+				in[c] = true
+			}
 		}
-		for i, c := range codes {
-			if in[c] {
-				v.Set(i)
+		codes := t.Codes(it.Attr)
+		for i := from; i < len(codes); i++ {
+			if in[codes[i]] {
+				mark(i)
 			}
 		}
 	}
-	return v
 }
 
 // Itemset is a conjunction of items, at most one per attribute.

@@ -6,7 +6,6 @@ import (
 	"net/http"
 
 	"repro/internal/dataset"
-	"repro/internal/discretize"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/wal"
@@ -104,71 +103,4 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		slog.Int("total_rows", total),
 	)
 	writeJSON(w, http.StatusOK, appendReply{Dataset: name, Epoch: epoch, Rows: batch.N, TotalRows: total})
-}
-
-// rediscretizeKS is the per-column quantile-drift gate of incremental
-// universe maintenance: when the two-sample Kolmogorov–Smirnov statistic
-// between an appended batch and the rows before it exceeds this value,
-// the epoch-bump build abandons the cached discretization cutpoints and
-// re-discretizes from scratch.
-const rediscretizeKS = 0.2
-
-// buildOrAppend is the universe-cache build function for a current-epoch
-// miss: when a prior epoch of the same build is still cached and the
-// appended rows pass the drift policy, the entry is grown incrementally
-// (discretization cutpoints kept, item bitvecs extended by tail words);
-// otherwise — large quantile drift, new categorical levels, no prior, or
-// a failing incremental build — it is built from scratch.
-// The two paths are not interchangeable: an incremental build keeps the
-// prior epoch's cutpoints, while a fresh build chooses its own, so the
-// reply for an epoch depends on which earlier epoch of the shape the cache
-// held when the epoch was first built (request timing, eviction, a
-// restart), not on the epoch's rows alone.
-func (s *Server) buildOrAppend(e *cacheEntry, p *exploreParams, tracer *obs.Tracer) error {
-	key := p.key()
-	prior := s.cache.prior(key)
-	if prior != nil && canAppend(prior.tab, p.tab) {
-		if err := appendEntry(e, p.tab, key, prior); err == nil {
-			s.tracer.Counter(obs.CtrServerUniverseIncremental).Add(1)
-			return nil
-		}
-		// A failed incremental build (injected fault, representation edge
-		// case) degrades to the full path instead of failing the request.
-		// appendEntry assigns the entry's fields only on success, so no
-		// partial state leaks into the rebuild.
-	}
-	if prior != nil {
-		s.tracer.Counter(obs.CtrServerUniverseRediscretized).Add(1)
-	}
-	return buildEntry(e, p.tab, key, tracer)
-}
-
-// canAppend decides whether the new snapshot may reuse a prior entry's
-// discretization: the old table must be a frozen prefix of the new one
-// with unchanged categorical dictionaries (new level names force a
-// rebuild — the cached hierarchies carry no items for them), and every
-// continuous column's appended batch must sit within rediscretizeKS of
-// the rows before it (otherwise the cached cutpoints no longer reflect
-// the data's quantile structure).
-func canAppend(old, cur *dataset.Table) bool {
-	oldN, newN := old.NumRows(), cur.NumRows()
-	if newN < oldN {
-		return false
-	}
-	for _, f := range cur.Fields() {
-		if !old.HasColumn(f.Name) || old.KindOf(f.Name) != f.Kind {
-			return false
-		}
-		if f.Kind == dataset.Categorical {
-			if len(cur.Levels(f.Name)) != len(old.Levels(f.Name)) {
-				return false
-			}
-			continue
-		}
-		vals := cur.Floats(f.Name)
-		if discretize.KSDrift(vals[:oldN], vals[oldN:]) > rediscretizeKS {
-			return false
-		}
-	}
-	return true
 }

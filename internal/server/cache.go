@@ -22,8 +22,8 @@ import (
 // that only affect mining (s, MaxLen, polarity, algorithm, workers) are
 // deliberately absent so explorations with different mining settings
 // share one universe. The epoch pins the build to one dataset version:
-// requests arriving after an append miss the old entry and build (or
-// incrementally grow) the new epoch's universe, while explorations
+// requests arriving after an append miss the old entry and build the new
+// epoch's universe, while explorations
 // already holding the old entry keep their consistent snapshot until the
 // LRU ages it out.
 type cacheKey struct {
@@ -54,14 +54,10 @@ type cacheEntry struct {
 	ready chan struct{} // closed when the build finishes (ok or not)
 	err   error
 
-	tab      *dataset.Table
-	out      *outcome.Outcome
-	excludes []string
-	hs       *hierarchy.Set
-	uni      map[core.Mode]*fpm.Universe
-	// incremental marks an entry grown by fpm.AppendUniverse from a
-	// prior-epoch entry rather than re-discretized from scratch.
-	incremental bool
+	tab *dataset.Table
+	out *outcome.Outcome
+	hs  *hierarchy.Set
+	uni map[core.Mode]*fpm.Universe
 }
 
 // built reports whether the entry finished building successfully, without
@@ -157,8 +153,8 @@ func (c *universeCache) get(ctx context.Context, key cacheKey, build func(*cache
 }
 
 // prior returns the ready entry for the same build at the highest epoch
-// below key.epoch, if any — the base an incremental append build grows
-// from.
+// below key.epoch, if any — the entry whose item row sets an epoch's
+// build grows instead of scanning every row.
 func (c *universeCache) prior(key cacheKey) *cacheEntry {
 	c.mu.Lock()
 	var best *cacheEntry
@@ -264,17 +260,26 @@ func runBuild(build func(*cacheEntry) error, e *cacheEntry) (err error) {
 	return build(e)
 }
 
-// buildEntry runs pipeline stages 1–2 for one cache key on the given
-// table: statistic resolution, tree discretization of every continuous
-// attribute, flat hierarchies for the remaining categorical attributes,
-// then universe precomputation for both exploration modes. The hierarchy
-// assembly mirrors hdivexplorer.PipelineContext exactly so server
-// explorations are indistinguishable from CLI ones. The tracer (usually
-// the first requester's, possibly nil) receives the discretize spans.
-func buildEntry(e *cacheEntry, tab *dataset.Table, key cacheKey, tracer *obs.Tracer) error {
+// buildEntry is the universe-cache build function: pipeline stages 1–2
+// for one cache key on the request's snapshot — statistic resolution, tree
+// discretization of every continuous attribute, flat hierarchies for the
+// remaining categorical attributes, then universe precomputation for both
+// exploration modes. The hierarchy assembly mirrors
+// hdivexplorer.PipelineContext exactly, so server explorations are
+// indistinguishable from CLI ones. The tracer (usually the first
+// requester's, possibly nil) receives the discretize spans.
+//
+// An entry depends on its epoch's rows alone: every step runs on the
+// snapshot, and the ready entry of an earlier epoch of the same build
+// (cache.prior) only lends the row sets of the items whose constraint it
+// shares, grown by the appended rows (fpm.NewUniverseFrom) — the same
+// universes a from-scratch build computes, at the cost of scanning the
+// appended rows for those items.
+func (s *Server) buildEntry(e *cacheEntry, p *exploreParams, tracer *obs.Tracer) error {
 	if err := faultinject.Hit(faultinject.SiteCacheFill); err != nil {
 		return err
 	}
+	key, tab := p.key(), p.tab
 	out, excludes, err := core.BuildStatistic(tab, key.stat, key.actual, key.predicted, key.target)
 	if err != nil {
 		return err
@@ -296,42 +301,20 @@ func buildEntry(e *cacheEntry, tab *dataset.Table, key cacheKey, tracer *obs.Tra
 			hs.Add(hierarchy.FlatCategorical(tab, f.Name))
 		}
 	}
+	var prior map[core.Mode]*fpm.Universe
+	if pe := s.cache.prior(key); pe != nil {
+		// A failed reuse builds every item fresh: same universes, slower.
+		if faultinject.Hit(faultinject.SiteUniverseAppend) == nil {
+			prior = pe.uni
+			s.tracer.Counter(obs.CtrServerUniverseIncremental).Add(1)
+		}
+	}
 	e.tab = tab
 	e.out = out
-	e.excludes = excludes
 	e.hs = hs
 	e.uni = map[core.Mode]*fpm.Universe{
-		core.Hierarchical: fpm.GeneralizedUniverse(tab, hs, out),
-		core.Base:         fpm.BaseUniverse(tab, hs, out),
+		core.Hierarchical: fpm.NewUniverseFrom(tab, hs.AllItems(), out, prior[core.Hierarchical]),
+		core.Base:         fpm.NewUniverseFrom(tab, hs.AllLeafItems(), out, prior[core.Base]),
 	}
-	return nil
-}
-
-// appendEntry builds the entry for a new epoch incrementally from a
-// prior-epoch entry: the outcome is recomputed over the full table (its
-// global moments must cover the appended rows), the discretization
-// cutpoints and hierarchies are kept, and each universe's item bitvecs
-// grow by appended tail words only. By fpm.AppendUniverse's contract the
-// resulting universes are byte-identical to a from-scratch rebuild with
-// the same items, so incremental and full paths are interchangeable.
-func appendEntry(e *cacheEntry, tab *dataset.Table, key cacheKey, prior *cacheEntry) error {
-	out, excludes, err := core.BuildStatistic(tab, key.stat, key.actual, key.predicted, key.target)
-	if err != nil {
-		return err
-	}
-	uni := make(map[core.Mode]*fpm.Universe, len(prior.uni))
-	for mode, u := range prior.uni {
-		grown, err := fpm.AppendUniverse(tab, u, out)
-		if err != nil {
-			return err
-		}
-		uni[mode] = grown
-	}
-	e.tab = tab
-	e.out = out
-	e.excludes = excludes
-	e.hs = prior.hs
-	e.uni = uni
-	e.incremental = true
 	return nil
 }

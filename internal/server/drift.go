@@ -207,7 +207,7 @@ func (m *driftMonitor) remine(name string) {
 	ctx, cancel := context.WithTimeout(context.Background(), m.server.timeout)
 	defer cancel()
 	entry, _, err := m.server.cache.get(ctx, p.key(), func(e *cacheEntry) error {
-		return m.server.buildOrAppend(e, &p, nil)
+		return m.server.buildEntry(e, &p, nil)
 	})
 	if err != nil {
 		m.setError(name, err.Error())

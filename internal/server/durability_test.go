@@ -4,16 +4,21 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	hdiv "repro"
+	"repro/internal/dataset"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/wal"
@@ -462,5 +467,172 @@ func TestDriftRearmsAfterReplay(t *testing.T) {
 	got := awaitDrift(t, s2, "anomaly", func(r driftReply) bool { return r.BaselineEpoch == 3 })
 	if !got.Watching || got.BaselineEpoch != 3 {
 		t.Errorf("drift after replay: watching=%v baseline=%d, want true/3", got.Watching, got.BaselineEpoch)
+	}
+}
+
+// exactRows is the test-side copy of every row a TestRecoveryExactEpochs
+// dataset ever held, from which any epoch's table is rebuilt
+// independently of the server.
+type exactRows struct {
+	x, z    []float64
+	c, y, p []string
+}
+
+// add generates n rows around the moving centre mu: NaN cells in both
+// continuous columns, integer x values (ties across batches), and
+// predictions wrong mostly above mu. newLevel, when non-empty, is a
+// categorical level some of the rows carry.
+func (r *exactRows) add(rng *rand.Rand, n int, mu float64, newLevel string) {
+	levels := []string{"a", "b", "c"}
+	for i := 0; i < n; i++ {
+		x := math.Round(mu + rng.NormFloat64()*15)
+		if rng.Intn(20) == 0 {
+			x = math.NaN()
+		}
+		z := float64(rng.Intn(60)) / 4
+		if rng.Intn(25) == 0 {
+			z = math.NaN()
+		}
+		c := levels[rng.Intn(len(levels))]
+		if newLevel != "" && rng.Intn(4) == 0 {
+			c = newLevel
+		}
+		y := rng.Intn(2) == 0
+		p := y
+		if (x > mu && rng.Intn(3) > 0) || rng.Intn(8) == 0 {
+			p = !y
+		}
+		r.x, r.z, r.c = append(r.x, x), append(r.z, z), append(r.c, c)
+		r.y, r.p = append(r.y, strconv.FormatBool(y)), append(r.p, strconv.FormatBool(p))
+	}
+}
+
+// table builds a fresh table of the first n rows.
+func (r *exactRows) table(n int) *hdiv.Table {
+	return hdiv.NewTableBuilder().
+		AddFloat("x", append([]float64(nil), r.x[:n]...)).
+		AddFloat("z", append([]float64(nil), r.z[:n]...)).
+		AddCategorical("c", r.c[:n]).
+		AddCategorical("y", r.y[:n]).
+		AddCategorical("p", r.p[:n]).
+		MustBuild()
+}
+
+// body renders rows [lo, hi) as an append request body.
+func (r *exactRows) body(t *testing.T, lo, hi int) string {
+	t.Helper()
+	num := func(v float64) any {
+		if math.IsNaN(v) {
+			return nil
+		}
+		return v
+	}
+	rows := make([][]any, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		rows = append(rows, []any{num(r.x[i]), num(r.z[i]), r.c[i], r.y[i], r.p[i]})
+	}
+	raw, err := json.Marshal(map[string]any{"columns": []string{"x", "z", "c", "y", "p"}, "rows": rows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
+}
+
+// TestRecoveryExactEpochs is the exactness property of the epoch build:
+// an epoch's replies depend on its rows alone, not on which earlier
+// epochs the cache held when it was built. Random appends move the
+// distribution (and so the cutpoints), carry NaN cells and now and then
+// a new categorical level; the cache holds 1–4 entries; random retained
+// epochs are pinned; and the server is killed and restarted on its WAL
+// part-way. Every reply — ranked CSV and the deterministic explain
+// profile — must equal that of a fresh server loaded with the epoch's
+// rows.
+func TestRecoveryExactEpochs(t *testing.T) {
+	shapes := []ExploreRequest{
+		{Stat: "error", Actual: "y", Predicted: "p", ST: 0.1},
+		{Stat: "fpr", Actual: "y", Predicted: "p", ST: 0.15},
+		{Stat: "error", Actual: "y", Predicted: "p", ST: 0.1, Criterion: "entropy", Mode: "base"},
+	}
+	const appends = 8
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			var rows exactRows
+			mu := 50.0
+			rows.add(rng, 300, mu, "")
+			cfg := Config{
+				Datasets: []DatasetConfig{{Name: "d", Table: rows.table(300)}},
+				CacheMax: 1 + rng.Intn(4),
+				DriftT:   -1,
+				WALDir:   t.TempDir(),
+				WALSync:  wal.SyncAlways,
+			}
+			s := newTestServer(t, cfg)
+			sizes := []int{300} // sizes[e-1] = rows at epoch e
+			restartAt := 1 + rng.Intn(appends-2)
+			check := func(epoch uint64, shape ExploreRequest, pinned bool) {
+				t.Helper()
+				req := shape
+				req.Dataset, req.S, req.Format = "d", 0.05, "csv"
+				if pinned {
+					req.Epoch = epoch
+				}
+				exReq := req
+				exReq.Format, exReq.Explain = "", true
+				got := postExplore(t, s, req)
+				ge := deterministicExplain(t, postExplore(t, s, exReq))
+				// The fresh server answers in the same cache state: a pinned
+				// epoch's entry may be evicted as soon as it is built, so the
+				// explain request may miss and rebuild.
+				fresh := newTestServer(t, Config{Datasets: []DatasetConfig{{Name: "d", Table: rows.table(sizes[epoch-1])}}, DriftT: -1})
+				req.Epoch, exReq.Epoch = 0, 0
+				var want *httptest.ResponseRecorder
+				var fe *obs.Explain
+				if ge.Cache.Hit {
+					want = postExplore(t, fresh, req)
+					fe = deterministicExplain(t, postExplore(t, fresh, exReq))
+				} else {
+					fe = deterministicExplain(t, postExplore(t, fresh, exReq))
+					want = postExplore(t, fresh, req)
+				}
+				if got.Code != 200 || want.Code != 200 {
+					t.Fatalf("epoch %d %+v: server %d %s, fresh %d %s", epoch, shape, got.Code, got.Body.String(), want.Code, want.Body.String())
+				}
+				if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+					t.Errorf("epoch %d (pinned %v) %+v: CSV differs from a fresh server on the epoch's rows:\ngot:\n%s\nfresh:\n%s",
+						epoch, pinned, shape, got.Body.Bytes(), want.Body.Bytes())
+				}
+				if !reflect.DeepEqual(ge, fe) {
+					gj, _ := json.Marshal(ge)
+					fj, _ := json.Marshal(fe)
+					t.Errorf("epoch %d (pinned %v) %+v: deterministic explain differs:\ngot:   %s\nfresh: %s", epoch, pinned, shape, gj, fj)
+				}
+			}
+			check(1, shapes[0], false)
+			for i := 0; i < appends; i++ {
+				if i == restartAt {
+					// A kill: the old server is abandoned without Close and a
+					// new one recovers from the WAL with an empty cache.
+					s = newTestServer(t, cfg)
+				}
+				mu += rng.Float64()*12 - 4
+				level := ""
+				if rng.Intn(4) == 0 {
+					level = fmt.Sprintf("new%d", i)
+				}
+				lo := len(rows.x)
+				rows.add(rng, 20+rng.Intn(60), mu, level)
+				if rec := postAppend(t, s, "d", rows.body(t, lo, len(rows.x))); rec.Code != 200 {
+					t.Fatalf("append %d: %d %s", i, rec.Code, rec.Body.String())
+				}
+				sizes = append(sizes, len(rows.x))
+				epoch := uint64(len(sizes))
+				check(epoch, shapes[rng.Intn(len(shapes))], false)
+				for k := 0; k < 2; k++ {
+					back := uint64(rng.Intn(min(len(sizes), dataset.DefaultRetain)))
+					check(epoch-back, shapes[rng.Intn(len(shapes))], true)
+				}
+			}
+		})
 	}
 }

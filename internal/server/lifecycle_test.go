@@ -27,8 +27,7 @@ func postAppend(t *testing.T, h http.Handler, name, body string) *httptest.Respo
 
 // quietBatch builds an append body matching anomalyTable's generation
 // pattern (x = i%100, alternating correct labels, no anomaly), so the
-// appended rows sit inside the dataset's distribution and pass the
-// incremental drift policy.
+// appended rows sit inside the dataset's distribution.
 func quietBatch(n, offset int) string {
 	var rows []string
 	for i := 0; i < n; i++ {
@@ -185,10 +184,6 @@ func TestAppendLifecycleEpochPin(t *testing.T) {
 }
 
 // lifecyclePeriod is the cycle length of lifecycleTable's row pattern.
-// Tables and batches sized in whole multiples of it have identical
-// per-column joint distributions, so the supervised discretizer picks
-// the same cutpoints on a prefix as on the full table and the
-// incremental append path is byte-equivalent to a from-scratch build.
 const lifecyclePeriod = 400
 
 // lifecycleTable builds the equivalence fixture: a continuous column, a
@@ -270,20 +265,17 @@ func batchFromTable(t *testing.T, tab *hdiv.Table, lo, hi int) string {
 }
 
 // TestAppendEquivalenceRebuild is the lifecycle equivalence property: a
-// server that grew its dataset by appending the last 10% of rows over
-// HTTP answers every exploration byte-identically (ranked CSV and the
+// server that grew its dataset by appending the last rows over HTTP
+// answers every exploration byte-identically (ranked CSV and the
 // deterministic explain profile) to a server loaded with the full table
-// from the start, across worker/shard settings, with the incremental
-// universe-maintenance path proven to have run.
+// from the start, across worker/shard settings, with the epoch build
+// proven to have grown the prior epoch's row sets. The prefix ends
+// mid-cycle, so the prefix and the full table have different
+// distributions and the discretizer picks different cutpoints on them.
 func TestAppendEquivalenceRebuild(t *testing.T) {
 	const n = 8000
 	full := lifecycleTable(t, n)
-	prefixRows := n - n/10
-	// Whole cycles only: the byte-equality below depends on the prefix,
-	// the appended batch and the full table sharing one distribution.
-	if n%lifecyclePeriod != 0 || prefixRows%lifecyclePeriod != 0 {
-		t.Fatalf("n=%d and prefix=%d must be multiples of lifecyclePeriod=%d", n, prefixRows, lifecyclePeriod)
-	}
+	prefixRows := n - n/10 - lifecyclePeriod/2
 	prefix := lifecycleTable(t, n)
 	// Rebuild the prefix table from the same generator, truncated: the
 	// builder copies its inputs, so slicing the full table's columns is
@@ -334,7 +326,7 @@ func TestAppendEquivalenceRebuild(t *testing.T) {
 	}
 
 	if got := grown.tracer.Snapshot().Counter(obs.CtrServerUniverseIncremental); got < 1 {
-		t.Errorf("incremental universe builds = %d, want >= 1 — the equivalence was tested against the full-rebuild path only", got)
+		t.Errorf("incremental universe builds = %d, want >= 1 — no row set was grown from the prior epoch", got)
 	}
 }
 
@@ -420,10 +412,11 @@ func TestFaultAppendParseAtomic(t *testing.T) {
 	}
 }
 
-// TestFaultAppendIncrementalFallsBack errors the incremental
-// universe-append failpoint: the exploration after an append must
-// degrade to a full re-discretization (counted as such) and still answer
-// 200; with the fault cleared the next epoch takes the incremental path.
+// TestFaultAppendIncrementalFallsBack errors the universe-append
+// failpoint: the epoch build after an append runs without the prior
+// entry, builds every item fresh and still answers 200 with the CSV of a
+// fresh server loaded with the same rows; with the fault cleared the
+// next epoch grows the prior entry's row sets again.
 func TestFaultAppendIncrementalFallsBack(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	s := newTestServer(t, Config{Datasets: []DatasetConfig{{Name: "anomaly", Table: anomalyTable(t)}}})
@@ -432,9 +425,6 @@ func TestFaultAppendIncrementalFallsBack(t *testing.T) {
 	if rec := postExplore(t, s, req); rec.Code != 200 {
 		t.Fatalf("epoch-1 explore: %d %s", rec.Code, rec.Body.String())
 	}
-	// A full 0..99 cycle keeps per-column KS drift near zero, so the
-	// append qualifies for the incremental path and only the injected
-	// fault decides which build runs.
 	if rec := postAppend(t, s, "anomaly", quietBatch(100, 600)); rec.Code != 200 {
 		t.Fatalf("append: %d %s", rec.Code, rec.Body.String())
 	}
@@ -442,15 +432,17 @@ func TestFaultAppendIncrementalFallsBack(t *testing.T) {
 	if err := faultinject.Arm(faultinject.SiteUniverseAppend, "error(injected append fault)"); err != nil {
 		t.Fatal(err)
 	}
-	if rec := postExplore(t, s, req); rec.Code != 200 {
-		t.Fatalf("explore under append fault: %d %s", rec.Code, rec.Body.String())
+	got := postExplore(t, s, req)
+	if got.Code != 200 {
+		t.Fatalf("explore under append fault: %d %s", got.Code, got.Body.String())
 	}
-	snap := s.tracer.Snapshot()
-	if got := snap.Counter(obs.CtrServerUniverseIncremental); got != 0 {
-		t.Errorf("incremental builds = %d under fault, want 0", got)
+	if n := s.tracer.Snapshot().Counter(obs.CtrServerUniverseIncremental); n != 0 {
+		t.Errorf("incremental builds = %d under fault, want 0", n)
 	}
-	if got := snap.Counter(obs.CtrServerUniverseRediscretized); got != 1 {
-		t.Errorf("rediscretized builds = %d under fault, want 1", got)
+	epoch2, _ := s.tables["anomaly"].SnapshotAt(2)
+	fresh := newTestServer(t, Config{Datasets: []DatasetConfig{{Name: "anomaly", Table: epoch2.FilterRows(allRows(epoch2))}}})
+	if want := postExplore(t, fresh, req); !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+		t.Errorf("explore under append fault differs from a fresh server:\ngot:\n%s\nfresh:\n%s", got.Body.Bytes(), want.Body.Bytes())
 	}
 
 	faultinject.Reset()
@@ -460,9 +452,18 @@ func TestFaultAppendIncrementalFallsBack(t *testing.T) {
 	if rec := postExplore(t, s, req); rec.Code != 200 {
 		t.Fatalf("explore after reset: %d %s", rec.Code, rec.Body.String())
 	}
-	if got := s.tracer.Snapshot().Counter(obs.CtrServerUniverseIncremental); got != 1 {
-		t.Errorf("incremental builds after reset = %d, want 1", got)
+	if n := s.tracer.Snapshot().Counter(obs.CtrServerUniverseIncremental); n != 1 {
+		t.Errorf("incremental builds after reset = %d, want 1", n)
 	}
+}
+
+// allRows lists every row index of a table.
+func allRows(tab *hdiv.Table) []int {
+	rows := make([]int, tab.NumRows())
+	for i := range rows {
+		rows[i] = i
+	}
+	return rows
 }
 
 // TestFaultDriftReminePanicContained panics the background drift

@@ -388,8 +388,9 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 			ci := columnInfo{Name: f.Name, Kind: f.Kind.String()}
 			if f.Kind == dataset.Categorical {
 				ci.Levels = tab.Levels(f.Name)
-			} else if vals := tab.SortedUniqueFloats(f.Name); len(vals) > 0 {
-				lo, hi := vals[0], vals[len(vals)-1]
+			} else if rows := tab.SortedRows(f.Name); len(rows) > 0 {
+				vals := tab.Floats(f.Name)
+				lo, hi := vals[rows[0]], vals[rows[len(rows)-1]]
 				ci.Min, ci.Max = &lo, &hi
 			}
 			info.Columns = append(info.Columns, ci)
@@ -783,7 +784,7 @@ func (s *Server) serveExplore(w http.ResponseWriter, r *http.Request, batch bool
 	frec.Status = "error"
 
 	entry, hit, err := s.cache.get(ctx, p.key(), func(e *cacheEntry) error {
-		return s.buildOrAppend(e, p, reqTracer)
+		return s.buildEntry(e, p, reqTracer)
 	})
 	frec.CacheHit = hit
 	if hit {

@@ -14,8 +14,9 @@
 # re-mine, and replay an epoch-pinned exploration byte for byte. The
 # daemon runs with -wal-dir, so the script ends with the durability
 # leg: SIGKILL the process mid-flight, restart it against the same WAL
-# directory, and assert the epoch gauge and the pinned epoch-1 replay
-# survive the crash. Any unexpected status or empty body fails the script.
+# directory, and assert the epoch gauge and the pinned replays of epoch 1
+# and of epoch 2 (the current epoch before the kill) survive the crash
+# byte for byte. Any unexpected status or empty body fails the script.
 #
 # Usage: scripts/daemon_smoke.sh [workdir]    (default .smoke-daemon)
 # The workdir is left in place so CI can upload the trace as an artifact.
@@ -226,6 +227,14 @@ curl -fsS -X POST "http://localhost:$PORT/v1/explore" \
 grep -qi 'X-Dataset-Epoch: 1' "$DIR/pinned.headers"
 cmp "$DIR/epoch1.csv" "$DIR/pinned.csv"
 
+# The current epoch-2 reply: the restarted daemon rebuilds epoch 2 from
+# scratch and must answer it byte for byte.
+curl -fsS -X POST "http://localhost:$PORT/v1/explore" \
+    -D "$DIR/epoch2.headers" \
+    -d '{"dataset":"compas","stat":"fpr","actual":"label","predicted":"prediction","top":3,"format":"csv"}' \
+    -o "$DIR/epoch2.csv"
+grep -qi 'X-Dataset-Epoch: 2' "$DIR/epoch2.headers"
+
 # ---- Durability: SIGKILL and restart against the same WAL ------------
 # The acknowledged appends are on disk; a hard kill (no drain, no final
 # fsync beyond the per-ack ones) must lose nothing.
@@ -262,6 +271,14 @@ curl -fsS -X POST "http://localhost:$PORT/v1/explore" \
     -o "$DIR/recovered_pin.csv"
 grep -qi 'X-Dataset-Epoch: 1' "$DIR/recovered_pin.headers"
 cmp "$DIR/epoch1.csv" "$DIR/recovered_pin.csv"
+
+# ...so does epoch 2, the current epoch before the kill...
+curl -fsS -X POST "http://localhost:$PORT/v1/explore" \
+    -D "$DIR/recovered_pin2.headers" \
+    -d '{"dataset":"compas","stat":"fpr","actual":"label","predicted":"prediction","top":3,"format":"csv","epoch":2}' \
+    -o "$DIR/recovered_pin2.csv"
+grep -qi 'X-Dataset-Epoch: 2' "$DIR/recovered_pin2.headers"
+cmp "$DIR/epoch2.csv" "$DIR/recovered_pin2.csv"
 
 # ...and the log keeps rolling: a post-recovery append lands epoch 3.
 curl -fsS -X POST "http://localhost:$PORT/v1/datasets/compas/rows" \
