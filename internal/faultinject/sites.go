@@ -27,7 +27,8 @@ const (
 	// SiteUniverseAppend fires where a universe build would reuse an
 	// earlier epoch's row sets: at the start of fpm.AppendUniverse, and in
 	// the server's cache build before it takes the prior entry. A fault
-	// there makes the build scan every item fresh, with the same result.
+	// there makes the build ignore the earlier epoch and build every
+	// hierarchical item fresh, with the same result.
 	SiteUniverseAppend = "fpm.universe_append"
 	// SiteDriftRemine fires inside the drift monitor's background re-mine,
 	// exercising the panic isolation around the per-dataset watcher.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bitvec"
+	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/discretize"
 	"repro/internal/faultinject"
@@ -127,6 +128,46 @@ func TestAppendUniverseMatchesRebuild(t *testing.T) {
 	}
 }
 
+// TestBaseUniverseFromHierarchical pins the entry build's base universe:
+// built with the same table's hierarchical universe as its prior, it is
+// deep-equal — row sets, representations, polarities, memory stats — to
+// NewUniverse over the leaves, and every leaf borrows the hierarchical
+// universe's row set itself. The hierarchical universe is built both from
+// scratch and grown from an earlier epoch's, over dense and compressed
+// leaves.
+func TestBaseUniverseFromHierarchical(t *testing.T) {
+	for _, tc := range []struct{ oldN, newN int }{{1000, 1100}, {20000, 22000}} {
+		full, prefix, oFull, oPrefix, _ := appendFixture(t, 99, tc.oldN, tc.newN)
+		hs, err := discretize.TreeSet(full, oFull, discretize.TreeOptions{MinSupport: 0.05})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs.Add(hierarchy.FlatCategorical(full, "c"))
+		earlier := NewUniverse(prefix, hs.AllItems(), oPrefix)
+		leaves := hs.AllLeafItems()
+		want := NewUniverse(full, leaves, oFull)
+		if want.Memory().ItemsCompressed == 0 && tc.newN > 20000 {
+			t.Errorf("%d rows: no compressed leaf; the case is vacuous", tc.newN)
+		}
+		for _, prior := range []*Universe{nil, earlier} {
+			hier := NewUniverseFrom(full, hs.AllItems(), oFull, prior)
+			got := NewUniverseFrom(full, leaves, oFull, hier)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%d rows (earlier prior %v): base universe from the hierarchical one differs from NewUniverse", tc.newN, prior != nil)
+			}
+			shared := map[bitvec.Set]bool{}
+			for _, rs := range hier.Rows {
+				shared[rs] = true
+			}
+			for i, rs := range got.Rows {
+				if !shared[rs] {
+					t.Errorf("%d rows: leaf %v does not borrow the hierarchical row set", tc.newN, leaves[i])
+				}
+			}
+		}
+	}
+}
+
 // TestAppendUniverseCompressedRepresentation asserts the fixture actually
 // exercises the compressed path, so the DeepEqual above is not vacuous.
 func TestAppendUniverseCompressedRepresentation(t *testing.T) {
@@ -173,11 +214,11 @@ func TestAppendUniverseFaultSite(t *testing.T) {
 	}
 }
 
-// BenchmarkAppendEpoch pins the incremental-maintenance speedup: growing
-// a universe by a 10% row batch through AppendUniverse against
-// rebuilding it from scratch over the full table with the same items.
-// The rebuild sub-benchmark reports the measured advantage as the
-// speedup-x metric; the lifecycle acceptance floor is 5x.
+// BenchmarkAppendEpoch measures the incremental-maintenance speedup:
+// growing a universe by a 10% row batch through AppendUniverse against
+// rebuilding it from scratch over the full table with the same items
+// (continuous items from the table's sorted order). The rebuild
+// sub-benchmark reports the measured advantage as the speedup-x metric.
 func BenchmarkAppendEpoch(b *testing.B) {
 	const oldN, newN = 90_000, 100_000
 	full, prefix, oFull, oPrefix, items := appendFixture(b, 7, oldN, newN)
@@ -201,4 +242,68 @@ func BenchmarkAppendEpoch(b *testing.B) {
 			b.ReportMetric(perOp/incPerOp, "speedup-x")
 		}
 	})
+}
+
+// BenchmarkUniverseBuild measures a universe-cache entry's universe
+// build: the hierarchical universe over every item of a tree-discretized
+// compas table (20k rows, st 0.05, flat categorical hierarchies), then the
+// base universe over the leaves with the hierarchical one as its
+// same-length prior. The discretization, and so the columns' sorted
+// orders, is done once outside the timed loop. "fresh" builds with no
+// prior; "prior" grows the hierarchical universe from that of an epoch 64
+// rows shorter.
+func BenchmarkUniverseBuild(b *testing.B) {
+	const n, batch = 20_000, 64
+	d := datagen.Compas(datagen.Config{N: n, Seed: 1})
+	full := d.Table
+	prefix := dataset.NewBuilder()
+	rest := &dataset.Batch{Floats: map[string][]float64{}, Levels: map[string][]string{}, N: batch}
+	for _, f := range full.Fields() {
+		if f.Kind == dataset.Continuous {
+			vals := full.Floats(f.Name)
+			prefix.AddFloat(f.Name, vals[:n-batch])
+			rest.Floats[f.Name] = vals[n-batch:]
+			continue
+		}
+		codes, levels := full.Codes(f.Name), full.Levels(f.Name)
+		prefix.AddCategoricalCodes(f.Name, codes[:n-batch], levels)
+		for _, c := range codes[n-batch:] {
+			rest.Levels[f.Name] = append(rest.Levels[f.Name], levels[c])
+		}
+	}
+	v := dataset.NewVersioned(prefix.MustBuild())
+	if _, _, err := v.Append(rest); err != nil {
+		b.Fatal(err)
+	}
+	items := func(t *dataset.Table, o *outcome.Outcome) *hierarchy.Set {
+		hs, err := discretize.TreeSet(t, o, discretize.TreeOptions{MinSupport: 0.05})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, f := range t.Fields() {
+			if f.Kind == dataset.Categorical {
+				hs.Add(hierarchy.FlatCategorical(t, f.Name))
+			}
+		}
+		return hs
+	}
+	older, _ := v.SnapshotAt(1)
+	oOlder := outcome.FalsePositiveRate(d.Actual[:n-batch], d.Predicted[:n-batch])
+	earlier := NewUniverse(older, items(older, oOlder).AllItems(), oOlder)
+	tab, _ := v.Snapshot()
+	o := outcome.FalsePositiveRate(d.Actual, d.Predicted)
+	hs := items(tab, o)
+
+	for _, bc := range []struct {
+		name  string
+		prior *Universe
+	}{{"fresh", nil}, {"prior", earlier}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				hier := NewUniverseFrom(tab, hs.AllItems(), o, bc.prior)
+				NewUniverseFrom(tab, hs.AllLeafItems(), o, hier)
+			}
+		})
+	}
 }

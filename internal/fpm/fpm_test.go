@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -416,6 +417,77 @@ func TestSortByDivergence(t *testing.T) {
 	for i := 1; i < len(items); i++ {
 		if o.DivergenceFromMoments(items[i].M) < o.DivergenceFromMoments(items[i-1].M)-1e-12 {
 			t.Fatal("signed negative sort violated")
+		}
+	}
+}
+
+// TestSortByDivergenceMatchesStable pins the unstable ranking sort to the
+// stable one it replaced: on seeded itemsets with many tied divergences
+// (NaN, ±d under the absolute key), lengths and counts, and item indices
+// whose varint encodings order differently from their values (256 before
+// 129), SortByDivergence gives the order of a sort.SliceStable over the
+// historical string-key comparator, element for element, in every key
+// mode.
+func TestSortByDivergenceMatchesStable(t *testing.T) {
+	actual := []bool{true, true, false, false}
+	o := outcome.ErrorRate(actual, []bool{true, false, true, false}) // global mean 0.5
+	moments := []stats.Moments{
+		{}, // no defined outcome: NaN divergence
+		{N: 4, Sum: 1, SumSq: 1},
+		{N: 4, Sum: 3, SumSq: 3},
+		{N: 8, Sum: 6, SumSq: 6},
+		{N: 2, Sum: 1, SumSq: 1},
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		seen := map[string]bool{}
+		var items []MinedItemset
+		for len(items) < 2000 {
+			idx := rng.Perm(400)[:1+rng.Intn(3)]
+			sort.Ints(idx)
+			if seen[key(idx)] {
+				continue
+			}
+			seen[key(idx)] = true
+			items = append(items, MinedItemset{Items: idx, Count: 5 << rng.Intn(3), M: moments[rng.Intn(len(moments))]})
+		}
+		for _, mode := range [][2]bool{{false, false}, {true, true}, {true, false}} {
+			signed, positive := mode[0], mode[1]
+			want := append([]MinedItemset(nil), items...)
+			sortKey := func(m MinedItemset) float64 {
+				d := o.DivergenceFromMoments(m.M)
+				switch {
+				case math.IsNaN(d):
+					return math.Inf(-1)
+				case !signed:
+					return math.Abs(d)
+				case !positive:
+					return -d
+				}
+				return d
+			}
+			sort.SliceStable(want, func(x, y int) bool {
+				a, b := want[x], want[y]
+				if ka, kb := sortKey(a), sortKey(b); ka != kb {
+					return ka > kb
+				}
+				if len(a.Items) != len(b.Items) {
+					return len(a.Items) < len(b.Items)
+				}
+				if a.Count != b.Count {
+					return a.Count > b.Count
+				}
+				return key(a.Items) < key(b.Items)
+			})
+			got := append([]MinedItemset(nil), items...)
+			SortByDivergence(got, o, signed, positive)
+			if !reflect.DeepEqual(got, want) {
+				for i := range got {
+					if !reflect.DeepEqual(got[i], want[i]) {
+						t.Fatalf("seed %d signed=%v positive=%v: position %d holds %+v, stable sort %+v", seed, signed, positive, i, got[i], want[i])
+					}
+				}
+			}
 		}
 	}
 }

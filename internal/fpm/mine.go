@@ -1,10 +1,11 @@
 package fpm
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/bitvec"
@@ -621,11 +622,11 @@ func key(items []int) string {
 // The sort is an index sort: divergence keys are computed once per itemset
 // up front (the comparator would otherwise recompute them — and allocate an
 // encoded tie-break key — on every comparison, which dominated ranking
-// cost), a permutation of indices is stably sorted against the key array,
+// cost), a permutation of indices is sorted against the key array,
 // and the permutation is applied in place by cycle-walking — so the scratch
 // is 12 bytes per itemset instead of a decorated copy of the slice. The
 // final tie-break compares item slices in the byte order of their varint
-// encoding (keyLess), reproducing the exact order of the historical
+// encoding (keyCompare), reproducing the exact order of the historical
 // string-key comparison without building strings.
 func SortByDivergence(items []MinedItemset, o *outcome.Outcome, signed bool, positive bool) {
 	keys := make([]float64, len(items))
@@ -642,18 +643,19 @@ func SortByDivergence(items []MinedItemset, o *outcome.Outcome, signed bool, pos
 		keys[i] = d
 		perm[i] = int32(i)
 	}
-	sort.SliceStable(perm, func(x, y int) bool {
-		a, b := perm[x], perm[y]
-		if keys[a] != keys[b] {
-			return keys[a] > keys[b]
+	// The comparator is a total order over distinct itemsets (keyCompare
+	// separates any two distinct item slices), so an unstable sort yields
+	// the one permutation a stable sort would.
+	slices.SortFunc(perm, func(a, b int32) int {
+		switch {
+		case keys[a] != keys[b]:
+			return cmp.Compare(keys[b], keys[a])
+		case len(items[a].Items) != len(items[b].Items):
+			return cmp.Compare(len(items[a].Items), len(items[b].Items))
+		case items[a].Count != items[b].Count:
+			return cmp.Compare(items[b].Count, items[a].Count)
 		}
-		if len(items[a].Items) != len(items[b].Items) {
-			return len(items[a].Items) < len(items[b].Items)
-		}
-		if items[a].Count != items[b].Count {
-			return items[a].Count > items[b].Count
-		}
-		return keyLess(items[a].Items, items[b].Items)
+		return keyCompare(items[a].Items, items[b].Items)
 	})
 	// Apply the permutation (sorted[i] = items[perm[i]]) in place: each
 	// cycle shifts its members one step, with visited slots marked by -1.
@@ -676,23 +678,23 @@ func SortByDivergence(items []MinedItemset, o *outcome.Outcome, signed bool, pos
 	}
 }
 
-// keyLess reports whether key(a) < key(b) without materializing either
-// string. Single-value varint encodings are self-delimiting (every byte
-// but the last has the high bit set), so two distinct values' encodings
-// always differ within their common prefix — concatenated-stream byte
-// order therefore reduces to comparing the first differing item's
-// encoding, with the shorter slice winning a pure-prefix tie.
-func keyLess(a, b []int) bool {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
+// keyCompare compares key(a) with key(b), as cmp.Compare does, without
+// materializing either string. Single-value varint encodings are
+// self-delimiting (every byte but the last has the high bit set), so two
+// distinct values' encodings always differ within their common prefix —
+// concatenated-stream byte order therefore reduces to comparing the first
+// differing item's encoding, with the shorter slice first on a
+// pure-prefix tie. It is 0 only for equal slices.
+func keyCompare(a, b []int) int {
+	for i := 0; i < min(len(a), len(b)); i++ {
 		if a[i] != b[i] {
-			return varintLess(a[i], b[i])
+			if varintLess(a[i], b[i]) {
+				return -1
+			}
+			return 1
 		}
 	}
-	return len(a) < len(b)
+	return cmp.Compare(len(a), len(b))
 }
 
 // varintLess compares two values by the byte order of their key encoding

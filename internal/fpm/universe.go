@@ -76,14 +76,18 @@ func NewUniverse(t *dataset.Table, items []*hierarchy.Item, o *outcome.Outcome) 
 
 // NewUniverseFrom is NewUniverse reusing the row sets of prior, a
 // universe built over a frozen prefix of t (an earlier epoch of the same
-// dataset.Versioned) or nil. An item whose attribute and interval, or
-// level codes, equal those of a prior item takes that item's row set
-// grown by the rows prior lacks (bitvec.Grow) instead of a scan of every
-// row; every other item is built fresh. prior is never mutated. The
-// result is byte-identical — row sets, representations, polarities,
-// memory stats — to NewUniverse(t, items, o): appended bits land in the
-// same words, bitvec.Grow re-selects the representation by Pack's rule
-// and encodes containers from their bits alone.
+// dataset.Versioned, or t itself) or nil. An item whose attribute and
+// interval, or level codes, equal those of a prior item takes that item's
+// row set grown by the rows prior lacks (bitvec.Grow) instead of a build
+// from scratch; every other item is built fresh. A prior with t's row
+// count lacks no rows, and lends its row set itself: row sets are
+// read-only once built (bitvec.Grow clones a dense set and grows a
+// compressed one copy-on-write, and the miners never write Rows), so the
+// two universes may share them. prior is never mutated. The result is
+// byte-identical — row sets, representations, polarities, memory stats —
+// to NewUniverse(t, items, o): appended bits land in the same words,
+// bitvec.Grow re-selects the representation by Pack's rule and encodes
+// containers from their bits alone.
 func NewUniverseFrom(t *dataset.Table, items []*hierarchy.Item, o *outcome.Outcome, prior *Universe) *Universe {
 	n := t.NumRows()
 	u := &Universe{
@@ -100,7 +104,9 @@ func NewUniverseFrom(t *dataset.Table, items []*hierarchy.Item, o *outcome.Outco
 		for i, it := range prior.Items {
 			reuse[keyOf(it)] = prior.Rows[i]
 		}
-		tail = make([]uint64, (n+63)/64-prior.NumRows/64)
+		if prior.NumRows < n {
+			tail = make([]uint64, (n+63)/64-prior.NumRows/64)
+		}
 	}
 	attrIndex := map[string]int{}
 	for i, it := range items {
@@ -115,11 +121,14 @@ func NewUniverseFrom(t *dataset.Table, items []*hierarchy.Item, o *outcome.Outco
 		if prior != nil {
 			old = reuse[keyOf(it)]
 		}
-		if old != nil {
+		switch {
+		case old != nil && prior.NumRows == n:
+			u.Rows[i] = old
+		case old != nil:
 			clear(tail)
 			it.MarkRows(t, prior.NumRows, tail)
 			u.Rows[i] = bitvec.Grow(old, tail, n)
-		} else {
+		default:
 			u.Rows[i] = bitvec.Pack(it.Rows(t))
 		}
 		if d := o.DivergenceOfSet(u.Rows[i]); d < 0 {
@@ -153,7 +162,7 @@ type itemKey struct {
 }
 
 func keyOf(it *hierarchy.Item) itemKey {
-	return itemKey{attr: it.Attr, lo: it.Lo, hi: it.Hi, codes: fmt.Sprint(it.Codes)}
+	return itemKey{attr: it.Attr, lo: it.Lo, hi: it.Hi, codes: key(it.Codes)}
 }
 
 // Memory returns the universe's representation statistics.

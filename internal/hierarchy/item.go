@@ -178,12 +178,31 @@ func (it *Item) Rows(t *dataset.Table) *bitvec.Vector {
 // that satisfies the item. words[0] holds the word containing row from
 // (rows from/64*64 onward), the tail convention of bitvec.Grow, and must
 // span the table's remaining rows.
+//
+// A continuous item's full build (from == 0) marks the item's run of the
+// column's shared sorted order (Table.SortedRows), found by binary search:
+// the order is ascending and holds no NaN, and −0 compares equal to +0,
+// so the rows whose value lies in (Lo, Hi] are exactly one contiguous run
+// and the cost is the run's length, not the row count. Tails (from > 0)
+// and categorical items scan the rows.
 func (it *Item) MarkRows(t *dataset.Table, from int, words []uint64) {
 	base := from / 64 * 64
 	mark := func(i int) { words[(i-base)/64] |= 1 << uint((i-base)%64) }
 	switch it.Kind {
 	case dataset.Continuous:
 		vals := t.Floats(it.Attr)
+		if from == 0 {
+			order := t.SortedRows(it.Attr)
+			lo := sort.Search(len(order), func(k int) bool { return vals[order[k]] > it.Lo })
+			// Written !(v ≤ Hi) so a NaN bound, which no value satisfies,
+			// gives an empty run as MatchesFloat does.
+			hi := sort.Search(len(order), func(k int) bool { return !(vals[order[k]] <= it.Hi) })
+			for k := lo; k < hi; k++ {
+				r := order[k]
+				words[r/64] |= 1 << uint(r%64)
+			}
+			return
+		}
 		for i := from; i < len(vals); i++ {
 			if it.MatchesFloat(vals[i]) {
 				mark(i)

@@ -132,8 +132,9 @@ func (c *universeCache) get(ctx context.Context, key cacheKey, build func(*cache
 		c.lru.MoveToFront(el)
 	} else {
 		e = &cacheEntry{ready: make(chan struct{})}
-		c.entries[key] = c.lru.PushFront(&lruItem{key: key, entry: e})
-		c.evictOverflowLocked()
+		el = c.lru.PushFront(&lruItem{key: key, entry: e})
+		c.entries[key] = el
+		c.evictOverflowLocked(el)
 		go func() {
 			e.err = runBuild(build, e)
 			if e.err != nil {
@@ -177,14 +178,16 @@ func (c *universeCache) prior(key cacheKey) *cacheEntry {
 
 // evictOverflowLocked drops entries until the cache fits its bound again.
 // Victim selection prefers the least-recently-used *stale-epoch* entry (its
-// dataset has moved past its epoch) and falls back to the plain LRU tail
-// when every entry is current. Caller holds c.mu.
-func (c *universeCache) evictOverflowLocked() {
+// dataset has moved past its epoch) other than added, the element just
+// inserted, and falls back to the plain LRU tail when there is none: a
+// pinned (stale-epoch) entry is never evicted by its own insertion, so
+// the next identical pinned request hits it. Caller holds c.mu.
+func (c *universeCache) evictOverflowLocked(added *list.Element) {
 	if c.max <= 0 {
 		return
 	}
 	for c.lru.Len() > c.max {
-		el := c.staleVictimLocked()
+		el := c.staleVictimLocked(added)
 		stale := el != nil
 		if el == nil {
 			el = c.lru.Back()
@@ -199,16 +202,16 @@ func (c *universeCache) evictOverflowLocked() {
 	}
 }
 
-// staleVictimLocked scans from the LRU tail for the first entry whose key
-// epoch is behind its dataset's current epoch; nil when all are current
-// (or no epoch oracle is wired).
-func (c *universeCache) staleVictimLocked() *list.Element {
+// staleVictimLocked scans from the LRU tail for the first entry other
+// than skip whose key epoch is behind its dataset's current epoch; nil
+// when there is none (or no epoch oracle is wired).
+func (c *universeCache) staleVictimLocked(skip *list.Element) *list.Element {
 	if c.currentEpoch == nil {
 		return nil
 	}
 	for el := c.lru.Back(); el != nil; el = el.Prev() {
 		k := el.Value.(*lruItem).key
-		if k.epoch != c.currentEpoch(k.dataset) {
+		if el != skip && k.epoch != c.currentEpoch(k.dataset) {
 			return el
 		}
 	}
@@ -271,10 +274,13 @@ func runBuild(build func(*cacheEntry) error, e *cacheEntry) (err error) {
 //
 // An entry depends on its epoch's rows alone: every step runs on the
 // snapshot, and the ready entry of an earlier epoch of the same build
-// (cache.prior) only lends the row sets of the items whose constraint it
-// shares, grown by the appended rows (fpm.NewUniverseFrom) — the same
-// universes a from-scratch build computes, at the cost of scanning the
-// appended rows for those items.
+// (cache.prior) only lends the hierarchical universe the row sets of the
+// items whose constraint it shares, grown by the appended rows
+// (fpm.NewUniverseFrom) — the same universes a from-scratch build
+// computes, at the cost of scanning the appended rows for those items.
+// Every leaf is also a hierarchical item, so the base universe is built
+// with the entry's own hierarchical universe as its same-length prior and
+// shares its leaf row sets read-only, with no second pass over the rows.
 func (s *Server) buildEntry(e *cacheEntry, p *exploreParams, tracer *obs.Tracer) error {
 	if err := faultinject.Hit(faultinject.SiteCacheFill); err != nil {
 		return err
@@ -301,20 +307,21 @@ func (s *Server) buildEntry(e *cacheEntry, p *exploreParams, tracer *obs.Tracer)
 			hs.Add(hierarchy.FlatCategorical(tab, f.Name))
 		}
 	}
-	var prior map[core.Mode]*fpm.Universe
+	var prior *fpm.Universe
 	if pe := s.cache.prior(key); pe != nil {
 		// A failed reuse builds every item fresh: same universes, slower.
 		if faultinject.Hit(faultinject.SiteUniverseAppend) == nil {
-			prior = pe.uni
+			prior = pe.uni[core.Hierarchical]
 			s.tracer.Counter(obs.CtrServerUniverseIncremental).Add(1)
 		}
 	}
+	hier := fpm.NewUniverseFrom(tab, hs.AllItems(), out, prior)
 	e.tab = tab
 	e.out = out
 	e.hs = hs
 	e.uni = map[core.Mode]*fpm.Universe{
-		core.Hierarchical: fpm.NewUniverseFrom(tab, hs.AllItems(), out, prior[core.Hierarchical]),
-		core.Base:         fpm.NewUniverseFrom(tab, hs.AllLeafItems(), out, prior[core.Base]),
+		core.Hierarchical: hier,
+		core.Base:         fpm.NewUniverseFrom(tab, hs.AllLeafItems(), out, hier),
 	}
 	return nil
 }

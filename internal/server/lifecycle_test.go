@@ -677,6 +677,42 @@ func TestCacheStaleEviction(t *testing.T) {
 	}
 }
 
+// TestCachePinnedSurvivesInsertion proves a pinned (stale-epoch) entry
+// is never evicted by its own insertion: with the cache full of current
+// entries, a pinned explore evicts the LRU tail instead, so an identical
+// pinned explore right after it hits the cache.
+func TestCachePinnedSurvivesInsertion(t *testing.T) {
+	s := newTestServer(t, Config{
+		Datasets: []DatasetConfig{
+			{Name: "a", Table: anomalyTable(t)},
+			{Name: "b", Table: anomalyTable(t)},
+		},
+		CacheMax: 2,
+	})
+	reqA := ExploreRequest{Dataset: "a", Stat: "error", Actual: "y", Predicted: "p", S: 0.05, ST: 0.1}
+	reqB := reqA
+	reqB.Dataset = "b"
+	if rec := postAppend(t, s, "a", quietBatch(20, 600)); rec.Code != 200 {
+		t.Fatalf("append: %d %s", rec.Code, rec.Body.String())
+	}
+	// These fill the cache with two current entries, b@1 and a@2.
+	for _, req := range []ExploreRequest{reqB, reqA} {
+		if rec := postExplore(t, s, req); rec.Code != 200 {
+			t.Fatalf("explore %s: %d %s", req.Dataset, rec.Code, rec.Body.String())
+		}
+	}
+	pinned := reqA
+	pinned.Epoch, pinned.Explain = 1, true
+	for i, want := range []bool{false, true} {
+		if got := deterministicExplain(t, postExplore(t, s, pinned)).Cache.Hit; got != want {
+			t.Errorf("pinned explore %d: cache.hit = %v, want %v", i+1, got, want)
+		}
+	}
+	if got := s.tracer.Snapshot().Counter(obs.CtrServerCacheStaleEvictions); got != 0 {
+		t.Errorf("stale evictions = %d, want 0 (the only stale entry is the one just inserted)", got)
+	}
+}
+
 // TestPinnedEpochWithoutWAL pins the retention contract on a server with
 // no write-ahead log and a one-entry cache: an evicted pinned epoch is
 // rebuilt, byte-identical to a fresh server whose current epoch holds the
