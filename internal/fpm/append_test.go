@@ -132,9 +132,10 @@ func TestAppendUniverseMatchesRebuild(t *testing.T) {
 // built with the same table's hierarchical universe as its prior, it is
 // deep-equal — row sets, representations, polarities, memory stats — to
 // NewUniverse over the leaves, and every leaf borrows the hierarchical
-// universe's row set itself. The hierarchical universe is built both from
-// scratch and grown from an earlier epoch's, over dense and compressed
-// leaves.
+// universe's row set itself, and its polarity with it. The hierarchical
+// universe is built both from scratch and grown from an earlier epoch's,
+// over dense and compressed leaves. A prior built over another outcome
+// lends row sets only; polarity is then recomputed.
 func TestBaseUniverseFromHierarchical(t *testing.T) {
 	for _, tc := range []struct{ oldN, newN int }{{1000, 1100}, {20000, 22000}} {
 		full, prefix, oFull, oPrefix, _ := appendFixture(t, 99, tc.oldN, tc.newN)
@@ -164,6 +165,40 @@ func TestBaseUniverseFromHierarchical(t *testing.T) {
 					t.Errorf("%d rows: leaf %v does not borrow the hierarchical row set", tc.newN, leaves[i])
 				}
 			}
+			if !reflect.DeepEqual(got.Polarity, want.Polarity) || got.Memory() != want.Memory() {
+				t.Errorf("%d rows: borrowed polarity %v or memory %+v differs from %v, %+v",
+					tc.newN, got.Polarity, got.Memory(), want.Polarity, want.Memory())
+			}
+		}
+
+		// Polarity travels with the borrowed row set rather than being
+		// recomputed: a prior whose polarities were flipped lends the
+		// flipped values.
+		hier := NewUniverse(full, hs.AllItems(), oFull)
+		for i := range hier.Polarity {
+			hier.Polarity[i] = -hier.Polarity[i]
+		}
+		if got := NewUniverseFrom(full, leaves, oFull, hier); reflect.DeepEqual(got.Polarity, want.Polarity) {
+			t.Errorf("%d rows: a same-outcome prior's polarity was recomputed, not borrowed", tc.newN)
+		}
+
+		// A prior built over another outcome lends its row sets but not
+		// its polarity, which is recomputed for o: here the complement
+		// outcome, whose polarities are the opposite ones.
+		vals := make([]float64, oFull.Len())
+		for i := range vals {
+			if oFull.Valid.Get(i) {
+				vals[i] = 1 - oFull.Values[i]
+			}
+		}
+		comp := outcome.MustNew("complement", vals, oFull.Valid)
+		other := NewUniverse(full, hs.AllItems(), comp)
+		got := NewUniverseFrom(full, leaves, oFull, other)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%d rows: base universe from another outcome's prior differs from NewUniverse", tc.newN)
+		}
+		if reflect.DeepEqual(NewUniverse(full, leaves, comp).Polarity, want.Polarity) {
+			t.Errorf("%d rows: complement polarities equal the outcome's; the case is vacuous", tc.newN)
 		}
 	}
 }

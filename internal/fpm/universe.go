@@ -48,6 +48,7 @@ type Universe struct {
 	NumRows  int
 	attrs    []string
 	mem      MemStats
+	out      *outcome.Outcome // the outcome Polarity was computed against
 }
 
 // MemStats summarizes the universe's row-set representations: how many
@@ -83,7 +84,9 @@ func NewUniverse(t *dataset.Table, items []*hierarchy.Item, o *outcome.Outcome) 
 // count lacks no rows, and lends its row set itself: row sets are
 // read-only once built (bitvec.Grow clones a dense set and grows a
 // compressed one copy-on-write, and the miners never write Rows), so the
-// two universes may share them. prior is never mutated. The result is
+// two universes may share them. When prior was also built over o, a
+// borrowed row set brings its polarity along instead of another pass over
+// its rows. prior is never mutated. The result is
 // byte-identical — row sets, representations, polarities, memory stats —
 // to NewUniverse(t, items, o): appended bits land in the same words,
 // bitvec.Grow re-selects the representation by Pack's rule and encodes
@@ -96,13 +99,14 @@ func NewUniverseFrom(t *dataset.Table, items []*hierarchy.Item, o *outcome.Outco
 		AttrID:   make([]int, len(items)),
 		Polarity: make([]int8, len(items)),
 		NumRows:  n,
+		out:      o,
 	}
-	var reuse map[itemKey]bitvec.Set
+	var reuse map[itemKey]int
 	var tail []uint64
 	if prior != nil {
-		reuse = make(map[itemKey]bitvec.Set, len(prior.Items))
+		reuse = make(map[itemKey]int, len(prior.Items))
 		for i, it := range prior.Items {
-			reuse[keyOf(it)] = prior.Rows[i]
+			reuse[keyOf(it)] = i
 		}
 		if prior.NumRows < n {
 			tail = make([]uint64, (n+63)/64-prior.NumRows/64)
@@ -117,23 +121,23 @@ func NewUniverseFrom(t *dataset.Table, items []*hierarchy.Item, o *outcome.Outco
 			u.attrs = append(u.attrs, it.Attr)
 		}
 		u.AttrID[i] = id
-		var old bitvec.Set
-		if prior != nil {
-			old = reuse[keyOf(it)]
-		}
+		j, found := reuse[keyOf(it)]
 		switch {
-		case old != nil && prior.NumRows == n:
-			u.Rows[i] = old
-		case old != nil:
+		case found && prior.NumRows == n:
+			u.Rows[i] = prior.Rows[j]
+		case found:
 			clear(tail)
 			it.MarkRows(t, prior.NumRows, tail)
-			u.Rows[i] = bitvec.Grow(old, tail, n)
+			u.Rows[i] = bitvec.Grow(prior.Rows[j], tail, n)
 		default:
 			u.Rows[i] = bitvec.Pack(it.Rows(t))
 		}
-		if d := o.DivergenceOfSet(u.Rows[i]); d < 0 {
+		switch {
+		case found && prior.NumRows == n && prior.out == o:
+			u.Polarity[i] = prior.Polarity[j]
+		case o.DivergenceOfSet(u.Rows[i]) < 0:
 			u.Polarity[i] = -1
-		} else {
+		default:
 			u.Polarity[i] = 1
 		}
 		denseBytes := int64(u.Rows[i].NumWords()) * 8
