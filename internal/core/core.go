@@ -185,9 +185,10 @@ func ExploreUniverse(u *fpm.Universe, cfg Config) (*Report, error) {
 }
 
 // ExploreUniverseContext is ExploreUniverse with cancellation, with the
-// same contract as ExploreContext. The universe is never mutated, so a
-// cancelled run leaves it valid for reuse (the serving layer relies on
-// this to keep cached universes intact across aborted requests).
+// same contract as ExploreContext. Mining writes the universe only to
+// keep its root FP-tree, and a cancelled run keeps none, so a cancelled
+// run leaves it valid for reuse (the serving layer relies on this to keep
+// cached universes intact across aborted requests).
 func ExploreUniverseContext(ctx context.Context, u *fpm.Universe, cfg Config) (*Report, error) {
 	if cfg.Outcome == nil {
 		return nil, errNilOutcome

@@ -182,11 +182,14 @@ func TestMineSoftDeadlineTruncates(t *testing.T) {
 // TestMineFaultInjection pins the failpoint wiring inside both miners:
 // an armed candidate-batch or shard-merge site surfaces as a clean error
 // (never a crash), and a panic-armed site is recovered into a
-// *engine.PanicError with the recovery counted.
+// *engine.PanicError with the recovery counted. Each armed run gets a
+// fresh universe: FP-Growth's shard merge runs only when the root tree is
+// built, not when a universe's kept tree serves the run.
 func TestMineFaultInjection(t *testing.T) {
 	u, o := randomUniverse(t, 17, 400, true)
 	for _, alg := range []Algorithm{Apriori, FPGrowth} {
 		for _, site := range []string{faultinject.SiteCandidateBatch, faultinject.SiteShardMerge} {
+			u, o := randomUniverse(t, 17, 400, true)
 			t.Cleanup(faultinject.Reset)
 			if err := faultinject.Arm(site, "error(injected)"); err != nil {
 				t.Fatal(err)

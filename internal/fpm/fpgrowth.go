@@ -301,20 +301,142 @@ func buildShardTree(u *Universe, bun *outcome.Bundle, order []int, numItems int,
 	return t, rows
 }
 
+// buildRootTree builds the root FP-tree over order: one tree per row
+// shard, in parallel, then a deterministic fold into shard 0's tree under
+// a mine.merge span. It also returns each shard's rootCounts, taken
+// before the fold, for keepTree.
+func buildRootTree(u *Universe, bun *outcome.Bundle, order []int, rank []int32, plan engine.Plan, opt Options, build *obs.Span, cancel *canceller) (*fpTree, [][]int, error) {
+	nShards := plan.NumShards()
+	trees := make([]*fpTree, nShards)
+	roots := make([][]int, nShards)
+	if err := engine.ParallelFor(nShards, opt.Workers, opt.Tracer, func(s int) {
+		if cancel.cancelled() {
+			trees[s] = newFPTree(order, len(u.Items), bun.Len()-1)
+			return
+		}
+		t, rows := buildShardTree(u, bun, order, len(u.Items), plan, s, cancel)
+		trees[s] = t
+		roots[s] = rootCounts(t, rank)
+		if tr := opt.Tracer; tr != nil {
+			tr.Counter(fmt.Sprintf("%s%d", obs.CtrShardRowsPrefix, s)).Add(int64(rows))
+		}
+	}); err != nil {
+		return nil, nil, err
+	}
+	tree := trees[0]
+	if nShards > 1 {
+		merge := build.Start(obs.SpanMineMerge)
+		defer merge.End()
+		for s := 1; s < nShards; s++ {
+			if cancel.cancelled() {
+				break
+			}
+			if err := faultinject.Hit(faultinject.SiteShardMerge); err != nil {
+				return nil, nil, err
+			}
+			tree.absorb(trees[s], rank)
+		}
+	}
+	return tree, roots, nil
+}
+
+// rootCounts returns the counts of t's root children by rank: the rows t
+// holds, split by the rank of their first item.
+func rootCounts(t *fpTree, rank []int32) []int {
+	c := make([]int, len(t.order))
+	for n := t.nodes[0].firstChild; n >= 0; n = t.nodes[n].nextSib {
+		c[rank[t.nodes[n].item]] = t.nodes[n].count
+	}
+	return c
+}
+
+// keptTree is a universe's root FP-tree, kept so re-queries need not
+// rebuild it. The tree depends only on the universe, the outcome, the
+// item order and the shard count, and the order at a higher support is a
+// prefix of the order at a lower one (items ranked by count desc, item
+// asc). Root paths are rank-ascending, so the nodes of the first K items
+// form an ancestor-closed top of the tree, and that top is node for node
+// the tree a build over order[:K] makes: the same rows in the same order,
+// the same header-chain order, the same per-node summation order. A
+// top-level branch of item idx < K walks only idx's header chain and its
+// ancestors, so mining the view over the first K items is the same
+// recursion, counters included.
+//
+// tree is a copy clipped to its length, without the child index (the
+// recursion never reads it), and is never written once published, so
+// concurrent mines share it; it is single-outcome, so it has no extra
+// moments. roots holds each shard's rootCounts, from which a re-query
+// reports the shard rows its build would have.
+type keptTree struct {
+	tree   *fpTree
+	shards int
+	roots  [][]int
+}
+
+// serves reports whether k can stand in for a build over order with
+// nShards shards: order is a prefix of k's.
+func (k *keptTree) serves(order []int, nShards int) bool {
+	return k != nil && k.shards == nShards && len(order) <= len(k.tree.order) &&
+		slices.Equal(order, k.tree.order[:len(order)])
+}
+
+// view returns k's tree cut to its first n items.
+func (k *keptTree) view(n int) *fpTree {
+	t := *k.tree
+	t.order, t.headers, t.tails = t.order[:n], t.headers[:n], t.tails[:n]
+	return &t
+}
+
+// reportRows adds to tr the rows each shard's build over the first n
+// items inserts: its rows whose first item ranks below n.
+func (k *keptTree) reportRows(tr *obs.Tracer, n int) {
+	if tr == nil {
+		return
+	}
+	for s, c := range k.roots {
+		rows := 0
+		for _, v := range c[:n] {
+			rows += v
+		}
+		tr.Counter(fmt.Sprintf("%s%d", obs.CtrShardRowsPrefix, s)).Add(int64(rows))
+	}
+}
+
+// keepTree publishes a clipped copy of root, a merged root tree, unless
+// u was released or already keeps a tree serving root's order.
+func (u *Universe) keepTree(root *fpTree, roots [][]int, shards int) {
+	if u.released.Load() || u.kept.Load().serves(root.order, shards) {
+		return
+	}
+	u.kept.Store(&keptTree{
+		tree: &fpTree{
+			nodes:   slices.Clone(root.nodes),
+			order:   slices.Clone(root.order),
+			headers: slices.Clone(root.headers),
+			tails:   slices.Clone(root.tails),
+		},
+		shards: shards,
+		roots:  roots,
+	})
+	if u.released.Load() { // a ReleaseTree raced the store: it wins
+		u.kept.Store(nil)
+	}
+}
+
 // growScratch is the per-goroutine reusable state of the growth phase:
 // the conditional support counters (item-indexed, reset via the parent
-// tree's order after each use), the suffix stack, per-occurrence path and
-// conditional-order buffers, the extra-outcome moments of the candidate
-// under test, the slabs emitted Items and Multi slices are carved from
-// (at full capacity, so an append by a consumer cannot clobber a
-// neighbour), and a free list of released conditional trees. One scratch
-// serves one branch recursion at a time; the sync.Pool in mineFPGrowth
-// hands them to workers and its reuse is counted through the run's
-// engine.Pool.
+// tree's order after each use), the suffix stack, the conditional
+// pattern-base and conditional-order buffers, the extra-outcome moments
+// of the candidate under test, the slabs emitted Items and Multi slices
+// are carved from (at full capacity, so an append by a consumer cannot
+// clobber a neighbour), and a free list of released conditional trees.
+// One scratch serves one branch recursion at a time; the sync.Pool in
+// mineFPGrowth hands them to workers and its reuse is counted through the
+// run's engine.Pool.
 type growScratch struct {
 	cnt     []int           // per universe item: conditional support count
 	suffix  []int           // current itemset suffix (append/truncate stack)
-	path    []int32         // one occurrence's filtered, rank-sorted ancestors
+	base    []int32         // per occurrence: node, path length, filtered ancestors
 	condBuf []int           // conditional item order under construction
 	mx      []stats.Moments // the candidate's extra-outcome moments
 	items   []int           // current Items slab
@@ -365,7 +487,9 @@ func (sc *growScratch) putTree(t *fpTree) {
 // ascending shard order with rank-ordered child traversal, so the merged
 // tree — and everything mined from it — is identical across shard and
 // worker counts. With a single shard the build is exactly the unsharded
-// construction.
+// construction. A universe mined again over its own outcome keeps its
+// root tree and mines later requests from a view of it (keptTree), with
+// the same results, counters and spans as a build.
 //
 // A deterministic budget (MaxCandidates or MaxItemsets) serializes the
 // growth phase: the recursion then visits branches in the fixed serial
@@ -376,9 +500,10 @@ func (sc *growScratch) putTree(t *fpTree) {
 //
 // Memory: trees are index-linked arenas, conditional trees and all
 // per-branch working arrays are recycled through growScratch (reuse
-// surfaces in the run pool's hit counters), the conditional pattern base
-// is consumed in two header-chain passes with no materialized path list,
-// and emitted itemsets, Items and Multi slices are carved from slabs that
+// surfaces in the run pool's hit counters), each occurrence's ancestors
+// are walked once — pass 1 records the filtered paths in one scratch
+// buffer while counting conditional supports, pass 2 replays them — and
+// emitted itemsets, Items and Multi slices are carved from slabs that
 // start small and double (see fpLocal).
 func mineFPGrowth(u *Universe, bun *outcome.Bundle, opt Options, minCount int, plan engine.Plan, pool *engine.Pool, span *obs.Span, cancel *canceller, counts *obs.MiningCounters, budget *budgetTracker, hBatch *obs.Histogram) (*Result, error) {
 	res := &Result{}
@@ -423,40 +548,31 @@ func mineFPGrowth(u *Universe, bun *outcome.Bundle, opt Options, minCount int, p
 	}
 	scan.End()
 
-	// Sharded build: one tree per row shard, in parallel, then a
-	// deterministic fold into shard 0's tree.
+	// The root tree: a view of the universe's kept tree when it serves
+	// this order (see keptTree), else a build. Only a bundle of the
+	// universe's own outcome over an uncut scan may use or keep one, and
+	// a universe keeps one only from its second build on.
 	build := span.Start(obs.SpanMineBuild)
 	nShards := plan.NumShards()
-	trees := make([]*fpTree, nShards)
-	if err := engine.ParallelFor(nShards, opt.Workers, opt.Tracer, func(s int) {
-		if cancel.cancelled() {
-			trees[s] = newFPTree(order, numItems, nOut-1)
-			return
+	reusable := nOut == 1 && bun.Primary() == u.out && nAllowed == numItems
+	var tree *fpTree
+	if k := u.kept.Load(); reusable && k.serves(order, nShards) {
+		tree = k.view(len(order))
+		k.reportRows(opt.Tracer, len(order))
+		if nShards > 1 {
+			build.Start(obs.SpanMineMerge).End()
 		}
-		t, rows := buildShardTree(u, bun, order, numItems, plan, s, cancel)
-		trees[s] = t
-		if tr := opt.Tracer; tr != nil {
-			tr.Counter(fmt.Sprintf("%s%d", obs.CtrShardRowsPrefix, s)).Add(int64(rows))
+	} else {
+		var roots [][]int
+		var err error
+		tree, roots, err = buildRootTree(u, bun, order, rank, plan, opt, build, cancel)
+		if err != nil {
+			build.End()
+			return nil, err
 		}
-	}); err != nil {
-		build.End()
-		return nil, err
-	}
-	tree := trees[0]
-	if nShards > 1 {
-		merge := build.Start(obs.SpanMineMerge)
-		for s := 1; s < nShards; s++ {
-			if cancel.cancelled() {
-				break
-			}
-			if err := faultinject.Hit(faultinject.SiteShardMerge); err != nil {
-				merge.End()
-				build.End()
-				return nil, err
-			}
-			tree.absorb(trees[s], rank)
+		if reusable && u.builds.Add(1) > 1 && !cancel.cancelled() {
+			u.keepTree(tree, roots, nShards)
 		}
-		merge.End()
 	}
 	build.End()
 	if cancel.cancelled() {
@@ -523,17 +639,20 @@ func mineFPGrowth(u *Universe, bun *outcome.Bundle, opt Options, minCount int, p
 		}
 
 		// Conditional pattern base, pass 1: walk each occurrence's
-		// ancestors — excluding items of it's attribute (generalized-
+		// ancestors once — excluding items of it's attribute (generalized-
 		// itemset rule) and, under polarity pruning, items of opposite
 		// polarity — accumulating conditional supports in the scratch
-		// counters. No path is materialized.
+		// counters and recording the occurrence's node, path length and
+		// filtered path in sc.base (occurrences with an empty path are
+		// dropped: pass 2 would skip them).
 		attr, pol := u.AttrID[it], u.Polarity[it]
-		pathsFound := 0
+		rec := sc.base[:0]
 		for n := head; n >= 0; n = t.nodes[n].next {
 			w := t.nodes[n].count
-			pathLen := 0
+			at := len(rec)
+			rec = append(rec, n, 0)
 			for p := t.nodes[n].parent; t.nodes[p].item >= 0; p = t.nodes[p].parent {
-				pi := int(t.nodes[p].item)
+				pi := t.nodes[p].item
 				if u.AttrID[pi] == attr {
 					continue
 				}
@@ -542,13 +661,16 @@ func mineFPGrowth(u *Universe, bun *outcome.Bundle, opt Options, minCount int, p
 					continue
 				}
 				sc.cnt[pi] += w
-				pathLen++
+				rec = append(rec, pi)
 			}
-			if pathLen > 0 {
-				pathsFound++
+			if k := len(rec) - at - 2; k > 0 {
+				rec[at+1] = int32(k)
+			} else {
+				rec = rec[:at]
 			}
 		}
-		if pathsFound == 0 {
+		sc.base = rec
+		if len(rec) == 0 {
 			sc.resetCnt(t.order)
 			return
 		}
@@ -581,26 +703,20 @@ func mineFPGrowth(u *Universe, bun *outcome.Bundle, opt Options, minCount int, p
 			sc.resetCnt(t.order)
 			return
 		}
-		// Pass 2: re-walk the header chain, now inserting each occurrence's
-		// filtered path (same exclusions, plus the conditional support
-		// floor) into the conditional tree in chain order — exactly the
-		// order the historical pattern-base list was consumed in.
+		// Pass 2: replay the recorded occurrences in chain order — exactly
+		// the order the historical pattern-base list was consumed in —
+		// inserting each path, cut to the conditional support floor in
+		// place, into the conditional tree.
 		cond := sc.getTree(condOrder, numItems, t.mxStride, pool)
-		for n := head; n >= 0; n = t.nodes[n].next {
-			path := sc.path[:0]
-			for p := t.nodes[n].parent; t.nodes[p].item >= 0; p = t.nodes[p].parent {
-				pi := int(t.nodes[p].item)
-				if u.AttrID[pi] == attr {
-					continue
-				}
-				if opt.PolarityPrune && u.Polarity[pi] != pol {
-					continue
-				}
+		for off := 0; off < len(rec); {
+			n, seg := rec[off], rec[off+2:off+2+int(rec[off+1])]
+			off += 2 + len(seg)
+			path := seg[:0]
+			for _, pi := range seg {
 				if sc.cnt[pi] >= minCount {
-					path = append(path, int32(pi))
+					path = append(path, pi)
 				}
 			}
-			sc.path = path
 			if len(path) == 0 {
 				continue
 			}

@@ -26,6 +26,7 @@ package fpm
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/bitvec"
 	"repro/internal/dataset"
@@ -49,6 +50,14 @@ type Universe struct {
 	attrs    []string
 	mem      MemStats
 	out      *outcome.Outcome // the outcome Polarity was computed against
+
+	// The root FP-tree kept for re-queries over out (see keptTree), the
+	// count of FP-Growth builds that could have kept one, and whether
+	// ReleaseTree stopped the keeping: the only fields a mine writes. A
+	// kept tree is published atomically and never written after.
+	kept     atomic.Pointer[keptTree]
+	builds   atomic.Int64
+	released atomic.Bool
 }
 
 // MemStats summarizes the universe's row-set representations: how many
@@ -167,6 +176,17 @@ type itemKey struct {
 
 func keyOf(it *hierarchy.Item) itemKey {
 	return itemKey{attr: it.Attr, lo: it.Lo, hi: it.Hi, codes: key(it.Codes)}
+}
+
+// HoldsTree reports whether u keeps a root FP-tree for re-queries.
+func (u *Universe) HoldsTree() bool { return u.kept.Load() != nil }
+
+// ReleaseTree drops u's kept root FP-tree and keeps no other: later
+// mines over u build their root tree each time. Their results are the
+// same either way.
+func (u *Universe) ReleaseTree() {
+	u.released.Store(true)
+	u.kept.Store(nil)
 }
 
 // Memory returns the universe's representation statistics.

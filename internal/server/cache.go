@@ -220,14 +220,25 @@ func (c *universeCache) staleVictimLocked(skip *list.Element) *list.Element {
 
 // retire drops every entry of the dataset at or below maxEpoch — the
 // epoch-retention sweep, which keeps the cache from holding universes of
-// epochs no request can name anymore. Entries still held by in-flight
-// explorations stay valid, only the cache's reference goes.
-func (c *universeCache) retire(dataset string, maxEpoch uint64) int {
+// epochs no request can name anymore — and makes every other built entry
+// of it below current release its universes' kept FP-trees: an append
+// superseded them, so only pinned requests still mine them, and those
+// build their trees instead. Entries still held by in-flight explorations
+// stay valid, only the cache's reference goes.
+func (c *universeCache) retire(dataset string, maxEpoch, current uint64) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
 	for k, el := range c.entries {
-		if k.dataset != dataset || k.epoch > maxEpoch {
+		if k.dataset != dataset || k.epoch >= current {
+			continue
+		}
+		if k.epoch > maxEpoch {
+			if e := el.Value.(*lruItem).entry; e.built() {
+				for _, u := range e.uni {
+					u.ReleaseTree()
+				}
+			}
 			continue
 		}
 		c.lru.Remove(el)

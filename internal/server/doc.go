@@ -15,8 +15,9 @@
 // criterion, tree support st). The first request with a given key builds
 // the entry in a detached goroutine; concurrent requests for the same key
 // share that single build, and every later request skips straight to
-// mining. Universes are never mutated by mining, so a cancelled or
-// timed-out request leaves the cached entry intact.
+// mining. Mining writes a universe only to keep its root FP-tree, which
+// it publishes whole and atomically, and a cancelled or timed-out request
+// keeps none, so it leaves the cached entry intact.
 //
 // Each exploration honours the request context: client disconnects and
 // per-request timeouts cancel mining at candidate granularity. A bounded

@@ -140,10 +140,12 @@ func recoverDataset(cfg *Config, name string, tab *dataset.Table, rec *RecoveryS
 
 // sweepRetention enforces the epoch-retention policy after an append:
 // cache entries of the dataset below the oldest epoch its Versioned still
-// serves are retired, bounding universe memory under live appends.
+// serves are retired, and the rest behind its current epoch drop their
+// kept FP-trees, bounding universe memory under live appends.
 func (s *Server) sweepRetention(name string) {
-	oldest := s.tables[name].Oldest()
-	if n := s.cache.retire(name, oldest-1); n > 0 {
+	v := s.tables[name]
+	oldest := v.Oldest()
+	if n := s.cache.retire(name, oldest-1, v.Epoch()); n > 0 {
 		s.tracer.Counter(obs.CtrServerEpochsRetired).Add(int64(n))
 		s.tracer.SetGauge(obs.GaugeServerCachedUniverses, float64(s.cache.len()))
 		s.logger.Info("epochs retired",

@@ -9,7 +9,9 @@
 # explore must show there as rejected and stay off /v1/progress), the SLO
 # surface (/v1/slo and the windowed burn-rate and error-budget families on
 # /metrics), the debug listener (pprof + expvar) and the structured request
-# log — then walks the live-dataset lifecycle: append rows over HTTP,
+# log; it checks that re-queries served from a view's kept root FP-tree
+# reply byte for byte what a build replies — then walks the live-dataset
+# lifecycle: append rows over HTTP,
 # watch the epoch gauge advance, wait for the drift monitor's background
 # re-mine, and replay an epoch-pinned exploration byte for byte. The
 # daemon runs with -wal-dir, so the script ends with the durability
@@ -178,6 +180,26 @@ fetch "http://localhost:$DEBUG_PORT/debug/vars" "$DIR/vars.json"
 fetch "http://localhost:$DEBUG_PORT/debug/pprof/cmdline" "$DIR/cmdline.bin"
 
 grep -q "$ID" "$DIR/daemon.log"
+
+# ---- Kept root FP-tree -----------------------------------------------
+# A view's universe keeps its root FP-tree from its second mine on and
+# mines later requests from it. Ask a fresh view (fnr) at s 0.05, at
+# s 0.1, then at s 0.05 twice more: the first two replies are built, the
+# last two are served from the tree kept by the third, so each pair must
+# match byte for byte.
+explore_csv() {
+    curl -fsS -X POST "http://localhost:$PORT/v1/explore" \
+        -d "{\"dataset\":\"compas\",\"stat\":\"fnr\",\"actual\":\"label\",\"predicted\":\"prediction\",\"s\":$1,\"format\":\"csv\"}" \
+        -o "$2"
+    [ -s "$2" ]
+}
+explore_csv 0.05 "$DIR/kept_built.csv"
+explore_csv 0.1 "$DIR/kept_high_built.csv"
+explore_csv 0.05 "$DIR/kept_rebuilt.csv"
+explore_csv 0.05 "$DIR/kept_reused.csv"
+explore_csv 0.1 "$DIR/kept_high_reused.csv"
+cmp "$DIR/kept_built.csv" "$DIR/kept_reused.csv"
+cmp "$DIR/kept_high_built.csv" "$DIR/kept_high_reused.csv"
 
 # ---- Live-dataset lifecycle -------------------------------------------
 # Capture an epoch-1 exploration in CSV form: the byte-comparable replay
