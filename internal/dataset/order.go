@@ -32,6 +32,47 @@ func (t *Table) SortedRows(name string) []int32 {
 	return o.rows
 }
 
+// CodeRows is a categorical column's rows grouped by level code.
+type CodeRows struct {
+	start []int32 // the rows of code c are rows[start[c]:start[c+1]]
+	rows  []int32
+}
+
+// GroupCodes groups a categorical column's rows by level code in one
+// counting-sort pass over the rows, ascending within each code. Unlike
+// SortedRows the grouping is not kept on the table: the caller holds it
+// only as long as it needs it.
+func (t *Table) GroupCodes(name string) CodeRows {
+	codes := t.Codes(name)
+	start := make([]int32, len(t.Levels(name))+1)
+	for _, c := range codes {
+		start[c+1]++
+	}
+	for c := 1; c < len(start); c++ {
+		start[c] += start[c-1]
+	}
+	// Placing a row advances its code's start, which ends at the next
+	// code's start; shifting by one code restores the starts.
+	rows := make([]int32, len(codes))
+	for i, c := range codes {
+		rows[start[c]] = int32(i)
+		start[c]++
+	}
+	copy(start[1:], start)
+	start[0] = 0
+	return CodeRows{start: start, rows: rows}
+}
+
+// Rows returns the rows of level code c in ascending order; none when c
+// is not a code of the column's dictionary. The slice must not be
+// modified.
+func (g CodeRows) Rows(c int) []int32 {
+	if c < 0 || c >= len(g.start)-1 {
+		return nil
+	}
+	return g.rows[g.start[c]:g.start[c+1]]
+}
+
 // sortRows returns the non-NaN rows at or after from in (value, row)
 // order: a stable least-significant-digit radix sort, one byte per pass,
 // of the rows in ascending order keyed by an order-preserving integer

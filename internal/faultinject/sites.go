@@ -24,12 +24,6 @@ const (
 	// but before the batch is applied — a malformed or truncated batch.
 	// Appends are atomic: a fault here must leave the epoch unchanged.
 	SiteAppendParse = "server.append_parse"
-	// SiteUniverseAppend fires where a universe build would reuse an
-	// earlier epoch's row sets: at the start of fpm.AppendUniverse, and in
-	// the server's cache build before it takes the prior entry. A fault
-	// there makes the build ignore the earlier epoch and build every
-	// hierarchical item fresh, with the same result.
-	SiteUniverseAppend = "fpm.universe_append"
 	// SiteDriftRemine fires inside the drift monitor's background re-mine,
 	// exercising the panic isolation around the per-dataset watcher.
 	SiteDriftRemine = "server.drift_remine"

@@ -9,7 +9,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/discretize"
-	"repro/internal/faultinject"
 	"repro/internal/hierarchy"
 	"repro/internal/outcome"
 )
@@ -64,13 +63,13 @@ func appendFixture(t testing.TB, seed int64, oldN, newN int) (full, prefix *data
 	return full, prefix, oFull, oPrefix, hs.AllItems()
 }
 
-// TestAppendUniverseMatchesRebuild pins the epoch build's reuse contract:
-// AppendUniverse is byte-identical — row sets, representations, polarity,
-// memory stats — to NewUniverse over the full table with the same items,
-// and so is NewUniverseFrom when the item list changed between epochs
+// TestAppendUniverseMatchesRebuild pins the epoch build: AppendUniverse
+// is deep-equal — row sets, representations, polarity, memory stats — to
+// NewUniverse over the full table with the same items and leaves the
+// prefix universe untouched, and NewUniverseFrom over a changed item list
 // (intervals moved by a re-discretization, an item dropped, a categorical
-// level added), reusing the unchanged items' row sets and building the
-// others fresh.
+// level added) with a same-table prior borrows the unchanged items' row
+// sets, builds the others and still equals a fresh build.
 func TestAppendUniverseMatchesRebuild(t *testing.T) {
 	for _, tc := range []struct{ oldN, newN int }{
 		{1000, 1100},   // small, all-dense
@@ -86,7 +85,7 @@ func TestAppendUniverseMatchesRebuild(t *testing.T) {
 		}
 		want := NewUniverse(full, items, oFull)
 		if !reflect.DeepEqual(grown, want) {
-			t.Errorf("%d->%d: incremental universe differs from from-scratch rebuild", tc.oldN, tc.newN)
+			t.Errorf("%d->%d: appended universe differs from from-scratch rebuild", tc.oldN, tc.newN)
 		}
 		// The base universe must be untouched (old-epoch readers).
 		if base.NumRows != tc.oldN {
@@ -106,7 +105,7 @@ func TestAppendUniverseMatchesRebuild(t *testing.T) {
 		changed := hs.AllItems()
 		changed = append(changed[:1], changed[2:]...) // drop an item
 		changed = append(changed, items[0])           // keep a prefix interval
-		if got, want := NewUniverseFrom(full, changed, oFull, base), NewUniverse(full, changed, oFull); !reflect.DeepEqual(got, want) {
+		if got, want := NewUniverseFrom(full, changed, oFull, grown), NewUniverse(full, changed, oFull); !reflect.DeepEqual(got, want) {
 			t.Errorf("%d->%d: universe over changed items differs from a fresh build", tc.oldN, tc.newN)
 		}
 		old := map[itemKey]bool{}
@@ -128,53 +127,61 @@ func TestAppendUniverseMatchesRebuild(t *testing.T) {
 	}
 }
 
+// TestNewUniverseFromOtherRowCount pins that a prior over another row
+// count is refused rather than lending row sets of the wrong length.
+func TestNewUniverseFromOtherRowCount(t *testing.T) {
+	full, prefix, oFull, oPrefix, items := appendFixture(t, 7, 1000, 1200)
+	earlier := NewUniverse(prefix, items, oPrefix)
+	defer func() {
+		if recover() == nil {
+			t.Error("a prior over a shorter table was accepted")
+		}
+	}()
+	NewUniverseFrom(full, items, oFull, earlier)
+}
+
 // TestBaseUniverseFromHierarchical pins the entry build's base universe:
 // built with the same table's hierarchical universe as its prior, it is
 // deep-equal — row sets, representations, polarities, memory stats — to
 // NewUniverse over the leaves, and every leaf borrows the hierarchical
-// universe's row set itself, and its polarity with it. The hierarchical
-// universe is built both from scratch and grown from an earlier epoch's,
-// over dense and compressed leaves. A prior built over another outcome
-// lends row sets only; polarity is then recomputed.
+// universe's row set itself, and its polarity with it, over dense and
+// compressed leaves. A prior built over another outcome lends row sets
+// only; polarity is then recomputed.
 func TestBaseUniverseFromHierarchical(t *testing.T) {
 	for _, tc := range []struct{ oldN, newN int }{{1000, 1100}, {20000, 22000}} {
-		full, prefix, oFull, oPrefix, _ := appendFixture(t, 99, tc.oldN, tc.newN)
+		full, _, oFull, _, _ := appendFixture(t, 99, tc.oldN, tc.newN)
 		hs, err := discretize.TreeSet(full, oFull, discretize.TreeOptions{MinSupport: 0.05})
 		if err != nil {
 			t.Fatal(err)
 		}
 		hs.Add(hierarchy.FlatCategorical(full, "c"))
-		earlier := NewUniverse(prefix, hs.AllItems(), oPrefix)
 		leaves := hs.AllLeafItems()
 		want := NewUniverse(full, leaves, oFull)
 		if want.Memory().ItemsCompressed == 0 && tc.newN > 20000 {
 			t.Errorf("%d rows: no compressed leaf; the case is vacuous", tc.newN)
 		}
-		for _, prior := range []*Universe{nil, earlier} {
-			hier := NewUniverseFrom(full, hs.AllItems(), oFull, prior)
-			got := NewUniverseFrom(full, leaves, oFull, hier)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%d rows (earlier prior %v): base universe from the hierarchical one differs from NewUniverse", tc.newN, prior != nil)
+		hier := NewUniverse(full, hs.AllItems(), oFull)
+		got := NewUniverseFrom(full, leaves, oFull, hier)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%d rows: base universe from the hierarchical one differs from NewUniverse", tc.newN)
+		}
+		shared := map[bitvec.Set]bool{}
+		for _, rs := range hier.Rows {
+			shared[rs] = true
+		}
+		for i, rs := range got.Rows {
+			if !shared[rs] {
+				t.Errorf("%d rows: leaf %v does not borrow the hierarchical row set", tc.newN, leaves[i])
 			}
-			shared := map[bitvec.Set]bool{}
-			for _, rs := range hier.Rows {
-				shared[rs] = true
-			}
-			for i, rs := range got.Rows {
-				if !shared[rs] {
-					t.Errorf("%d rows: leaf %v does not borrow the hierarchical row set", tc.newN, leaves[i])
-				}
-			}
-			if !reflect.DeepEqual(got.Polarity, want.Polarity) || got.Memory() != want.Memory() {
-				t.Errorf("%d rows: borrowed polarity %v or memory %+v differs from %v, %+v",
-					tc.newN, got.Polarity, got.Memory(), want.Polarity, want.Memory())
-			}
+		}
+		if !reflect.DeepEqual(got.Polarity, want.Polarity) || got.Memory() != want.Memory() {
+			t.Errorf("%d rows: borrowed polarity %v or memory %+v differs from %v, %+v",
+				tc.newN, got.Polarity, got.Memory(), want.Polarity, want.Memory())
 		}
 
 		// Polarity travels with the borrowed row set rather than being
 		// recomputed: a prior whose polarities were flipped lends the
 		// flipped values.
-		hier := NewUniverse(full, hs.AllItems(), oFull)
 		for i := range hier.Polarity {
 			hier.Polarity[i] = -hier.Polarity[i]
 		}
@@ -193,8 +200,7 @@ func TestBaseUniverseFromHierarchical(t *testing.T) {
 		}
 		comp := outcome.MustNew("complement", vals, oFull.Valid)
 		other := NewUniverse(full, hs.AllItems(), comp)
-		got := NewUniverseFrom(full, leaves, oFull, other)
-		if !reflect.DeepEqual(got, want) {
+		if got := NewUniverseFrom(full, leaves, oFull, other); !reflect.DeepEqual(got, want) {
 			t.Errorf("%d rows: base universe from another outcome's prior differs from NewUniverse", tc.newN)
 		}
 		if reflect.DeepEqual(NewUniverse(full, leaves, comp).Polarity, want.Polarity) {
@@ -234,111 +240,30 @@ func TestAppendUniverseShrinkError(t *testing.T) {
 	}
 }
 
-// TestAppendUniverseFaultSite pins that the fpm.universe_append failpoint
-// aborts incremental maintenance before any work, with a clean error.
-func TestAppendUniverseFaultSite(t *testing.T) {
-	t.Cleanup(faultinject.Reset)
-	full, prefix, _, oPrefix, items := appendFixture(t, 7, 1000, 1200)
-	base := NewUniverse(prefix, items, oPrefix)
-	if err := faultinject.Arm(faultinject.SiteUniverseAppend, "error(injected append fault)"); err != nil {
-		t.Fatal(err)
-	}
-	oFull := outcome.ErrorRate(make([]bool, full.NumRows()), make([]bool, full.NumRows()))
-	if _, err := AppendUniverse(full, base, oFull); err == nil {
-		t.Error("armed failpoint did not surface an error")
-	}
-}
-
-// BenchmarkAppendEpoch measures the incremental-maintenance speedup:
-// growing a universe by a 10% row batch through AppendUniverse against
-// rebuilding it from scratch over the full table with the same items
-// (continuous items from the table's sorted order). The rebuild
-// sub-benchmark reports the measured advantage as the speedup-x metric.
-func BenchmarkAppendEpoch(b *testing.B) {
-	const oldN, newN = 90_000, 100_000
-	full, prefix, oFull, oPrefix, items := appendFixture(b, 7, oldN, newN)
-	base := NewUniverse(prefix, items, oPrefix)
-
-	var incPerOp float64
-	b.Run("incremental", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := AppendUniverse(full, base, oFull); err != nil {
-				b.Fatal(err)
-			}
-		}
-		incPerOp = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	})
-	b.Run("rebuild", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			NewUniverse(full, items, oFull)
-		}
-		if incPerOp > 0 {
-			perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			b.ReportMetric(perOp/incPerOp, "speedup-x")
-		}
-	})
-}
-
 // BenchmarkUniverseBuild measures a universe-cache entry's universe
 // build: the hierarchical universe over every item of a tree-discretized
 // compas table (20k rows, st 0.05, flat categorical hierarchies), then the
-// base universe over the leaves with the hierarchical one as its
-// same-length prior. The discretization, and so the columns' sorted
-// orders, is done once outside the timed loop. "fresh" builds with no
-// prior; "prior" grows the hierarchical universe from that of an epoch 64
-// rows shorter.
+// base universe over the leaves with the hierarchical one as its prior.
+// The discretization, and so the columns' sorted
+// orders, is done once outside the timed loop.
 func BenchmarkUniverseBuild(b *testing.B) {
-	const n, batch = 20_000, 64
-	d := datagen.Compas(datagen.Config{N: n, Seed: 1})
-	full := d.Table
-	prefix := dataset.NewBuilder()
-	rest := &dataset.Batch{Floats: map[string][]float64{}, Levels: map[string][]string{}, N: batch}
-	for _, f := range full.Fields() {
-		if f.Kind == dataset.Continuous {
-			vals := full.Floats(f.Name)
-			prefix.AddFloat(f.Name, vals[:n-batch])
-			rest.Floats[f.Name] = vals[n-batch:]
-			continue
-		}
-		codes, levels := full.Codes(f.Name), full.Levels(f.Name)
-		prefix.AddCategoricalCodes(f.Name, codes[:n-batch], levels)
-		for _, c := range codes[n-batch:] {
-			rest.Levels[f.Name] = append(rest.Levels[f.Name], levels[c])
-		}
-	}
-	v := dataset.NewVersioned(prefix.MustBuild())
-	if _, _, err := v.Append(rest); err != nil {
+	d := datagen.Compas(datagen.Config{N: 20_000, Seed: 1})
+	tab := d.Table
+	o := outcome.FalsePositiveRate(d.Actual, d.Predicted)
+	hs, err := discretize.TreeSet(tab, o, discretize.TreeOptions{MinSupport: 0.05})
+	if err != nil {
 		b.Fatal(err)
 	}
-	items := func(t *dataset.Table, o *outcome.Outcome) *hierarchy.Set {
-		hs, err := discretize.TreeSet(t, o, discretize.TreeOptions{MinSupport: 0.05})
-		if err != nil {
-			b.Fatal(err)
+	for _, f := range tab.Fields() {
+		if f.Kind == dataset.Categorical {
+			hs.Add(hierarchy.FlatCategorical(tab, f.Name))
 		}
-		for _, f := range t.Fields() {
-			if f.Kind == dataset.Categorical {
-				hs.Add(hierarchy.FlatCategorical(t, f.Name))
-			}
+	}
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			hier := NewUniverse(tab, hs.AllItems(), o)
+			NewUniverseFrom(tab, hs.AllLeafItems(), o, hier)
 		}
-		return hs
-	}
-	older, _ := v.SnapshotAt(1)
-	oOlder := outcome.FalsePositiveRate(d.Actual[:n-batch], d.Predicted[:n-batch])
-	earlier := NewUniverse(older, items(older, oOlder).AllItems(), oOlder)
-	tab, _ := v.Snapshot()
-	o := outcome.FalsePositiveRate(d.Actual, d.Predicted)
-	hs := items(tab, o)
-
-	for _, bc := range []struct {
-		name  string
-		prior *Universe
-	}{{"fresh", nil}, {"prior", earlier}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				hier := NewUniverseFrom(tab, hs.AllItems(), o, bc.prior)
-				NewUniverseFrom(tab, hs.AllLeafItems(), o, hier)
-			}
-		})
-	}
+	})
 }

@@ -651,18 +651,22 @@ func mineFPGrowth(u *Universe, bun *outcome.Bundle, opt Options, minCount int, p
 			w := t.nodes[n].count
 			at := len(rec)
 			rec = append(rec, n, 0)
+			// Counted locally, so the hottest loop makes no store
+			// through acc per pruned ancestor.
+			pruned := 0
 			for p := t.nodes[n].parent; t.nodes[p].item >= 0; p = t.nodes[p].parent {
 				pi := t.nodes[p].item
 				if u.AttrID[pi] == attr {
 					continue
 				}
 				if opt.PolarityPrune && u.Polarity[pi] != pol {
-					acc.prunedPolarity++
+					pruned++
 					continue
 				}
 				sc.cnt[pi] += w
 				rec = append(rec, pi)
 			}
+			acc.prunedPolarity += pruned
 			if k := len(rec) - at - 2; k > 0 {
 				rec[at+1] = int32(k)
 			} else {

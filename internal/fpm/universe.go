@@ -84,22 +84,18 @@ func NewUniverse(t *dataset.Table, items []*hierarchy.Item, o *outcome.Outcome) 
 	return NewUniverseFrom(t, items, o, nil)
 }
 
-// NewUniverseFrom is NewUniverse reusing the row sets of prior, a
-// universe built over a frozen prefix of t (an earlier epoch of the same
-// dataset.Versioned, or t itself) or nil. An item whose attribute and
-// interval, or level codes, equal those of a prior item takes that item's
-// row set grown by the rows prior lacks (bitvec.Grow) instead of a build
-// from scratch; every other item is built fresh. A prior with t's row
-// count lacks no rows, and lends its row set itself: row sets are
-// read-only once built (bitvec.Grow clones a dense set and grows a
-// compressed one copy-on-write, and the miners never write Rows), so the
-// two universes may share them. When prior was also built over o, a
-// borrowed row set brings its polarity along instead of another pass over
-// its rows. prior is never mutated. The result is
-// byte-identical — row sets, representations, polarities, memory stats —
-// to NewUniverse(t, items, o): appended bits land in the same words,
-// bitvec.Grow re-selects the representation by Pack's rule and encodes
-// containers from their bits alone.
+// NewUniverseFrom is NewUniverse borrowing the row sets of prior, a
+// universe built over t itself (the same entry's hierarchical universe,
+// for its base universe), or nil. An item whose attribute and interval,
+// or level codes, equal those of a prior item takes that item's row set
+// itself instead of a build: row sets are read-only once built (the
+// miners never write Rows), so the two universes may share them. When
+// prior was also built over o, a borrowed row set brings its polarity
+// along instead of another pass over its rows. Every other item is built
+// by one Marker, which groups each categorical column's rows once for
+// the whole build. prior is never mutated, and the result is deep-equal
+// — row sets, representations, polarities, memory stats — to
+// NewUniverse(t, items, o). It panics if prior covers another row count.
 func NewUniverseFrom(t *dataset.Table, items []*hierarchy.Item, o *outcome.Outcome, prior *Universe) *Universe {
 	n := t.NumRows()
 	u := &Universe{
@@ -111,16 +107,16 @@ func NewUniverseFrom(t *dataset.Table, items []*hierarchy.Item, o *outcome.Outco
 		out:      o,
 	}
 	var reuse map[itemKey]int
-	var tail []uint64
 	if prior != nil {
+		if prior.NumRows != n {
+			panic(fmt.Sprintf("fpm: prior universe over %d rows, table has %d", prior.NumRows, n))
+		}
 		reuse = make(map[itemKey]int, len(prior.Items))
 		for i, it := range prior.Items {
 			reuse[keyOf(it)] = i
 		}
-		if prior.NumRows < n {
-			tail = make([]uint64, (n+63)/64-prior.NumRows/64)
-		}
 	}
+	m := hierarchy.NewMarker(t)
 	attrIndex := map[string]int{}
 	for i, it := range items {
 		id, ok := attrIndex[it.Attr]
@@ -131,18 +127,13 @@ func NewUniverseFrom(t *dataset.Table, items []*hierarchy.Item, o *outcome.Outco
 		}
 		u.AttrID[i] = id
 		j, found := reuse[keyOf(it)]
-		switch {
-		case found && prior.NumRows == n:
+		if found {
 			u.Rows[i] = prior.Rows[j]
-		case found:
-			clear(tail)
-			it.MarkRows(t, prior.NumRows, tail)
-			u.Rows[i] = bitvec.Grow(prior.Rows[j], tail, n)
-		default:
-			u.Rows[i] = bitvec.Pack(it.Rows(t))
+		} else {
+			u.Rows[i] = bitvec.Pack(m.Rows(it))
 		}
 		switch {
-		case found && prior.NumRows == n && prior.out == o:
+		case found && prior.out == o:
 			u.Polarity[i] = prior.Polarity[j]
 		case o.DivergenceOfSet(u.Rows[i]) < 0:
 			u.Polarity[i] = -1

@@ -178,16 +178,17 @@ func (h *Hierarchy) ValidateOn(t *dataset.Table) error {
 	if err := h.Validate(); err != nil {
 		return err
 	}
+	m := NewMarker(t)
 	for i, n := range h.Nodes {
 		if len(n.Children) == 0 {
 			continue
 		}
-		parentRows := n.Item.Rows(t)
+		parentRows := m.Rows(n.Item)
 		union := parentRows.Clone()
 		union.AndNot(union) // zero
 		covered := 0
 		for _, k := range n.Children {
-			cr := h.Nodes[k].Item.Rows(t)
+			cr := m.Rows(h.Nodes[k].Item)
 			if cr.Intersects(union) {
 				return fmt.Errorf("hierarchy %q: children of node %d overlap on data", h.Attr, i)
 			}

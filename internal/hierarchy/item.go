@@ -169,59 +169,63 @@ func (it *Item) SubsumesItem(other *Item) bool {
 // Rows returns the bitset of table rows satisfying the item. Missing
 // (NaN) continuous values match no item.
 func (it *Item) Rows(t *dataset.Table) *bitvec.Vector {
-	words := make([]uint64, (t.NumRows()+63)/64)
-	it.MarkRows(t, 0, words)
-	return bitvec.FromWords(words, t.NumRows())
+	return NewMarker(t).Rows(it)
 }
 
-// MarkRows sets, in words, the bit of every table row at or after from
-// that satisfies the item. words[0] holds the word containing row from
-// (rows from/64*64 onward), the tail convention of bitvec.Grow, and must
-// span the table's remaining rows.
+// Marker computes item row sets over one table. It groups a categorical
+// column's rows by code (Table.GroupCodes) when it marks the column's
+// first item and holds the grouping until the marker is dropped, so a
+// universe build groups each column at most once and then marks every
+// categorical item, multi-code taxonomy parents included, in time
+// proportional to the bits it sets. The groupings are not kept on the
+// table. A Marker is not safe for concurrent use.
+type Marker struct {
+	t      *dataset.Table
+	groups map[string]dataset.CodeRows
+}
+
+// NewMarker returns a marker over t.
+func NewMarker(t *dataset.Table) *Marker {
+	return &Marker{t: t, groups: map[string]dataset.CodeRows{}}
+}
+
+// Rows returns the bitset of the marker's table rows satisfying it.
 //
-// A continuous item's full build (from == 0) marks the item's run of the
-// column's shared sorted order (Table.SortedRows), found by binary search:
-// the order is ascending and holds no NaN, and −0 compares equal to +0,
-// so the rows whose value lies in (Lo, Hi] are exactly one contiguous run
-// and the cost is the run's length, not the row count. Tails (from > 0)
-// and categorical items scan the rows.
-func (it *Item) MarkRows(t *dataset.Table, from int, words []uint64) {
-	base := from / 64 * 64
-	mark := func(i int) { words[(i-base)/64] |= 1 << uint((i-base)%64) }
-	switch it.Kind {
-	case dataset.Continuous:
-		vals := t.Floats(it.Attr)
-		if from == 0 {
-			order := t.SortedRows(it.Attr)
-			lo := sort.Search(len(order), func(k int) bool { return vals[order[k]] > it.Lo })
-			// Written !(v ≤ Hi) so a NaN bound, which no value satisfies,
-			// gives an empty run as MatchesFloat does.
-			hi := sort.Search(len(order), func(k int) bool { return !(vals[order[k]] <= it.Hi) })
-			for k := lo; k < hi; k++ {
-				r := order[k]
-				words[r/64] |= 1 << uint(r%64)
-			}
-			return
-		}
-		for i := from; i < len(vals); i++ {
-			if it.MatchesFloat(vals[i]) {
-				mark(i)
-			}
-		}
-	case dataset.Categorical:
-		in := make([]bool, len(t.Levels(it.Attr)))
-		for _, c := range it.Codes {
-			if c < len(in) {
-				in[c] = true
-			}
-		}
-		codes := t.Codes(it.Attr)
-		for i := from; i < len(codes); i++ {
-			if in[codes[i]] {
-				mark(i)
-			}
+// A continuous item marks its run of the column's shared sorted order
+// (Table.SortedRows), found by binary search: the order is ascending and
+// holds no NaN, and −0 compares equal to +0, so the rows whose value lies
+// in (Lo, Hi] are exactly one contiguous run. A categorical item marks
+// the rows of each of its codes; a code the table's dictionary lacks
+// marks none.
+func (m *Marker) Rows(it *Item) *bitvec.Vector {
+	n := m.t.NumRows()
+	words := make([]uint64, (n+63)/64)
+	mark := func(rows []int32) {
+		for _, r := range rows {
+			words[r/64] |= 1 << uint(r%64)
 		}
 	}
+	switch it.Kind {
+	case dataset.Continuous:
+		vals, order := m.t.Floats(it.Attr), m.t.SortedRows(it.Attr)
+		lo := sort.Search(len(order), func(k int) bool { return vals[order[k]] > it.Lo })
+		// Written !(v ≤ Hi) so a NaN bound, which no value satisfies,
+		// gives an empty run as MatchesFloat does.
+		hi := sort.Search(len(order), func(k int) bool { return !(vals[order[k]] <= it.Hi) })
+		if lo < hi {
+			mark(order[lo:hi])
+		}
+	case dataset.Categorical:
+		g, ok := m.groups[it.Attr]
+		if !ok {
+			g = m.t.GroupCodes(it.Attr)
+			m.groups[it.Attr] = g
+		}
+		for _, c := range it.Codes {
+			mark(g.Rows(c))
+		}
+	}
+	return bitvec.FromWords(words, n)
 }
 
 // Itemset is a conjunction of items, at most one per attribute.

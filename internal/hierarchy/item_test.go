@@ -10,29 +10,13 @@ import (
 	"repro/internal/dataset"
 )
 
-// scanRows is the brute-force reference for Item.MarkRows: every row at or
-// after from whose value MatchesFloat accepts.
-func scanRows(it *Item, t *dataset.Table, from int) []int {
+// scanRows is the brute-force reference for a continuous Item.Rows:
+// every row whose value MatchesFloat accepts.
+func scanRows(it *Item, t *dataset.Table) []int {
 	var out []int
 	for i, v := range t.Floats(it.Attr) {
-		if i >= from && it.MatchesFloat(v) {
+		if it.MatchesFloat(v) {
 			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// tailRows runs MarkRows from row from and lists the rows it marked.
-func tailRows(it *Item, t *dataset.Table, from int) []int {
-	words := make([]uint64, (t.NumRows()+63)/64-from/64)
-	it.MarkRows(t, from, words)
-	base := from / 64 * 64
-	var out []int
-	for w, word := range words {
-		for b := 0; b < 64; b++ {
-			if word&(1<<uint(b)) != 0 {
-				out = append(out, base+w*64+b)
-			}
 		}
 	}
 	return out
@@ -44,8 +28,7 @@ func tailRows(it *Item, t *dataset.Table, from int) []int {
 // bounds equal to present values (Lo exclusive, Hi inclusive), empty and
 // inverted intervals, NaN bounds and ±Inf bounds — on a plain Table, a
 // current Versioned snapshot (a merged order) and an older epoch's
-// SnapshotAt (a full sort). The tail path (from > 0) is checked against
-// the same scan.
+// SnapshotAt (a full sort).
 func TestItemRowsSortedMatchesScan(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	pool := []float64{math.Inf(-1), -2.5, -1, negZero, 0, 0.5, 1, 3, math.Inf(1), math.NaN()}
@@ -95,13 +78,100 @@ func TestItemRowsSortedMatchesScan(t *testing.T) {
 				for _, hi := range bounds {
 					it := ContinuousItem("x", lo, hi)
 					name := fmt.Sprintf("seed%d/%s/(%v,%v]", seed, tc.name, lo, hi)
-					if got, want := it.Rows(tc.tab).Indices(), scanRows(it, tc.tab, 0); !slices.Equal(got, want) {
+					if got, want := it.Rows(tc.tab).Indices(), scanRows(it, tc.tab); !slices.Equal(got, want) {
 						t.Fatalf("%s: sorted build marked %v, scan %v", name, got, want)
 					}
-					from := 1 + rng.Intn(tc.tab.NumRows()-1)
-					if got, want := tailRows(it, tc.tab, from), scanRows(it, tc.tab, from); !slices.Equal(got, want) {
-						t.Fatalf("%s from %d: tail marked %v, scan %v", name, from, got, want)
-					}
+				}
+			}
+		}
+	}
+}
+
+// TestItemRowsCategoricalMatchesScan pins the code-grouped build of
+// categorical items: on seeded columns whose dictionary holds unused
+// levels, Item.Rows and a Marker shared across items mark exactly the
+// rows a MatchesCode scan accepts, for single-code items, multi-code
+// items (taxonomy parents) and an item with no codes — on a plain Table,
+// a current Versioned snapshot whose last batch brought a new level, and
+// an older epoch's SnapshotAt that lacks that level.
+func TestItemRowsCategoricalMatchesScan(t *testing.T) {
+	scan := func(it *Item, tab *dataset.Table) []int {
+		var out []int
+		for i, c := range tab.Codes(it.Attr) {
+			if it.MatchesCode(c) {
+				out = append(out, i)
+			}
+		}
+		return out
+	}
+	levels := []string{"a", "b", "c", "d", "e", "f", "g"}
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		// Codes 0..3 only: levels e, f and g stay unused.
+		column := func(n int) []int {
+			codes := make([]int, n)
+			for i := range codes {
+				codes[i] = rng.Intn(4)
+			}
+			return codes
+		}
+		names := func(codes []int) []string {
+			out := make([]string, len(codes))
+			for i, c := range codes {
+				out[i] = levels[c]
+			}
+			return out
+		}
+
+		n := 100 + rng.Intn(300)
+		plain := dataset.NewBuilder().AddCategoricalCodes("c", column(n), levels).MustBuild()
+		v := dataset.NewVersioned(plain)
+		m := 1 + rng.Intn(130)
+		if _, _, err := v.Append(&dataset.Batch{Levels: map[string][]string{"c": names(column(m))}, N: m}); err != nil {
+			t.Fatal(err)
+		}
+		late := names(column(m))
+		late[rng.Intn(m)] = "late" // first appears in epoch 3
+		if _, _, err := v.Append(&dataset.Batch{Levels: map[string][]string{"c": late}, N: m}); err != nil {
+			t.Fatal(err)
+		}
+		current, _ := v.Snapshot()
+		older, ok := v.SnapshotAt(2)
+		if !ok {
+			t.Fatal("epoch 2 not retained")
+		}
+		lateCode := current.LevelCode("c", "late")
+		if lateCode < 0 || older.LevelCode("c", "late") >= 0 {
+			t.Fatalf("seed %d: level late has code %d now and %d at epoch 2", seed, lateCode, older.LevelCode("c", "late"))
+		}
+
+		items := []*Item{CategoricalItem("c", "none")}
+		for c := 0; c <= lateCode; c++ {
+			items = append(items, CategoricalItem("c", fmt.Sprint(c), c))
+		}
+		for k := 0; k < 6; k++ {
+			var codes []int
+			for c := 0; c <= lateCode; c++ {
+				if rng.Intn(2) == 0 {
+					codes = append(codes, c)
+				}
+			}
+			items = append(items, CategoricalItem("c", fmt.Sprint(codes), codes...))
+		}
+		items = append(items, CategoricalItem("c", "late+a", lateCode, 0))
+
+		for _, tc := range []struct {
+			name string
+			tab  *dataset.Table
+		}{{"plain", plain}, {"current", current}, {"older", older}} {
+			shared := NewMarker(tc.tab)
+			for _, it := range items {
+				want := scan(it, tc.tab)
+				if got := it.Rows(tc.tab).Indices(); !slices.Equal(got, want) {
+					t.Fatalf("seed%d/%s/%v: Rows marked %v, scan %v", seed, tc.name, it.Codes, got, want)
+				}
+				if got := shared.Rows(it).Indices(); !slices.Equal(got, want) {
+					t.Fatalf("seed%d/%s/%v: shared marker marked %v, scan %v", seed, tc.name, it.Codes, got, want)
 				}
 			}
 		}

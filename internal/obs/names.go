@@ -140,15 +140,11 @@ const (
 	// batches (each bumping its dataset's epoch); CtrServerAppendRows the
 	// rows they carried. CtrServerCacheStaleEvictions counts universe-cache
 	// evictions that picked a stale-epoch entry over the plain LRU tail.
-	// CtrServerUniverseIncremental counts universe builds that started
-	// from an earlier epoch's cache entry, growing the row sets of the
-	// items whose constraint it shares instead of scanning every row.
 	// CtrServerDriftRemines counts background drift re-mines;
 	// CtrServerDriftEvents the threshold crossings they detected.
 	CtrServerAppends             = "server.appends"
 	CtrServerAppendRows          = "server.append_rows"
 	CtrServerCacheStaleEvictions = "server.universe_cache_stale_evictions"
-	CtrServerUniverseIncremental = "server.universe_builds_incremental"
 	CtrServerDriftRemines        = "server.drift_remines"
 	CtrServerDriftEvents         = "server.drift_events"
 
@@ -290,7 +286,6 @@ var MetricHelp = map[string]string{
 	"server_universe_cache_stale_evictions": "Universe-cache evictions that picked a stale-epoch entry over the LRU tail.",
 	"server_appends":                        "Accepted dataset append batches (each bumps its dataset's epoch).",
 	"server_append_rows":                    "Rows appended across accepted batches.",
-	"server_universe_builds_incremental":    "Universe builds that grew an earlier epoch's item row sets instead of scanning every row.",
 	"server_drift_remines":                  "Background drift re-mines triggered by epoch bumps.",
 	"server_drift_events":                   "Subgroup divergence t-threshold crossings detected between epochs.",
 	"server_epochs_retired":                 "Pinned-replay cache entries aged out by the epoch-retention sweep.",

@@ -23,7 +23,7 @@ import (
 // deliberately absent so explorations with different mining settings
 // share one universe. The epoch pins the build to one dataset version:
 // requests arriving after an append miss the old entry and build the new
-// epoch's universe, while explorations
+// epoch's universe from that epoch's rows alone, while explorations
 // already holding the old entry keep their consistent snapshot until the
 // LRU ages it out.
 type cacheKey struct {
@@ -35,13 +35,6 @@ type cacheKey struct {
 	target    string
 	criterion discretize.Criterion
 	st        float64
-}
-
-// sameBuild reports whether two keys describe the same build apart from
-// the dataset epoch.
-func (k cacheKey) sameBuild(o cacheKey) bool {
-	k.epoch, o.epoch = 0, 0
-	return k == o
 }
 
 // cacheEntry holds the request-independent artifacts for one key: the
@@ -153,29 +146,6 @@ func (c *universeCache) get(ctx context.Context, key cacheKey, build func(*cache
 	}
 }
 
-// prior returns the ready entry for the same build at the highest epoch
-// below key.epoch, if any — the entry whose item row sets an epoch's
-// build grows instead of scanning every row.
-func (c *universeCache) prior(key cacheKey) *cacheEntry {
-	c.mu.Lock()
-	var best *cacheEntry
-	var bestEpoch uint64
-	for k, el := range c.entries {
-		if !k.sameBuild(key) || k.epoch >= key.epoch {
-			continue
-		}
-		e := el.Value.(*lruItem).entry
-		if !e.built() {
-			continue
-		}
-		if best == nil || k.epoch > bestEpoch {
-			best, bestEpoch = e, k.epoch
-		}
-	}
-	c.mu.Unlock()
-	return best
-}
-
 // evictOverflowLocked drops entries until the cache fits its bound again.
 // Victim selection prefers the least-recently-used *stale-epoch* entry (its
 // dataset has moved past its epoch) other than added, the element just
@@ -284,14 +254,11 @@ func runBuild(build func(*cacheEntry) error, e *cacheEntry) (err error) {
 // requester's, possibly nil) receives the discretize spans.
 //
 // An entry depends on its epoch's rows alone: every step runs on the
-// snapshot, and the ready entry of an earlier epoch of the same build
-// (cache.prior) only lends the hierarchical universe the row sets of the
-// items whose constraint it shares, grown by the appended rows
-// (fpm.NewUniverseFrom) — the same universes a from-scratch build
-// computes, at the cost of scanning the appended rows for those items.
-// Every leaf is also a hierarchical item, so the base universe is built
-// with the entry's own hierarchical universe as its same-length prior and
-// shares its leaf row sets read-only, with no second pass over the rows.
+// snapshot, and no build reads an earlier epoch's entry. Every leaf is
+// also a hierarchical item, so the base universe is built with the
+// entry's own hierarchical universe as its prior (fpm.NewUniverseFrom)
+// and shares its leaf row sets read-only, with no second pass over the
+// rows.
 func (s *Server) buildEntry(e *cacheEntry, p *exploreParams, tracer *obs.Tracer) error {
 	if err := faultinject.Hit(faultinject.SiteCacheFill); err != nil {
 		return err
@@ -318,15 +285,7 @@ func (s *Server) buildEntry(e *cacheEntry, p *exploreParams, tracer *obs.Tracer)
 			hs.Add(hierarchy.FlatCategorical(tab, f.Name))
 		}
 	}
-	var prior *fpm.Universe
-	if pe := s.cache.prior(key); pe != nil {
-		// A failed reuse builds every item fresh: same universes, slower.
-		if faultinject.Hit(faultinject.SiteUniverseAppend) == nil {
-			prior = pe.uni[core.Hierarchical]
-			s.tracer.Counter(obs.CtrServerUniverseIncremental).Add(1)
-		}
-	}
-	hier := fpm.NewUniverseFrom(tab, hs.AllItems(), out, prior)
+	hier := fpm.NewUniverse(tab, hs.AllItems(), out)
 	e.tab = tab
 	e.out = out
 	e.hs = hs
