@@ -1,8 +1,14 @@
 # Development targets for the H-DivExplorer reproduction.
 #
-#   make check        vet (+ gofmt) + build + race tests + bench/trace smoke (CI entry)
+#   make check        vet (+ gofmt) + build + race tests + budgets +
+#                     experiments-check + bench/trace smoke (CI entry)
 #   make test         go test ./...
 #   make race         go test -race ./...
+#   make budgets      allocation and mining-work budgets of the paper
+#                     artifacts (skipped by the race run)
+#   make experiments-check
+#                     regenerate every paper artifact and compare it with
+#                     experiments_output.txt (durations masked)
 #   make bench        full benchmark suite (slow; paper artifacts + ablations)
 #   make smoke        1-iteration pipeline benches + CLI trace-JSON round trip
 #   make smoke-daemon live hdivexplorerd round trip: explore, /metrics,
@@ -22,9 +28,9 @@ GO ?= go
 # passes 1x for a fast structural run.
 BENCHTIME ?= 1s
 
-.PHONY: check vet build test race bench bench-test smoke smoke-daemon test-faults test-crash fmt
+.PHONY: check vet build test race budgets experiments-check bench bench-test smoke smoke-daemon test-faults test-crash fmt
 
-check: vet build race test-faults test-crash bench-test smoke smoke-daemon
+check: vet build race budgets experiments-check test-faults test-crash bench-test smoke smoke-daemon
 
 # vet covers the bench module too (its own go.mod keeps the root
 # ./... from reaching it), and fails when gofmt would rewrite any file.
@@ -42,6 +48,19 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# budgets gates Table III's and Figure 2's B/op and allocs/op at 1.25x of
+# the committed constants and the paper's mining counts at their exact
+# committed values; both tests skip themselves under -race, so the race
+# target never runs them.
+budgets:
+	$(GO) test -run '^Test(Allocation|MiningWork)Budget$$' -count=1 -v .
+
+# experiments-check regenerates every paper artifact and compares it with
+# the committed experiments_output.txt, Go durations masked and runs of
+# spaces collapsed.
+experiments-check:
+	bash scripts/experiments_check.sh
 
 # test-faults runs the failure-containment suite under the race
 # detector: the faultinject package itself, plus every fault-injection,

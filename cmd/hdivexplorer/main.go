@@ -166,7 +166,7 @@ func run(c cliConfig) error {
 	var exclude []string
 	seenExclude := map[string]bool{}
 	for i, stat := range statList {
-		o, exc, err := buildOutcome(tab, stat, c.actualCol, c.predCol, c.targetCol)
+		o, exc, err := hdiv.BuildStatistic(tab, stat, c.actualCol, c.predCol, c.targetCol)
 		if err != nil {
 			return err
 		}
@@ -196,29 +196,14 @@ func run(c cliConfig) error {
 		Explain: c.explain || c.explainJSON != "",
 		Tracer:  tracer,
 	}
-	switch strings.ToLower(c.criterion) {
-	case "divergence":
-		opt.Criterion = hdiv.DivergenceGain
-	case "entropy":
-		opt.Criterion = hdiv.EntropyGain
-	default:
-		return fmt.Errorf("unknown criterion %q", c.criterion)
+	if opt.Criterion, err = hdiv.ParseCriterion(c.criterion); err != nil {
+		return err
 	}
-	switch strings.ToLower(c.mode) {
-	case "hierarchical":
-		opt.Mode = hdiv.Hierarchical
-	case "base":
-		opt.Mode = hdiv.Base
-	default:
-		return fmt.Errorf("unknown mode %q", c.mode)
+	if opt.Mode, err = hdiv.ParseMode(c.mode); err != nil {
+		return err
 	}
-	switch strings.ToLower(c.algorithm) {
-	case "fpgrowth", "fp-growth":
-		opt.Algorithm = hdiv.FPGrowth
-	case "apriori":
-		opt.Algorithm = hdiv.Apriori
-	default:
-		return fmt.Errorf("unknown algorithm %q", c.algorithm)
+	if opt.Algorithm, err = hdiv.ParseAlgorithm(c.algorithm); err != nil {
+		return err
 	}
 
 	var prog *hdiv.Progress
@@ -228,16 +213,9 @@ func run(c cliConfig) error {
 	}
 	stopProgress := startProgressTicker(c.stderr, prog)
 	var reps []*hdiv.Report
-	if len(outs) == 1 {
-		var rep *hdiv.Report
-		rep, err = hdiv.Pipeline(tab, outs[0], opt)
-		reps = []*hdiv.Report{rep}
-	} else {
-		var b *hdiv.OutcomeBundle
-		b, err = hdiv.NewOutcomeBundle(outs...)
-		if err == nil {
-			reps, err = hdiv.PipelineMulti(tab, b, opt)
-		}
+	b, err := hdiv.NewOutcomeBundle(outs...)
+	if err == nil {
+		reps, err = hdiv.PipelineMulti(tab, b, opt)
 	}
 	stopProgress()
 	if err != nil {
@@ -452,12 +430,4 @@ func emitExplain(c cliConfig, ex *hdiv.Explain) error {
 		}
 	}
 	return nil
-}
-
-// buildOutcome assembles the statistic and the label columns to exclude
-// from the exploration itself. The heavy lifting lives in
-// hdiv.BuildStatistic so the CLI and the HTTP server resolve statistics
-// identically.
-func buildOutcome(tab *hdiv.Table, stat, actualCol, predCol, targetCol string) (*hdiv.Outcome, []string, error) {
-	return hdiv.BuildStatistic(tab, stat, actualCol, predCol, targetCol)
 }

@@ -61,6 +61,8 @@ func TestBoolColumnErrors(t *testing.T) {
 	}
 }
 
+// TestBuildOutcome checks the statistic resolution the CLI runs for each
+// -stat (hdiv.BuildStatistic, shared with the server).
 func TestBuildOutcome(t *testing.T) {
 	tab := hdiv.NewTableBuilder().
 		AddFloat("income", []float64{10, 20, 30}).
@@ -68,7 +70,7 @@ func TestBuildOutcome(t *testing.T) {
 		AddCategorical("p", []string{"true", "true", "false"}).
 		MustBuild()
 
-	o, excl, err := buildOutcome(tab, "numeric", "", "", "income")
+	o, excl, err := hdiv.BuildStatistic(tab, "numeric", "", "", "income")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +79,7 @@ func TestBuildOutcome(t *testing.T) {
 	}
 
 	for _, stat := range []string{"fpr", "fnr", "error", "accuracy"} {
-		o, excl, err := buildOutcome(tab, stat, "y", "p", "")
+		o, excl, err := hdiv.BuildStatistic(tab, stat, "y", "p", "")
 		if err != nil {
 			t.Fatalf("%s: %v", stat, err)
 		}
@@ -86,16 +88,16 @@ func TestBuildOutcome(t *testing.T) {
 		}
 	}
 
-	if _, _, err := buildOutcome(tab, "numeric", "", "", ""); err == nil {
+	if _, _, err := hdiv.BuildStatistic(tab, "numeric", "", "", ""); err == nil {
 		t.Error("numeric without target should fail")
 	}
-	if _, _, err := buildOutcome(tab, "numeric", "", "", "nope"); err == nil {
+	if _, _, err := hdiv.BuildStatistic(tab, "numeric", "", "", "nope"); err == nil {
 		t.Error("numeric with missing target should fail")
 	}
-	if _, _, err := buildOutcome(tab, "fpr", "", "", ""); err == nil {
+	if _, _, err := hdiv.BuildStatistic(tab, "fpr", "", "", ""); err == nil {
 		t.Error("fpr without labels should fail")
 	}
-	if _, _, err := buildOutcome(tab, "wat", "y", "p", ""); err == nil {
+	if _, _, err := hdiv.BuildStatistic(tab, "wat", "y", "p", ""); err == nil {
 		t.Error("unknown stat should fail")
 	}
 }

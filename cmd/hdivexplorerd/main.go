@@ -14,10 +14,10 @@
 //
 // Datasets are live: POST /v1/datasets/{name}/rows appends a row batch,
 // atomically bumping the dataset's epoch. New explorations see the new
-// rows (each epoch is discretized on its own rows, reusing the previous
-// epoch's sorted columns and unchanged items' row sets), in-flight and
-// epoch-pinned explorations keep
-// their frozen snapshot, and a debounced background re-mine compares
+// rows (each epoch is discretized and its universes built on its own
+// rows, merging the previous epoch's sorted columns), in-flight and
+// epoch-pinned explorations keep their frozen snapshot, and a debounced
+// background re-mine compares
 // subgroup t-values across epochs: GET /v1/drift/{name} lists subgroups
 // whose |t| crossed -drift-t since the last baseline.
 //

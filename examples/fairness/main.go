@@ -37,22 +37,21 @@ func main() {
 	fmt.Println("item hierarchy for the prior attribute (sup / ΔFPR per node):")
 	fmt.Print(hdiv.DescribeHierarchy(d.Table, tree, o))
 
-	// Manual discretization (the fixed cuts used by prior work).
-	manual := hdiv.NewHierarchySet()
-	for attr, cuts := range map[string][]float64{
-		"age": {24.999, 45}, "prior": {0, 3}, "stay": {7, 90},
-	} {
-		h, err := hdiv.ManualCuts(attr, cuts)
+	// Manual discretization (the fixed cuts used by prior work): the cuts
+	// take the place of the continuous attributes' trees.
+	var manual []*hdiv.Hierarchy
+	for _, m := range []struct {
+		attr string
+		cuts []float64
+	}{{"age", []float64{24.999, 45}}, {"prior", []float64{0, 3}}, {"stay", []float64{7, 90}}} {
+		h, err := hdiv.ManualCuts(m.attr, m.cuts)
 		if err != nil {
 			log.Fatal(err)
 		}
-		manual.Add(h)
+		manual = append(manual, h)
 	}
-	for _, attr := range []string{"sex", "race", "charge"} {
-		manual.Add(hdiv.FlatCategorical(d.Table, attr))
-	}
-	manualRep, err := hdiv.Explore(d.Table, hdiv.ExploreConfig{
-		Outcome: o, Hierarchies: manual, MinSupport: 0.05, Mode: hdiv.Base,
+	manualRep, err := hdiv.Pipeline(d.Table, o, hdiv.PipelineOptions{
+		MinSupport: 0.05, Mode: hdiv.Base, Taxonomies: manual,
 	})
 	if err != nil {
 		log.Fatal(err)

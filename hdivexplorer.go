@@ -168,6 +168,18 @@ const (
 	EntropyGain = discretize.EntropyGain
 )
 
+// Option-name parsers: the inverses of the String methods, shared by the
+// CLI flags and the HTTP server's request fields. Each accepts any case,
+// and "" means the default.
+var (
+	// ParseCriterion parses "divergence" or "entropy".
+	ParseCriterion = discretize.ParseCriterion
+	// ParseMode parses "hierarchical" or "base".
+	ParseMode = core.ParseMode
+	// ParseAlgorithm parses "fpgrowth" (or "fp-growth") or "apriori".
+	ParseAlgorithm = fpm.ParseAlgorithm
+)
+
 // ArmFaultsFromEnv arms the deterministic fault-injection failpoints
 // listed in the HDIV_FAILPOINTS environment variable (comma-separated
 // site=spec pairs, e.g. "dataset.read_csv=error(disk gone)"); see
@@ -282,8 +294,10 @@ type PipelineOptions struct {
 	// returns a ranked Report flagged Truncated instead of failing. The
 	// zero value is unlimited.
 	ResourceBudget Budget
-	// Taxonomies supplies multi-level hierarchies for specific categorical
-	// attributes; all other categorical attributes get flat hierarchies.
+	// Taxonomies supplies hierarchies for specific attributes, each in
+	// place of its attribute's default: multi-level taxonomies for
+	// categorical attributes (all others get flat hierarchies), or fixed
+	// cuts for a continuous attribute instead of its tree.
 	Taxonomies []*Hierarchy
 	// Exclude lists attributes to leave out of the exploration entirely.
 	Exclude []string
@@ -348,9 +362,9 @@ func PipelineMultiContext(ctx context.Context, t *Table, b *OutcomeBundle, opt P
 }
 
 // pipelinePrepare applies pipeline defaults, builds the hierarchy set
-// (tree discretization driven by o plus categorical hierarchies) and
-// assembles the exploration config shared by the single- and
-// multi-statistic pipelines.
+// (discretize.Hierarchies: trees driven by o, then the taxonomies, then
+// flat categorical hierarchies) and assembles the exploration config
+// shared by the single- and multi-statistic pipelines.
 func pipelinePrepare(ctx context.Context, t *Table, o *Outcome, opt *PipelineOptions) (*HierarchySet, core.Config, error) {
 	if opt.TreeSupport == 0 {
 		opt.TreeSupport = 0.1
@@ -358,36 +372,21 @@ func pipelinePrepare(ctx context.Context, t *Table, o *Outcome, opt *PipelineOpt
 	if opt.MinSupport == 0 {
 		opt.MinSupport = 0.05
 	}
-	skip := map[string]bool{}
 	for _, e := range opt.Exclude {
 		if !t.HasColumn(e) {
 			return nil, core.Config{}, fmt.Errorf("hdivexplorer: excluded attribute %q not in table", e)
 		}
-		skip[e] = true
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, core.Config{}, fmt.Errorf("hdivexplorer: pipeline cancelled: %w", err)
 	}
-	hs, err := discretize.TreeSet(t, o, discretize.TreeOptions{
+	hs, err := discretize.Hierarchies(t, o, discretize.TreeOptions{
 		Criterion:  opt.Criterion,
 		MinSupport: opt.TreeSupport,
 		Tracer:     opt.Tracer,
-	}, opt.Exclude...)
+	}, opt.Taxonomies, opt.Exclude...)
 	if err != nil {
 		return nil, core.Config{}, err
-	}
-	taxed := map[string]bool{}
-	for _, h := range opt.Taxonomies {
-		if skip[h.Attr] {
-			continue
-		}
-		hs.Add(h)
-		taxed[h.Attr] = true
-	}
-	for _, f := range t.Fields() {
-		if f.Kind == dataset.Categorical && !skip[f.Name] && !taxed[f.Name] {
-			hs.Add(hierarchy.FlatCategorical(t, f.Name))
-		}
 	}
 	return hs, core.Config{
 		MinSupport:    opt.MinSupport,

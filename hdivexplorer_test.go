@@ -1,6 +1,7 @@
 package hdivexplorer
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -36,6 +37,45 @@ func pipelineFixture(n int, seed int64) (*Table, []bool, []bool) {
 	}
 	tab := NewTableBuilder().AddFloat("x", x).AddCategorical("g", g).MustBuild()
 	return tab, actual, pred
+}
+
+// TestParseOptionNames pins the one parse of the criterion, mode and
+// algorithm names that the CLI flags and the server's request fields
+// share: any case, "" for the default, both spellings of FP-Growth, and
+// an error quoting an unknown name.
+func TestParseOptionNames(t *testing.T) {
+	parsers := map[string]func(string) (fmt.Stringer, error){
+		"criterion": func(s string) (fmt.Stringer, error) { v, err := ParseCriterion(s); return v, err },
+		"mode":      func(s string) (fmt.Stringer, error) { v, err := ParseMode(s); return v, err },
+		"algorithm": func(s string) (fmt.Stringer, error) { v, err := ParseAlgorithm(s); return v, err },
+	}
+	cases := []struct{ option, name, want string }{
+		{"criterion", "", "divergence"},
+		{"criterion", "Divergence", "divergence"},
+		{"criterion", "ENTROPY", "entropy"},
+		{"criterion", "gini", ""},
+		{"mode", "", "hierarchical"},
+		{"mode", "Hierarchical", "hierarchical"},
+		{"mode", "bAsE", "base"},
+		{"mode", "flat", ""},
+		{"algorithm", "", "fp-growth"},
+		{"algorithm", "fp-growth", "fp-growth"},
+		{"algorithm", "FPGrowth", "fp-growth"},
+		{"algorithm", "Apriori", "apriori"},
+		{"algorithm", "eclat", ""},
+	}
+	for _, tc := range cases {
+		got, err := parsers[tc.option](tc.name)
+		if tc.want == "" {
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.name)) {
+				t.Errorf("%s %q: err = %v, want an error quoting the name", tc.option, tc.name, err)
+			}
+			continue
+		}
+		if err != nil || got.String() != tc.want {
+			t.Errorf("%s %q = %v, %v; want %s", tc.option, tc.name, got, err, tc.want)
+		}
+	}
 }
 
 func TestPipelineEndToEnd(t *testing.T) {

@@ -52,6 +52,20 @@ func (m Mode) String() string {
 	}
 }
 
+// ParseMode is the inverse of String for the CLI flag and the server
+// request field: it accepts any case, and "" means the default,
+// Hierarchical.
+func ParseMode(name string) (Mode, error) {
+	switch strings.ToLower(name) {
+	case "", "hierarchical":
+		return Hierarchical, nil
+	case "base":
+		return Base, nil
+	default:
+		return 0, fmt.Errorf("unknown mode %q", name)
+	}
+}
+
 // Config parameterizes Explore.
 type Config struct {
 	// Outcome is the statistic whose divergence is explored.

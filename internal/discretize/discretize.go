@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"repro/internal/dataset"
 	"repro/internal/faultinject"
@@ -51,6 +52,20 @@ func (c Criterion) String() string {
 		return "entropy"
 	default:
 		return fmt.Sprintf("Criterion(%d)", int(c))
+	}
+}
+
+// ParseCriterion is the inverse of String for the CLI flag and the
+// server request field: it accepts any case, and "" means the default,
+// DivergenceGain.
+func ParseCriterion(name string) (Criterion, error) {
+	switch strings.ToLower(name) {
+	case "", "divergence":
+		return DivergenceGain, nil
+	case "entropy":
+		return EntropyGain, nil
+	default:
+		return 0, fmt.Errorf("unknown criterion %q", name)
 	}
 }
 
@@ -239,7 +254,7 @@ func (g *gainer) splitGain(a, p, b, validS int, fS float64) float64 {
 
 // TreeSet builds a tree hierarchy for every continuous attribute of the
 // table (except those listed in exclude) and returns them as a hierarchy
-// set. Categorical attributes are not included; add them separately.
+// set. Categorical attributes are not included; Hierarchies adds them.
 func TreeSet(t *dataset.Table, o *outcome.Outcome, opts TreeOptions, exclude ...string) (*hierarchy.Set, error) {
 	skip := map[string]bool{}
 	for _, e := range exclude {
@@ -261,6 +276,40 @@ func TreeSet(t *dataset.Table, o *outcome.Outcome, opts TreeOptions, exclude ...
 			return nil, err
 		}
 		set.Add(h)
+	}
+	return set, nil
+}
+
+// Hierarchies builds the full hierarchy set of the paper's stage 1
+// (§V-A): a tree for every continuous attribute (TreeSet, in column
+// order), then the supplied taxonomies, then a flat hierarchy for every
+// other categorical attribute, in column order. A taxonomy replaces its
+// column's default hierarchy, tree or flat. Excluded attributes get no
+// hierarchy at all, taxonomies included. The library pipeline, the
+// server's universe cache and the experiments all build through it, so
+// their explorations run over the same items in the same order.
+func Hierarchies(t *dataset.Table, o *outcome.Outcome, opts TreeOptions, taxonomies []*hierarchy.Hierarchy, exclude ...string) (*hierarchy.Set, error) {
+	skip := map[string]bool{}
+	noTree := append([]string(nil), exclude...)
+	for _, e := range exclude {
+		skip[e] = true
+	}
+	for _, h := range taxonomies {
+		noTree = append(noTree, h.Attr)
+	}
+	set, err := TreeSet(t, o, opts, noTree...)
+	if err != nil {
+		return nil, err
+	}
+	for _, h := range taxonomies {
+		if !skip[h.Attr] {
+			set.Add(h)
+		}
+	}
+	for _, f := range t.Fields() {
+		if f.Kind == dataset.Categorical && !skip[f.Name] && set.ByAttr[f.Name] == nil {
+			set.Add(hierarchy.FlatCategorical(t, f.Name))
+		}
 	}
 	return set, nil
 }

@@ -3,11 +3,13 @@ package discretize
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/bitvec"
 	"repro/internal/dataset"
+	"repro/internal/hierarchy"
 	"repro/internal/outcome"
 )
 
@@ -189,6 +191,82 @@ func TestTreeSet(t *testing.T) {
 	}
 	if len(set2.Attrs()) != 1 {
 		t.Errorf("exclude failed: %v", set2.Attrs())
+	}
+}
+
+// TestHierarchies pins the one hierarchy assembly: trees in column order,
+// then the taxonomies in the order given, then flat hierarchies for the
+// other categorical columns in column order. A taxonomy replaces its
+// column's tree or flat hierarchy, and an excluded attribute gets none,
+// even when a taxonomy names it.
+func TestHierarchies(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	n := 400
+	a := make([]float64, n)
+	b := make([]float64, n)
+	vals := make([]float64, n)
+	for i := range a {
+		a[i] = r.Float64() * 10
+		b[i] = r.Float64() * 10
+		if a[i] > 5 {
+			vals[i] = 1
+		}
+	}
+	tab := dataset.NewBuilder().
+		AddCategorical("c1", repeatStrings([]string{"x", "y", "z"}, n)).
+		AddFloat("a", a).
+		AddCategorical("c2", repeatStrings([]string{"u", "v"}, n)).
+		AddFloat("b", b).
+		AddCategorical("c3", repeatStrings([]string{"p.1", "p.2", "q.1"}, n)).
+		MustBuild()
+	o := outcome.Numeric("v", vals)
+	opts := TreeOptions{MinSupport: 0.1}
+	tax1 := hierarchy.PathTaxonomy(tab, "c1", func(string) []string { return nil })
+	tax3 := hierarchy.PathTaxonomy(tab, "c3", func(l string) []string { return []string{l[:1]} })
+	cutsA, err := ManualCuts("a", []float64{5})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cases := []struct {
+		name       string
+		taxonomies []*hierarchy.Hierarchy
+		exclude    []string
+		want       []string
+	}{
+		{"defaults", nil, nil, []string{"a", "b", "c1", "c2", "c3"}},
+		{"taxonomies", []*hierarchy.Hierarchy{tax3, tax1}, nil, []string{"a", "b", "c3", "c1", "c2"}},
+		{"manual cuts replace a tree", []*hierarchy.Hierarchy{cutsA}, nil, []string{"b", "a", "c1", "c2", "c3"}},
+		{"excluded", []*hierarchy.Hierarchy{tax3, tax1}, []string{"b", "c1"}, []string{"a", "c3", "c2"}},
+	}
+	for _, tc := range cases {
+		set, err := Hierarchies(tab, o, opts, tc.taxonomies, tc.exclude...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := set.Attrs(); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: Attrs = %v, want %v", tc.name, got, tc.want)
+		}
+		for _, h := range tc.taxonomies {
+			if got, ok := set.ByAttr[h.Attr]; ok && got != h {
+				t.Errorf("%s: %s has hierarchy %p, want the taxonomy %p", tc.name, h.Attr, got, h)
+			}
+		}
+	}
+
+	set, err := Hierarchies(tab, o, opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := Tree(tab, "a", o, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(set.ByAttr["a"], tree) {
+		t.Error("a: Hierarchies' tree differs from Tree")
+	}
+	if !reflect.DeepEqual(set.ByAttr["c2"], hierarchy.FlatCategorical(tab, "c2")) {
+		t.Error("c2: Hierarchies' flat hierarchy differs from FlatCategorical")
 	}
 }
 

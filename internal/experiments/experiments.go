@@ -147,17 +147,3 @@ func Run(id string, cfg Config) (*Artifact, error) {
 	}
 	return &Artifact{ID: id, Title: r.title, Text: text}, nil
 }
-
-// RunAll executes every experiment in ID order, stopping at the first
-// error.
-func RunAll(cfg Config) ([]*Artifact, error) {
-	var out []*Artifact
-	for _, id := range IDs() {
-		a, err := Run(id, cfg)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}

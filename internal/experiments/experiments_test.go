@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -47,6 +48,26 @@ func TestLoadAllWorkloads(t *testing.T) {
 	}
 	if _, err := Load("nope", testCfg); err == nil {
 		t.Error("unknown workload should fail")
+	}
+}
+
+// TestCompasManualHierarchiesOrder builds Table III's manual universe
+// repeatedly: its attribute order, and so its item order, on which the
+// ranking's last tie-break depends, must not change between builds.
+func TestCompasManualHierarchiesOrder(t *testing.T) {
+	w, err := Load("compas", Config{Seed: 1, SizeOverride: map[string]int{"compas": 500}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"age", "prior", "stay", "sex", "race", "charge"}
+	for i := 0; i < 20; i++ {
+		hs, err := compasManualHierarchies(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hs.Attrs(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("build %d: Attrs = %v, want %v", i, got, want)
+		}
 	}
 }
 

@@ -142,25 +142,27 @@ type Table3Row struct {
 
 // compasManualHierarchies reproduces the manual discretization used by
 // prior work on compas: age <25 / 25–45 / >45, #prior 0 / 1–3 / >3, stay
-// ≤1w / 1w–3M / >3M, plus the flat categorical attributes.
+// ≤1w / 1w–3M / >3M, plus the flat categorical attributes. The manual
+// cuts take the place of the continuous attributes' trees, in that fixed
+// order, so the universe's item order is the same in every run.
 func compasManualHierarchies(w *Workload) (*hierarchy.Set, error) {
-	set := hierarchy.NewSet()
-	manual := map[string][]float64{
-		"age":   {24.999, 45},
-		"prior": {0, 3},
-		"stay":  {7, 90},
+	manual := []struct {
+		attr string
+		cuts []float64
+	}{
+		{"age", []float64{24.999, 45}},
+		{"prior", []float64{0, 3}},
+		{"stay", []float64{7, 90}},
 	}
-	for attr, cuts := range manual {
-		h, err := discretize.ManualCuts(attr, cuts)
+	var hs []*hierarchy.Hierarchy
+	for _, m := range manual {
+		h, err := discretize.ManualCuts(m.attr, m.cuts)
 		if err != nil {
 			return nil, err
 		}
-		set.Add(h)
+		hs = append(hs, h)
 	}
-	for _, h := range w.catHier() {
-		set.Add(h)
-	}
-	return set, nil
+	return discretize.Hierarchies(w.Table, w.Outcome, discretize.TreeOptions{}, hs)
 }
 
 // Table3 reproduces Table III: the top FPR-divergent compas itemset under

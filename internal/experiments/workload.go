@@ -65,14 +65,15 @@ func (c Config) size(name string) int {
 }
 
 // Workload is a ready-to-explore dataset: feature table, outcome function,
-// and the hierarchies to use for its categorical attributes.
+// and the taxonomies of its categorical attributes.
 type Workload struct {
 	Name    string
 	Table   *dataset.Table
 	Outcome *outcome.Outcome
-	// catHier builds the categorical hierarchies (flat for most datasets,
-	// the OCCP/POBP taxonomies for folktables).
-	catHier func() []*hierarchy.Hierarchy
+	// taxonomies are the multi-level categorical hierarchies (the OCCP/POBP
+	// taxonomies for folktables); every other categorical attribute gets
+	// a flat hierarchy.
+	taxonomies []*hierarchy.Hierarchy
 }
 
 // ClassificationNames lists the seven classification workloads of the
@@ -98,15 +99,7 @@ func Load(name string, cfg Config) (*Workload, error) {
 	case "folktables":
 		d := datagen.Folktables(gen)
 		w := classified(name, d.Table, outcome.Numeric("income", d.Target))
-		w.catHier = func() []*hierarchy.Hierarchy {
-			hs := datagen.FolktablesTaxonomies(d.Table)
-			for _, f := range d.Table.Fields() {
-				if f.Kind == dataset.Categorical && f.Name != "OCCP" && f.Name != "POBP" {
-					hs = append(hs, hierarchy.FlatCategorical(d.Table, f.Name))
-				}
-			}
-			return hs
-		}
+		w.taxonomies = datagen.FolktablesTaxonomies(d.Table)
 		return w, nil
 	case "adult", "bank", "german", "intentions", "wine":
 		var d datagen.Classified
@@ -133,17 +126,7 @@ func Load(name string, cfg Config) (*Workload, error) {
 }
 
 func classified(name string, t *dataset.Table, o *outcome.Outcome) *Workload {
-	w := &Workload{Name: name, Table: t, Outcome: o}
-	w.catHier = func() []*hierarchy.Hierarchy {
-		var hs []*hierarchy.Hierarchy
-		for _, f := range t.Fields() {
-			if f.Kind == dataset.Categorical {
-				hs = append(hs, hierarchy.FlatCategorical(t, f.Name))
-			}
-		}
-		return hs
-	}
-	return w
+	return &Workload{Name: name, Table: t, Outcome: o}
 }
 
 // trainPredict fits the paper's "random forest with default parameters"
@@ -159,19 +142,13 @@ func trainPredict(t *dataset.Table, labels []bool, cfg Config) ([]bool, error) {
 	return f.Predict(t)
 }
 
-// Hierarchies builds the full hierarchy set for the workload: divergence
-// trees (or entropy trees) for every continuous attribute at tree support
-// st, plus the workload's categorical hierarchies.
+// Hierarchies builds the full hierarchy set for the workload
+// (discretize.Hierarchies): divergence trees (or entropy trees) for every
+// continuous attribute at tree support st, then the workload's
+// taxonomies, then flat hierarchies for the other categorical attributes.
 func (w *Workload) Hierarchies(st float64, crit discretize.Criterion) (*hierarchy.Set, error) {
-	set, err := discretize.TreeSet(w.Table, w.Outcome, discretize.TreeOptions{
+	return discretize.Hierarchies(w.Table, w.Outcome, discretize.TreeOptions{
 		Criterion:  crit,
 		MinSupport: st,
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, h := range w.catHier() {
-		set.Add(h)
-	}
-	return set, nil
+	}, w.taxonomies)
 }

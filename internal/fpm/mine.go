@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"sync/atomic"
 
 	"repro/internal/bitvec"
@@ -35,6 +36,20 @@ func (a Algorithm) String() string {
 		return "apriori"
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
+	}
+}
+
+// ParseAlgorithm is the inverse of String for the CLI flag and the
+// server request field: it accepts any case, "fpgrowth" as well as
+// "fp-growth", and "" for the default, FPGrowth.
+func ParseAlgorithm(name string) (Algorithm, error) {
+	switch strings.ToLower(name) {
+	case "", "fpgrowth", "fp-growth":
+		return FPGrowth, nil
+	case "apriori":
+		return Apriori, nil
+	default:
+		return 0, fmt.Errorf("unknown algorithm %q", name)
 	}
 }
 

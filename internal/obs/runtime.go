@@ -2,63 +2,33 @@ package obs
 
 import (
 	"math"
-	"runtime"
 	rtmetrics "runtime/metrics"
 )
 
-// allocMetrics are the two runtime/metrics samples behind AllocSample.
-// Unlike runtime.ReadMemStats they are read without a stop-the-world,
-// which is what makes per-span and per-worker allocation deltas cheap
-// enough to leave on in production.
-var allocMetricNames = [2]string{"/gc/heap/allocs:bytes", "/gc/heap/allocs:objects"}
-
-// allocSampleSupported is probed once at init: both samples must resolve
-// to KindUint64 on this runtime, otherwise AllocSample falls back to
-// runtime.ReadMemStats.
-var allocSampleSupported = func() bool {
-	s := make([]rtmetrics.Sample, len(allocMetricNames))
-	for i, n := range allocMetricNames {
-		s[i].Name = n
-	}
-	rtmetrics.Read(s)
-	for i := range s {
-		if s[i].Value.Kind() != rtmetrics.KindUint64 {
-			return false
-		}
-	}
-	return true
-}()
-
 // AllocSample returns the process-lifetime heap allocation totals —
-// cumulative bytes and object count — from runtime/metrics. Two samples
-// subtracted give the allocation delta over a region; deltas are
-// process-global, so concurrent regions attribute each other's
-// allocations. Falls back to runtime.ReadMemStats (TotalAlloc, Mallocs)
-// on runtimes without the /gc/heap/allocs metrics.
+// cumulative bytes and object count — from runtime/metrics. Unlike
+// runtime.ReadMemStats the samples are read without a stop-the-world,
+// which is what makes per-span and per-worker allocation deltas cheap
+// enough to leave on in production. Two samples subtracted give the
+// allocation delta over a region; deltas are process-global, so
+// concurrent regions attribute each other's allocations.
 func AllocSample() (bytes, objects uint64) {
-	if allocSampleSupported {
-		var s [2]rtmetrics.Sample
-		s[0].Name = allocMetricNames[0]
-		s[1].Name = allocMetricNames[1]
-		rtmetrics.Read(s[:])
-		return s[0].Value.Uint64(), s[1].Value.Uint64()
-	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.TotalAlloc, ms.Mallocs
+	var s [2]rtmetrics.Sample
+	s[0].Name = "/gc/heap/allocs:bytes"
+	s[1].Name = "/gc/heap/allocs:objects"
+	rtmetrics.Read(s[:])
+	return s[0].Value.Uint64(), s[1].Value.Uint64()
 }
 
 // runtimeMetric describes one curated runtime/metrics export: the
 // Prometheus family name, its HELP text, the metric type, and the
-// runtime/metrics names to try in order (later entries are fallbacks for
-// older runtimes). Only families whose metric exists with the expected
-// kind are emitted, so the allowlist degrades gracefully across Go
-// versions.
+// runtime/metrics name it reads. A family whose metric is missing or
+// has another kind is not emitted.
 type runtimeMetric struct {
-	name       string
-	help       string
-	typ        string // "gauge", "counter" or "histogram"
-	candidates []string
+	name   string
+	help   string
+	typ    string // "gauge", "counter" or "histogram"
+	metric string
 }
 
 // runtimeAllowlist is the curated allowlist exported on /metrics; DESIGN
@@ -67,23 +37,23 @@ type runtimeMetric struct {
 // Figure2 memory work needs — not the full runtime/metrics catalogue.
 var runtimeAllowlist = []runtimeMetric{
 	{"go_mem_heap_objects_bytes", "Bytes of live heap memory occupied by objects.", "gauge",
-		[]string{"/memory/classes/heap/objects:bytes"}},
+		"/memory/classes/heap/objects:bytes"},
 	{"go_mem_total_bytes", "Total memory mapped by the Go runtime.", "gauge",
-		[]string{"/memory/classes/total:bytes"}},
+		"/memory/classes/total:bytes"},
 	{"go_gc_heap_allocs_bytes", "Cumulative bytes allocated on the heap.", "counter",
-		[]string{"/gc/heap/allocs:bytes"}},
+		"/gc/heap/allocs:bytes"},
 	{"go_gc_heap_allocs_objects", "Cumulative heap objects allocated.", "counter",
-		[]string{"/gc/heap/allocs:objects"}},
+		"/gc/heap/allocs:objects"},
 	{"go_gc_cycles", "Completed GC cycles.", "counter",
-		[]string{"/gc/cycles/total:gc-cycles"}},
+		"/gc/cycles/total:gc-cycles"},
 	{"go_goroutines", "Live goroutines.", "gauge",
-		[]string{"/sched/goroutines:goroutines"}},
+		"/sched/goroutines:goroutines"},
 	{"go_gomaxprocs", "GOMAXPROCS at sample time.", "gauge",
-		[]string{"/sched/gomaxprocs:threads"}},
+		"/sched/gomaxprocs:threads"},
 	{"go_gc_pauses_seconds", "Distribution of stop-the-world GC pause latencies.", "histogram",
-		[]string{"/sched/pauses/total/gc:seconds", "/gc/pauses:seconds"}},
+		"/sched/pauses/total/gc:seconds"},
 	{"go_sched_latencies_seconds", "Distribution of goroutine scheduling latencies.", "histogram",
-		[]string{"/sched/latencies:seconds"}},
+		"/sched/latencies:seconds"},
 }
 
 // maxRuntimeBuckets caps the bucket count of exported runtime histograms;
@@ -98,34 +68,17 @@ const maxRuntimeBuckets = 32
 // skipped silently, so the output is stable within one Go version but
 // tolerant across them.
 func RuntimeFamilies() []Family {
-	// One Read call for every candidate name keeps the samples mutually
+	// One Read call for every metric keeps the samples mutually
 	// consistent enough for a scrape.
-	var names []string
-	for _, m := range runtimeAllowlist {
-		names = append(names, m.candidates...)
-	}
-	samples := make([]rtmetrics.Sample, len(names))
-	for i, n := range names {
-		samples[i].Name = n
+	samples := make([]rtmetrics.Sample, len(runtimeAllowlist))
+	for i, m := range runtimeAllowlist {
+		samples[i].Name = m.metric
 	}
 	rtmetrics.Read(samples)
-	byName := make(map[string]*rtmetrics.Sample, len(samples))
-	for i := range samples {
-		byName[samples[i].Name] = &samples[i]
-	}
 
 	var fams []Family
-	for _, m := range runtimeAllowlist {
-		var s *rtmetrics.Sample
-		for _, cand := range m.candidates {
-			if c := byName[cand]; c != nil && c.Value.Kind() != rtmetrics.KindBad {
-				s = c
-				break
-			}
-		}
-		if s == nil {
-			continue
-		}
+	for i, m := range runtimeAllowlist {
+		s := &samples[i]
 		var sample Sample
 		switch kind := s.Value.Kind(); {
 		case m.typ == "histogram":

@@ -245,13 +245,12 @@ func runBuild(build func(*cacheEntry) error, e *cacheEntry) (err error) {
 }
 
 // buildEntry is the universe-cache build function: pipeline stages 1–2
-// for one cache key on the request's snapshot — statistic resolution, tree
-// discretization of every continuous attribute, flat hierarchies for the
-// remaining categorical attributes, then universe precomputation for both
-// exploration modes. The hierarchy assembly mirrors
-// hdivexplorer.PipelineContext exactly, so server explorations are
-// indistinguishable from CLI ones. The tracer (usually the first
-// requester's, possibly nil) receives the discretize spans.
+// for one cache key on the request's snapshot — statistic resolution,
+// the hierarchy set (discretize.Hierarchies, the one assembly
+// hdivexplorer.PipelineContext also calls, so server explorations are
+// indistinguishable from CLI ones), then universe precomputation for
+// both exploration modes. The tracer (usually the first requester's,
+// possibly nil) receives the discretize spans.
 //
 // An entry depends on its epoch's rows alone: every step runs on the
 // snapshot, and no build reads an earlier epoch's entry. Every leaf is
@@ -268,22 +267,13 @@ func (s *Server) buildEntry(e *cacheEntry, p *exploreParams, tracer *obs.Tracer)
 	if err != nil {
 		return err
 	}
-	hs, err := discretize.TreeSet(tab, out, discretize.TreeOptions{
+	hs, err := discretize.Hierarchies(tab, out, discretize.TreeOptions{
 		Criterion:  key.criterion,
 		MinSupport: key.st,
 		Tracer:     tracer,
-	}, excludes...)
+	}, nil, excludes...)
 	if err != nil {
 		return err
-	}
-	skip := map[string]bool{}
-	for _, x := range excludes {
-		skip[x] = true
-	}
-	for _, f := range tab.Fields() {
-		if f.Kind == dataset.Categorical && !skip[f.Name] {
-			hs.Add(hierarchy.FlatCategorical(tab, f.Name))
-		}
 	}
 	hier := fpm.NewUniverse(tab, hs.AllItems(), out)
 	e.tab = tab

@@ -218,17 +218,7 @@ func (m *driftMonitor) remine(name string) {
 		m.setError(name, err.Error())
 		return
 	}
-	reps, err := core.ExploreUniverseMultiContext(ctx, entry.uni[p.mode], core.Config{
-		Hierarchies:   entry.hs,
-		MinSupport:    p.req.S,
-		MaxLen:        p.req.MaxLen,
-		PolarityPrune: p.req.Polarity,
-		Algorithm:     p.algorithm,
-		Mode:          p.mode,
-		Workers:       p.req.Workers,
-		Shards:        p.req.Shards,
-		Budget:        p.budget,
-	}, bundle)
+	reps, err := core.ExploreUniverseMultiContext(ctx, entry.uni[p.mode], p.config(entry), bundle)
 	if err != nil {
 		m.setError(name, err.Error())
 		return

@@ -524,29 +524,15 @@ func (s *Server) resolve(req ExploreRequest) (*exploreParams, int, error) {
 	if p.req.ST == 0 {
 		p.req.ST = 0.1
 	}
-	switch strings.ToLower(p.req.Criterion) {
-	case "", "divergence":
-		p.criterion = discretize.DivergenceGain
-	case "entropy":
-		p.criterion = discretize.EntropyGain
-	default:
-		return nil, http.StatusBadRequest, fmt.Errorf("unknown criterion %q", req.Criterion)
+	var err error
+	if p.criterion, err = discretize.ParseCriterion(req.Criterion); err != nil {
+		return nil, http.StatusBadRequest, err
 	}
-	switch strings.ToLower(p.req.Mode) {
-	case "", "hierarchical":
-		p.mode = core.Hierarchical
-	case "base":
-		p.mode = core.Base
-	default:
-		return nil, http.StatusBadRequest, fmt.Errorf("unknown mode %q", req.Mode)
+	if p.mode, err = core.ParseMode(req.Mode); err != nil {
+		return nil, http.StatusBadRequest, err
 	}
-	switch strings.ToLower(p.req.Algorithm) {
-	case "", "fpgrowth", "fp-growth":
-		p.algorithm = fpm.FPGrowth
-	case "apriori":
-		p.algorithm = fpm.Apriori
-	default:
-		return nil, http.StatusBadRequest, fmt.Errorf("unknown algorithm %q", req.Algorithm)
+	if p.algorithm, err = fpm.ParseAlgorithm(req.Algorithm); err != nil {
+		return nil, http.StatusBadRequest, err
 	}
 	switch strings.ToLower(p.req.Format) {
 	case "", "json", "csv":
@@ -600,6 +586,23 @@ func (p *exploreParams) key() cacheKey {
 		target:    p.req.Target,
 		criterion: p.criterion,
 		st:        p.req.ST,
+	}
+}
+
+// config is the mining configuration of the resolved request over a
+// built entry; serveExplore adds its request's tracer, progress and
+// explain flag, and the drift monitor's re-mine uses it as is.
+func (p *exploreParams) config(e *cacheEntry) core.Config {
+	return core.Config{
+		Hierarchies:   e.hs,
+		MinSupport:    p.req.S,
+		MaxLen:        p.req.MaxLen,
+		PolarityPrune: p.req.Polarity,
+		Algorithm:     p.algorithm,
+		Mode:          p.mode,
+		Workers:       p.req.Workers,
+		Shards:        p.req.Shards,
+		Budget:        p.budget,
 	}
 }
 
@@ -839,20 +842,9 @@ func (s *Server) serveExplore(w http.ResponseWriter, r *http.Request, batch bool
 	if batch {
 		s.tracer.Counter(obs.CtrServerBatchStats).Add(int64(len(stats)))
 	}
-	reps, err := core.ExploreUniverseMultiContext(ctx, entry.uni[p.mode], core.Config{
-		Hierarchies:   entry.hs,
-		MinSupport:    p.req.S,
-		MaxLen:        p.req.MaxLen,
-		PolarityPrune: p.req.Polarity,
-		Algorithm:     p.algorithm,
-		Mode:          p.mode,
-		Workers:       p.req.Workers,
-		Shards:        p.req.Shards,
-		Budget:        p.budget,
-		Explain:       p.req.Explain,
-		Tracer:        reqTracer,
-		Progress:      prog,
-	}, bundle)
+	cfg := p.config(entry)
+	cfg.Explain, cfg.Tracer, cfg.Progress = p.req.Explain, reqTracer, prog
+	reps, err := core.ExploreUniverseMultiContext(ctx, entry.uni[p.mode], cfg, bundle)
 	if err != nil {
 		if ctx.Err() != nil {
 			frec.Status = "cancelled"

@@ -159,17 +159,14 @@ func cliCSV(t *testing.T, tab *hdiv.Table, req ExploreRequest) []byte {
 		Workers:       req.Workers,
 		Exclude:       excl,
 	}
-	switch req.Mode {
-	case "base":
-		opt.Mode = hdiv.Base
+	if opt.Criterion, err = hdiv.ParseCriterion(req.Criterion); err != nil {
+		t.Fatal(err)
 	}
-	switch req.Algorithm {
-	case "apriori":
-		opt.Algorithm = hdiv.Apriori
+	if opt.Mode, err = hdiv.ParseMode(req.Mode); err != nil {
+		t.Fatal(err)
 	}
-	switch req.Criterion {
-	case "entropy":
-		opt.Criterion = hdiv.EntropyGain
+	if opt.Algorithm, err = hdiv.ParseAlgorithm(req.Algorithm); err != nil {
+		t.Fatal(err)
 	}
 	rep, err := hdiv.Pipeline(tab, o, opt)
 	if err != nil {

@@ -86,20 +86,6 @@ func WelchT(a, b Moments) float64 {
 	return diff / se
 }
 
-// WelchDF returns the Welch–Satterthwaite degrees of freedom for the two
-// samples, or 0 when undefined.
-func WelchDF(a, b Moments) float64 {
-	if a.N < 2 || b.N < 2 {
-		return 0
-	}
-	va, vb := a.Var()/float64(a.N), b.Var()/float64(b.N)
-	den := va*va/float64(a.N-1) + vb*vb/float64(b.N-1)
-	if den == 0 {
-		return 0
-	}
-	return (va + vb) * (va + vb) / den
-}
-
 func sign(x float64) int {
 	if x < 0 {
 		return -1
@@ -131,15 +117,6 @@ func Quantile(xs []float64, q float64) float64 {
 	return quantileSorted(s, q)
 }
 
-// QuantilesSorted returns the q-quantiles of already-sorted xs.
-func QuantilesSorted(sorted []float64, qs []float64) []float64 {
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		out[i] = quantileSorted(sorted, q)
-	}
-	return out
-}
-
 func quantileSorted(s []float64, q float64) float64 {
 	if q <= 0 {
 		return s[0]
@@ -155,13 +132,6 @@ func quantileSorted(s []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// NormalPDF returns the density of a univariate normal with the given mean
-// and standard deviation at x. sigma must be positive.
-func NormalPDF(x, mean, sigma float64) float64 {
-	z := (x - mean) / sigma
-	return math.Exp(-0.5*z*z) / (sigma * math.Sqrt(2*math.Pi))
 }
 
 // IsotropicGaussian is a multivariate normal with identity covariance scaled
@@ -191,20 +161,4 @@ func (g IsotropicGaussian) Density(x []float64) float64 {
 // synthetic-peak generator uses it directly as a label-flip probability.
 func (g IsotropicGaussian) NormalizedDensity(x []float64) float64 {
 	return g.Density(x) / g.Density(g.Mean)
-}
-
-// CohenD returns Cohen's d effect size between two samples summarized by
-// their moments (difference of means over pooled standard deviation). It is
-// the effect-size measure used by the Slice Finder baseline. Returns 0 when
-// undefined.
-func CohenD(a, b Moments) float64 {
-	if a.N < 2 || b.N < 2 {
-		return 0
-	}
-	na, nb := float64(a.N), float64(b.N)
-	pooled := ((na-1)*a.Var() + (nb-1)*b.Var()) / (na + nb - 2)
-	if pooled <= 0 {
-		return 0
-	}
-	return (a.Mean() - b.Mean()) / math.Sqrt(pooled)
 }
