@@ -1,7 +1,7 @@
 # Development targets for the H-DivExplorer reproduction.
 #
 #   make check        vet (+ gofmt) + build + race tests + budgets +
-#                     experiments-check + bench/trace smoke (CI entry)
+#                     experiments-check + fuzz + bench/trace smoke (CI entry)
 #   make test         go test ./...
 #   make race         go test -race ./...
 #   make budgets      allocation and mining-work budgets of the paper
@@ -22,15 +22,16 @@
 #                     FuzzWALReplay seed corpus
 #   make bench-test   the bench module's own tests (it sits outside the
 #                     root module, so `go test ./...` never reaches it)
+#   make fuzz         FuzzWALReplay on mutated inputs for 30s
 
 GO ?= go
 # BENCHTIME feeds -benchtime: the default 1s gives stable numbers; CI
 # passes 1x for a fast structural run.
 BENCHTIME ?= 1s
 
-.PHONY: check vet build test race budgets experiments-check bench bench-test smoke smoke-daemon test-faults test-crash fmt
+.PHONY: check vet build test race budgets experiments-check fuzz bench bench-test smoke smoke-daemon test-faults test-crash fmt
 
-check: vet build race budgets experiments-check test-faults test-crash bench-test smoke smoke-daemon
+check: vet build race budgets experiments-check test-faults test-crash bench-test fuzz smoke smoke-daemon
 
 # vet covers the bench module too (its own go.mod keeps the root
 # ./... from reaching it), and fails when gofmt would rewrite any file.
@@ -83,6 +84,12 @@ test-crash:
 	$(GO) test -race ./internal/wal ./internal/dataset
 	$(GO) test -race -run 'Durable|Recovery|Retention|Compaction|PinnedEpoch|DriftRearms|WALSync' \
 		./internal/server ./cmd/hdivexplorerd
+
+# fuzz mutates WAL segment bytes for 30s: replay must never panic
+# nor apply a record whose checksum fails (test-crash runs only the seed
+# corpus).
+fuzz:
+	$(GO) test ./internal/wal -fuzz FuzzWALReplay -fuzztime 30s
 
 # bench-test runs the benchmark harness's unit tests in short mode; the
 # bench module has its own go.mod, so the root test targets skip it.

@@ -24,7 +24,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -133,9 +132,20 @@ func run(c cliConfig) error {
 	if c.st <= 0 || c.st > 1 {
 		return usageError{fmt.Sprintf("-st must be a support fraction in (0, 1] (got %v)", c.st)}
 	}
-	statList, err := parseStatList(c.stat, c.stats)
+	if c.maxLen < 0 {
+		return usageError{fmt.Sprintf("-maxlen must be >= 0 (got %d)", c.maxLen)}
+	}
+	statFlag, rawStats := "-stat", []string{c.stat}
+	if c.stats != "" {
+		statFlag, rawStats = "-stats", strings.Split(c.stats, ",")
+	}
+	stats, err := hdiv.ParseStats(rawStats)
 	if err != nil {
-		return err
+		return usageError{fmt.Sprintf("%s: %v", statFlag, err)}
+	}
+	exclude, err := hdiv.StatInputs(stats, c.actualCol, c.predCol, c.targetCol)
+	if err != nil {
+		return usageError{fmt.Sprintf("%s: %v", statFlag, err)}
 	}
 
 	if c.cpuProfile != "" {
@@ -162,21 +172,9 @@ func run(c cliConfig) error {
 		return err
 	}
 
-	outs := make([]*hdiv.Outcome, len(statList))
-	var exclude []string
-	seenExclude := map[string]bool{}
-	for i, stat := range statList {
-		o, exc, err := hdiv.BuildStatistic(tab, stat, c.actualCol, c.predCol, c.targetCol)
-		if err != nil {
-			return err
-		}
-		outs[i] = o
-		for _, e := range exc {
-			if !seenExclude[e] {
-				seenExclude[e] = true
-				exclude = append(exclude, e)
-			}
-		}
+	bun, err := hdiv.BuildBundle(tab, stats, nil, c.actualCol, c.predCol, c.targetCol)
+	if err != nil {
+		return err
 	}
 
 	opt := hdiv.PipelineOptions{
@@ -212,11 +210,7 @@ func run(c cliConfig) error {
 		opt.Progress = prog
 	}
 	stopProgress := startProgressTicker(c.stderr, prog)
-	var reps []*hdiv.Report
-	b, err := hdiv.NewOutcomeBundle(outs...)
-	if err == nil {
-		reps, err = hdiv.PipelineMulti(tab, b, opt)
-	}
+	reps, err := hdiv.PipelineMulti(tab, bun, opt)
 	stopProgress()
 	if err != nil {
 		return err
@@ -240,54 +234,19 @@ func run(c cliConfig) error {
 		}
 	}
 
-	switch strings.ToLower(c.format) {
-	case "json":
-		if len(reps) == 1 {
-			raw, err := json.MarshalIndent(reps[0], "", "  ")
-			if err != nil {
-				return err
-			}
-			_, err = c.stdout.Write(append(raw, '\n'))
-			return err
-		}
-		type statReport struct {
-			Stat   string       `json:"stat"`
-			Report *hdiv.Report `json:"report"`
-		}
-		arr := make([]statReport, len(reps))
-		for i, rep := range reps {
-			arr[i] = statReport{Stat: statList[i], Report: rep}
-		}
-		raw, err := json.MarshalIndent(arr, "", "  ")
-		if err != nil {
-			return err
-		}
-		_, err = c.stdout.Write(append(raw, '\n'))
-		return err
-	case "csv":
-		for i, rep := range reps {
-			if len(reps) > 1 {
-				fmt.Fprintf(c.stdout, "# stat=%s\n", statList[i])
-			}
-			if err := rep.WriteCSV(c.stdout); err != nil {
-				return err
-			}
-		}
-		return nil
-	case "text":
-		for i, rep := range reps {
-			if len(reps) > 1 {
-				if i > 0 {
-					fmt.Fprintln(c.stdout)
-				}
-				fmt.Fprintf(c.stdout, "== statistic: %s ==\n", statList[i])
-			}
-			emitText(c, rep, outs[i])
-		}
-		return nil
-	default:
-		return fmt.Errorf("unknown format %q", c.format)
+	if f := strings.ToLower(c.format); f != "" && f != "text" {
+		return hdiv.WriteReports(c.stdout, f, stats, reps, len(reps) > 1)
 	}
+	for i, rep := range reps {
+		if len(reps) > 1 {
+			if i > 0 {
+				fmt.Fprintln(c.stdout)
+			}
+			fmt.Fprintf(c.stdout, "== statistic: %s ==\n", stats[i])
+		}
+		emitText(c, rep, bun.At(i))
+	}
+	return nil
 }
 
 // emitText prints the human-readable report (the default -format).
@@ -314,32 +273,6 @@ func emitText(c cliConfig, rep *hdiv.Report, o *hdiv.Outcome) {
 		return
 	}
 	fmt.Fprint(c.stdout, rep.Table(c.top))
-}
-
-// parseStatList resolves -stat / -stats into the ordered statistic list:
-// -stats, when set, overrides -stat and may name several comma-separated
-// statistics computed in one mining pass.
-func parseStatList(stat, stats string) ([]string, error) {
-	if stats == "" {
-		return []string{stat}, nil
-	}
-	seen := map[string]bool{}
-	var list []string
-	for _, s := range strings.Split(stats, ",") {
-		s = strings.ToLower(strings.TrimSpace(s))
-		if s == "" {
-			continue
-		}
-		if seen[s] {
-			return nil, usageError{fmt.Sprintf("-stats names %q twice", s)}
-		}
-		seen[s] = true
-		list = append(list, s)
-	}
-	if len(list) == 0 {
-		return nil, usageError{"-stats must name at least one statistic"}
-	}
-	return list, nil
 }
 
 // startProgressTicker prints one progress line to w every 500ms while

@@ -456,8 +456,12 @@ func TestFlagValidation(t *testing.T) {
 		{"s above one", func(c *cliConfig) { c.s = 1.5 }, "-s"},
 		{"zero st", func(c *cliConfig) { c.st = 0 }, "-st"},
 		{"st above one", func(c *cliConfig) { c.st = 2 }, "-st"},
+		{"negative maxlen", func(c *cliConfig) { c.maxLen = -1 }, "-maxlen"},
 		{"duplicate stats", func(c *cliConfig) { c.stats = "fpr,fpr" }, "twice"},
 		{"empty stats list", func(c *cliConfig) { c.stats = " , ," }, "-stats"},
+		// A statistic the list cannot build fails before any data is read.
+		{"unknown stat", func(c *cliConfig) { c.stat = "wat"; c.dataPath += ".missing" }, "-stat"},
+		{"numeric without target", func(c *cliConfig) { c.stats = "error,numeric"; c.dataPath += ".missing" }, "target"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

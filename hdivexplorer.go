@@ -101,9 +101,20 @@ var NewOutcomeBundle = outcome.NewBundle
 
 // BuildStatistic assembles the outcome named by stat ("fpr", "fnr",
 // "error", "accuracy", "numeric") from a table's label columns, returning
-// the outcome plus the columns to exclude from the exploration. Both the
-// CLI and the HTTP server resolve statistics through this function.
+// the outcome plus the columns to exclude from the exploration.
 var BuildStatistic = core.BuildStatistic
+
+// The statistic-list path the CLI and the HTTP server share: ParseStats
+// normalizes a list, StatInputs gives its exclusion set (every
+// statistic's label columns), BuildBundle builds one outcome per
+// statistic, WriteReports renders one report per statistic as json or
+// csv.
+var (
+	ParseStats   = core.ParseStats
+	StatInputs   = core.StatInputs
+	BuildBundle  = core.BuildBundle
+	WriteReports = core.WriteReports
+)
 
 // BoolColumn reads a table column as booleans (nonzero for continuous
 // columns; true/false, yes/no, 1/0, t/f, y/n for categorical ones).

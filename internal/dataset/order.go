@@ -41,10 +41,13 @@ type CodeRows struct {
 // GroupCodes groups a categorical column's rows by level code in one
 // counting-sort pass over the rows, ascending within each code. Unlike
 // SortedRows the grouping is not kept on the table: the caller holds it
-// only as long as it needs it.
-func (t *Table) GroupCodes(name string) CodeRows {
+// only as long as it needs it. The grouping reuses buf's storage where it
+// is large enough, so a caller grouping column after column holds one
+// grouping at a time; buf's rows are invalid afterwards.
+func (t *Table) GroupCodes(name string, buf CodeRows) CodeRows {
 	codes := t.Codes(name)
-	start := make([]int32, len(t.Levels(name))+1)
+	start := grow(buf.start, len(t.Levels(name))+1)
+	clear(start)
 	for _, c := range codes {
 		start[c+1]++
 	}
@@ -53,7 +56,7 @@ func (t *Table) GroupCodes(name string) CodeRows {
 	}
 	// Placing a row advances its code's start, which ends at the next
 	// code's start; shifting by one code restores the starts.
-	rows := make([]int32, len(codes))
+	rows := grow(buf.rows, len(codes))
 	for i, c := range codes {
 		rows[start[c]] = int32(i)
 		start[c]++
@@ -61,6 +64,15 @@ func (t *Table) GroupCodes(name string) CodeRows {
 	copy(start[1:], start)
 	start[0] = 0
 	return CodeRows{start: start, rows: rows}
+}
+
+// grow returns s resliced to length n, or a new slice when s cannot hold
+// n elements.
+func grow(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
 }
 
 // Rows returns the rows of level code c in ascending order; none when c

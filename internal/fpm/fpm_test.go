@@ -307,6 +307,11 @@ func TestMaxLen(t *testing.T) {
 		if len(res.Itemsets) != want {
 			t.Errorf("%v: MaxLen=2 found %d itemsets, want %d", alg, len(res.Itemsets), want)
 		}
+		// A negative bound is an error for both miners, not "singletons
+		// only" for one and "unlimited" for the other.
+		if _, err := Mine(u, o, Options{MinSupport: 0.05, MaxLen: -1, Algorithm: alg}); err == nil {
+			t.Errorf("%v: MaxLen=-1 should fail", alg)
+		}
 	}
 }
 

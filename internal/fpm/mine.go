@@ -158,6 +158,9 @@ func MineMulti(u *Universe, b *outcome.Bundle, opt Options) (*Result, error) {
 	if opt.Shards < 0 {
 		return nil, fmt.Errorf("fpm: negative shard count %d", opt.Shards)
 	}
+	if opt.MaxLen < 0 {
+		return nil, fmt.Errorf("fpm: negative MaxLen %d", opt.MaxLen)
+	}
 	if b == nil || b.Len() == 0 {
 		return nil, fmt.Errorf("fpm: empty outcome bundle")
 	}

@@ -92,8 +92,9 @@ func NewUniverse(t *dataset.Table, items []*hierarchy.Item, o *outcome.Outcome) 
 // miners never write Rows), so the two universes may share them. When
 // prior was also built over o, a borrowed row set brings its polarity
 // along instead of another pass over its rows. Every other item is built
-// by one Marker, which groups each categorical column's rows once for
-// the whole build. prior is never mutated, and the result is deep-equal
+// by one Marker, which holds one categorical column's grouping at a
+// time: items arrive attribute by attribute, so each column is grouped
+// once. prior is never mutated, and the result is deep-equal
 // — row sets, representations, polarities, memory stats — to
 // NewUniverse(t, items, o). It panics if prior covers another row count.
 func NewUniverseFrom(t *dataset.Table, items []*hierarchy.Item, o *outcome.Outcome, prior *Universe) *Universe {

@@ -173,20 +173,24 @@ func (it *Item) Rows(t *dataset.Table) *bitvec.Vector {
 }
 
 // Marker computes item row sets over one table. It groups a categorical
-// column's rows by code (Table.GroupCodes) when it marks the column's
-// first item and holds the grouping until the marker is dropped, so a
-// universe build groups each column at most once and then marks every
-// categorical item, multi-code taxonomy parents included, in time
-// proportional to the bits it sets. The groupings are not kept on the
-// table. A Marker is not safe for concurrent use.
+// column's rows by code (Table.GroupCodes) when it marks an item of a
+// column other than the last one it grouped, into the storage of that
+// previous grouping, and holds only the one grouping. A universe's items
+// arrive attribute by attribute (Set.AllItems), so a build groups each
+// column once and then marks every categorical item, multi-code taxonomy
+// parents included, in time proportional to the bits it sets; an
+// attribute that comes back later is regrouped. The grouping is not kept
+// on the table. A Marker is not safe for concurrent use.
 type Marker struct {
-	t      *dataset.Table
-	groups map[string]dataset.CodeRows
+	t       *dataset.Table
+	grouped bool   // group holds attr's grouping
+	attr    string // the column group was last made for
+	group   dataset.CodeRows
 }
 
 // NewMarker returns a marker over t.
 func NewMarker(t *dataset.Table) *Marker {
-	return &Marker{t: t, groups: map[string]dataset.CodeRows{}}
+	return &Marker{t: t}
 }
 
 // Rows returns the bitset of the marker's table rows satisfying it.
@@ -216,13 +220,12 @@ func (m *Marker) Rows(it *Item) *bitvec.Vector {
 			mark(order[lo:hi])
 		}
 	case dataset.Categorical:
-		g, ok := m.groups[it.Attr]
-		if !ok {
-			g = m.t.GroupCodes(it.Attr)
-			m.groups[it.Attr] = g
+		if !m.grouped || m.attr != it.Attr {
+			m.group = m.t.GroupCodes(it.Attr, m.group)
+			m.grouped, m.attr = true, it.Attr
 		}
 		for _, c := range it.Codes {
-			mark(g.Rows(c))
+			mark(m.group.Rows(c))
 		}
 	}
 	return bitvec.FromWords(words, n)

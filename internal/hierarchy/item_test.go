@@ -177,3 +177,60 @@ func TestItemRowsCategoricalMatchesScan(t *testing.T) {
 		}
 	}
 }
+
+// TestMarkerSwitchesColumns pins a Marker's regrouping: one marker shared
+// across categorical columns of 7, 2 and 12 levels, visited interleaved
+// and coming back to earlier columns (a continuous item in between),
+// marks exactly the rows a MatchesCode scan accepts each time, though
+// every regrouping reuses the storage of a grouping of another size.
+func TestMarkerSwitchesColumns(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const n = 300
+	b := dataset.NewBuilder()
+	sizes := map[string]int{"c": 7, "d": 2, "e": 12}
+	for _, attr := range []string{"c", "d", "e"} {
+		levels := make([]string, sizes[attr])
+		for i := range levels {
+			levels[i] = fmt.Sprint(attr, i)
+		}
+		codes := make([]int, n)
+		for i := range codes {
+			codes[i] = rng.Intn(len(levels))
+		}
+		b.AddCategoricalCodes(attr, codes, levels)
+	}
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = rng.Float64()
+	}
+	tab := b.AddFloat("x", xs).MustBuild()
+
+	m := NewMarker(tab)
+	for step, attr := range []string{"c", "d", "c", "e", "d", "x", "e", "c", "d"} {
+		if attr == "x" {
+			it := ContinuousItem("x", 0.25, 0.75)
+			if got, want := m.Rows(it).Indices(), scanRows(it, tab); !slices.Equal(got, want) {
+				t.Fatalf("step %d: continuous item marked %v, scan %v", step, got, want)
+			}
+			continue
+		}
+		for k := 0; k < 3; k++ {
+			var codes []int
+			for c := 0; c < sizes[attr]; c++ {
+				if rng.Intn(3) == 0 {
+					codes = append(codes, c)
+				}
+			}
+			it := CategoricalItem(attr, fmt.Sprint(codes), codes...)
+			var want []int
+			for i, c := range tab.Codes(attr) {
+				if it.MatchesCode(c) {
+					want = append(want, i)
+				}
+			}
+			if got := m.Rows(it).Indices(); !slices.Equal(got, want) {
+				t.Fatalf("step %d/%s%v: marker marked %v, scan %v", step, attr, codes, got, want)
+			}
+		}
+	}
+}

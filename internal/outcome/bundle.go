@@ -63,12 +63,3 @@ func (b *Bundle) At(k int) *Outcome { return b.outs[k] }
 
 // Outcomes returns the outcomes in order (shared slice; do not mutate).
 func (b *Bundle) Outcomes() []*Outcome { return b.outs }
-
-// Names returns the outcome names in order.
-func (b *Bundle) Names() []string {
-	names := make([]string, len(b.outs))
-	for i, o := range b.outs {
-		names[i] = o.Name
-	}
-	return names
-}

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
+	hdiv "repro"
 	"repro/internal/obs"
 )
 
@@ -120,6 +122,71 @@ func TestExploreBatch(t *testing.T) {
 		if !strings.Contains(crec.Body.String(), want) {
 			t.Errorf("csv batch missing separator %q", want)
 		}
+	}
+}
+
+// targetTable is anomalyTable plus a numeric target, income, that is
+// highest in the mispredicted x > 80 tail, so exploring income as a
+// feature would rank income items on their own statistic.
+func targetTable(t testing.TB) *hdiv.Table {
+	t.Helper()
+	n := 600
+	x := make([]float64, n)
+	income := make([]float64, n)
+	y := make([]string, n)
+	p := make([]string, n)
+	for i := 0; i < n; i++ {
+		x[i] = float64(i % 100)
+		income[i] = float64(20 + i%37)
+		y[i] = strconv.FormatBool(i%2 == 0)
+		p[i] = y[i]
+		if x[i] > 80 {
+			income[i] += 60
+			p[i] = strconv.FormatBool(i%2 != 0)
+		}
+	}
+	return hdiv.NewTableBuilder().
+		AddFloat("x", x).
+		AddFloat("income", income).
+		AddCategorical("y", y).
+		AddCategorical("p", p).
+		MustBuild()
+}
+
+// TestExploreBatchTargetMatchesCLI pins that a batch mixing rate and
+// numeric statistics leaves every statistic's label columns out, as the
+// CLI's -stats does: the batch CSV equals `hdivexplorer -stats
+// error,numeric -format csv`, no subgroup has an item on the target, and
+// the batch does not share the universe of a plain explore of its
+// primary, which does explore the target.
+func TestExploreBatchTargetMatchesCLI(t *testing.T) {
+	tab := targetTable(t)
+	s := newTestServer(t, Config{Datasets: []DatasetConfig{{Name: "d", Table: tab}}})
+	base := ExploreRequest{
+		Dataset: "d", Actual: "y", Predicted: "p", Target: "income",
+		S: 0.05, ST: 0.1, Format: "csv",
+	}
+	single := base
+	single.Stat = "error"
+	if rec := postExplore(t, s, single); rec.Code != 200 {
+		t.Fatalf("single: %d %s", rec.Code, rec.Body.String())
+	} else if !strings.Contains(rec.Body.String(), "income") {
+		t.Fatalf("a plain error explore should explore income:\n%s", rec.Body.String())
+	}
+
+	rec := postBatch(t, s, BatchExploreRequest{ExploreRequest: base, Stats: []string{"error", "numeric"}})
+	if rec.Code != 200 {
+		t.Fatalf("batch: %d %s", rec.Code, rec.Body.String())
+	}
+	if want := cliCSV(t, tab, base, "error", "numeric"); !bytes.Equal(rec.Body.Bytes(), want) {
+		t.Errorf("batch CSV differs from CLI CSV\nserver:\n%s\ncli:\n%s", rec.Body.Bytes(), want)
+	}
+	if strings.Contains(rec.Body.String(), "income") {
+		t.Errorf("batch explored its numeric target:\n%s", rec.Body.String())
+	}
+	snap := s.tracer.Snapshot()
+	if m, h := snap.Counter(obs.CtrServerCacheMisses), snap.Counter(obs.CtrServerCacheHits); m != 2 || h != 0 {
+		t.Errorf("cache counters: misses=%d hits=%d, want 2/0", m, h)
 	}
 }
 

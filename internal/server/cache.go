@@ -18,14 +18,19 @@ import (
 )
 
 // cacheKey identifies one discretization+universe build. Everything that
-// influences stages 1–2 of the pipeline is part of the key; parameters
-// that only affect mining (s, MaxLen, polarity, algorithm, workers) are
-// deliberately absent so explorations with different mining settings
-// share one universe. The epoch pins the build to one dataset version:
-// requests arriving after an append miss the old entry and build the new
-// epoch's universe from that epoch's rows alone, while explorations
-// already holding the old entry keep their consistent snapshot until the
-// LRU ages it out.
+// influences stages 1–2 of the pipeline is part of the key: the primary
+// statistic and its label columns drive the trees, and exclude, the label
+// columns of every statistic of the request joined by NUL bytes, names
+// the attributes left out. A batch whose extra statistics add no label
+// column shares the entry of a plain explore of its primary; one that
+// adds a column (a numeric target beside rate statistics) gets its own.
+// Parameters that only affect mining (s, MaxLen, polarity, algorithm,
+// workers) and the extra statistics themselves are deliberately absent
+// so explorations with different mining settings share one universe.
+// The epoch pins the build to one dataset version: requests arriving
+// after an append miss the old entry and build the new epoch's universe
+// from that epoch's rows alone, while explorations already holding the
+// old entry keep their consistent snapshot until the LRU ages it out.
 type cacheKey struct {
 	dataset   string
 	epoch     uint64
@@ -33,6 +38,7 @@ type cacheKey struct {
 	actual    string
 	predicted string
 	target    string
+	exclude   string
 	criterion discretize.Criterion
 	st        float64
 }
@@ -245,9 +251,11 @@ func runBuild(build func(*cacheEntry) error, e *cacheEntry) (err error) {
 }
 
 // buildEntry is the universe-cache build function: pipeline stages 1–2
-// for one cache key on the request's snapshot — statistic resolution,
-// the hierarchy set (discretize.Hierarchies, the one assembly
-// hdivexplorer.PipelineContext also calls, so server explorations are
+// for one cache key on the request's snapshot — the primary statistic's
+// outcome, the hierarchy set over every attribute but the request's
+// statistics' label columns (discretize.Hierarchies, the one assembly
+// hdivexplorer.PipelineContext also calls, and core.StatInputs, the
+// exclusion set the CLI computes too, so server explorations are
 // indistinguishable from CLI ones), then universe precomputation for
 // both exploration modes. The tracer (usually the first requester's,
 // possibly nil) receives the discretize spans.
@@ -262,16 +270,16 @@ func (s *Server) buildEntry(e *cacheEntry, p *exploreParams, tracer *obs.Tracer)
 	if err := faultinject.Hit(faultinject.SiteCacheFill); err != nil {
 		return err
 	}
-	key, tab := p.key(), p.tab
-	out, excludes, err := core.BuildStatistic(tab, key.stat, key.actual, key.predicted, key.target)
+	tab := p.tab
+	out, _, err := core.BuildStatistic(tab, p.req.Stat, p.req.Actual, p.req.Predicted, p.req.Target)
 	if err != nil {
 		return err
 	}
 	hs, err := discretize.Hierarchies(tab, out, discretize.TreeOptions{
-		Criterion:  key.criterion,
-		MinSupport: key.st,
+		Criterion:  p.criterion,
+		MinSupport: p.req.ST,
 		Tracer:     tracer,
-	}, nil, excludes...)
+	}, nil, p.exclude...)
 	if err != nil {
 		return err
 	}

@@ -11,8 +11,8 @@
 //
 // The expensive, request-independent pipeline stages — statistic
 // construction, divergence-aware tree discretization and item-universe
-// precomputation — are cached per (dataset, statistic columns, split
-// criterion, tree support st). The first request with a given key builds
+// precomputation — are cached per (dataset, statistic columns, excluded
+// label columns, split criterion, tree support st). The first request with a given key builds
 // the entry in a detached goroutine; concurrent requests for the same key
 // share that single build, and every later request skips straight to
 // mining. Mining writes a universe only to keep its root FP-tree, which

@@ -249,11 +249,15 @@ func (m *driftMonitor) remine(name string) {
 }
 
 // driftState is the persisted form of one dataset's watch: everything
-// needed to resume monitoring after a restart. Events and the sliding
-// window are deliberately in-memory only — they describe observations,
-// not obligations.
+// needed to resume monitoring after a restart. Stats is the watched
+// exploration's statistic list, which a batch's request alone does not
+// carry: every statistic's label columns stay out of the re-mine, as
+// they stayed out of the baseline. Events and the sliding window are
+// deliberately in-memory only — they describe observations, not
+// obligations.
 type driftState struct {
 	Request   ExploreRequest          `json:"request"`
+	Stats     []string                `json:"stats,omitempty"`
 	BaseEpoch uint64                  `json:"base_epoch"`
 	Baseline  map[string]subgroupSnap `json:"baseline"`
 }
@@ -276,6 +280,7 @@ func (m *driftMonitor) persistLocked(name string, w *driftWatch) {
 	}
 	raw, err := json.Marshal(driftState{
 		Request:   w.params.req,
+		Stats:     w.params.stats,
 		BaseEpoch: w.baseEpoch,
 		Baseline:  w.baseline,
 	})
@@ -318,7 +323,7 @@ func (m *driftMonitor) restore() {
 		}
 		st.Request.Dataset = name
 		st.Request.Epoch = 0
-		p, _, err := m.server.resolve(st.Request)
+		p, _, err := m.server.resolve(st.Request, st.Stats)
 		if err != nil {
 			m.server.logger.Warn("drift state no longer resolvable, ignoring",
 				slog.String("dataset", name), slog.String("error", err.Error()))

@@ -469,6 +469,80 @@ func TestDriftRearmsAfterReplay(t *testing.T) {
 	}
 }
 
+// TestDriftBatchBaselineRearmsAfterReplay is TestDriftRearmsAfterReplay
+// with a baseline set by a batch whose numeric statistic adds a label
+// column, the target. The watch persists the statistic list, so both
+// re-mines, before the crash and after the replay, run over the batch's
+// universe: no baseline subgroup and no drift event ever has an item on
+// the target.
+func TestDriftBatchBaselineRearmsAfterReplay(t *testing.T) {
+	cfg := Config{
+		Datasets:      []DatasetConfig{{Name: "d", Table: targetTable(t)}},
+		WALDir:        t.TempDir(),
+		WALSync:       wal.SyncAlways,
+		DriftDebounce: 50 * time.Millisecond,
+	}
+	rows := func(n, offset int) string {
+		var out []string
+		for i := offset; i < offset+n; i++ {
+			y := strconv.FormatBool(i%2 == 0)
+			out = append(out, fmt.Sprintf(`[%d,%d,%q,%q]`, i%100, 20+i%37, y, y))
+		}
+		return `{"columns":["x","income","y","p"],"rows":[` + strings.Join(out, ",") + `]}`
+	}
+	noTarget := func(s *Server, when string) {
+		t.Helper()
+		s.drift.mu.Lock()
+		defer s.drift.mu.Unlock()
+		w := s.drift.watches["d"]
+		if len(w.baseline) == 0 {
+			t.Fatalf("%s: empty baseline", when)
+		}
+		for label := range w.baseline {
+			if strings.Contains(label, "income") {
+				t.Errorf("%s: baseline subgroup %q has an item on the target", when, label)
+			}
+		}
+		for _, ev := range w.events {
+			if strings.Contains(ev.Subgroup, "income") {
+				t.Errorf("%s: drift event on %q has an item on the target", when, ev.Subgroup)
+			}
+		}
+	}
+
+	s1 := newTestServer(t, cfg)
+	if rec := postBatch(t, s1, BatchExploreRequest{
+		ExploreRequest: ExploreRequest{Dataset: "d", Actual: "y", Predicted: "p", Target: "income", S: 0.05, ST: 0.1},
+		Stats:          []string{"error", "numeric"},
+	}); rec.Code != 200 {
+		t.Fatalf("baseline batch: %d %s", rec.Code, rec.Body.String())
+	}
+	if rec := postAppend(t, s1, "d", rows(40, 600)); rec.Code != 200 {
+		t.Fatalf("append: %d %s", rec.Code, rec.Body.String())
+	}
+	awaitDrift(t, s1, "d", func(r driftReply) bool { return r.BaselineEpoch == 2 })
+	noTarget(s1, "re-mine before the crash")
+	if rec := postAppend(t, s1, "d", rows(40, 640)); rec.Code != 200 {
+		t.Fatalf("append: %d %s", rec.Code, rec.Body.String())
+	}
+	s1.drift.mu.Lock()
+	if tm := s1.drift.watches["d"]; tm != nil && tm.timer != nil {
+		tm.timer.Stop() // preempt the pending re-mine: the crash wins
+	}
+	s1.drift.mu.Unlock()
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := newTestServer(t, cfg)
+	t.Cleanup(func() { s2.Close() })
+	got := awaitDrift(t, s2, "d", func(r driftReply) bool { return r.BaselineEpoch == 3 })
+	if !got.Watching || got.Stat != "error" || got.LastError != "" {
+		t.Errorf("drift after replay: watching=%v stat=%q last_error=%q, want true/error/none", got.Watching, got.Stat, got.LastError)
+	}
+	noTarget(s2, "re-mine after the replay")
+}
+
 // exactRows is the test-side copy of every row a TestRecoveryExactEpochs
 // dataset ever held, from which any epoch's table is rebuilt
 // independently of the server.

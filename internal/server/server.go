@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -19,7 +20,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fpm"
 	"repro/internal/obs"
-	"repro/internal/outcome"
 	"repro/internal/wal"
 )
 
@@ -482,11 +482,15 @@ type BudgetRequest struct {
 	SoftDeadlineMS int `json:"soft_deadline_ms,omitempty"`
 }
 
-// exploreParams is a validated, defaulted ExploreRequest. tab and epoch
-// are the dataset snapshot the exploration runs on; pinned marks a
-// request that named a non-current epoch explicitly.
+// exploreParams is a validated, defaulted ExploreRequest. stats is its
+// statistic list, the primary first (req.Stat alone for a plain explore),
+// and exclude the label columns of every statistic (core.StatInputs).
+// tab and epoch are the dataset snapshot the exploration runs on; pinned
+// marks a request that named a non-current epoch explicitly.
 type exploreParams struct {
 	req       ExploreRequest
+	stats     []string
+	exclude   []string
 	tab       *dataset.Table
 	epoch     uint64
 	pinned    bool
@@ -498,7 +502,9 @@ type exploreParams struct {
 }
 
 // resolve validates the request and applies CLI-equivalent defaults.
-func (s *Server) resolve(req ExploreRequest) (*exploreParams, int, error) {
+// stats is a batch's statistic list, already parsed by core.ParseStats;
+// an empty one explores req.Stat alone.
+func (s *Server) resolve(req ExploreRequest, stats []string) (*exploreParams, int, error) {
 	p := &exploreParams{req: req}
 	v, ok := s.tables[req.Dataset]
 	if !ok {
@@ -515,16 +521,27 @@ func (s *Server) resolve(req ExploreRequest) (*exploreParams, int, error) {
 		}
 		p.tab, p.epoch, p.pinned = tab, req.Epoch, true
 	}
-	if p.req.Stat == "" {
-		p.req.Stat = "error"
-	}
-	if p.req.S == 0 {
-		p.req.S = 0.05
-	}
-	if p.req.ST == 0 {
-		p.req.ST = 0.1
-	}
 	var err error
+	if len(stats) == 0 {
+		if stats, err = core.ParseStats([]string{cmp.Or(req.Stat, "error")}); err != nil {
+			return nil, http.StatusBadRequest, err
+		}
+	}
+	p.stats, p.req.Stat = stats, stats[0]
+	if p.exclude, err = core.StatInputs(stats, req.Actual, req.Predicted, req.Target); err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	p.req.S = cmp.Or(p.req.S, 0.05)
+	p.req.ST = cmp.Or(p.req.ST, 0.1)
+	if p.req.S < 0 || p.req.S > 1 {
+		return nil, http.StatusBadRequest, fmt.Errorf("s must be a support fraction in (0, 1] (got %v)", req.S)
+	}
+	if p.req.ST < 0 || p.req.ST > 1 {
+		return nil, http.StatusBadRequest, fmt.Errorf("st must be a support fraction in (0, 1] (got %v)", req.ST)
+	}
+	if req.MaxLen < 0 {
+		return nil, http.StatusBadRequest, fmt.Errorf("max_len must be >= 0 (got %d)", req.MaxLen)
+	}
 	if p.criterion, err = discretize.ParseCriterion(req.Criterion); err != nil {
 		return nil, http.StatusBadRequest, err
 	}
@@ -580,10 +597,11 @@ func (p *exploreParams) key() cacheKey {
 	return cacheKey{
 		dataset:   p.req.Dataset,
 		epoch:     p.epoch,
-		stat:      strings.ToLower(p.req.Stat),
+		stat:      p.req.Stat,
 		actual:    p.req.Actual,
 		predicted: p.req.Predicted,
 		target:    p.req.Target,
+		exclude:   strings.Join(p.exclude, "\x00"),
 		criterion: p.criterion,
 		st:        p.req.ST,
 	}
@@ -609,20 +627,19 @@ func (p *exploreParams) config(e *cacheEntry) core.Config {
 // BatchExploreRequest is the POST /v1/explore/batch request body: an
 // ExploreRequest whose Stats list names the statistics to compute over
 // one itemset lattice in a single mining pass. Stats[0] is the primary
-// statistic — it drives discretization, universe construction (and thus
-// the universe-cache key) and polarity pruning; the Stat field is
-// ignored. The reply is a JSON array of {stat, report} pairs in Stats
-// order (or, for format csv, the reports' CSV blocks separated by
-// "# stat=<name>" comment lines).
+// statistic: it drives discretization, universe construction and
+// polarity pruning; the Stat field is ignored. Every statistic's label
+// columns are left out of the exploration, so they are part of the
+// universe-cache key: a batch whose extra statistics add no label column
+// (fpr, fnr, error, accuracy over the same actual and predicted columns)
+// shares its universe with a plain explore of Stats[0], and its primary
+// report equals that explore's. The reply is a JSON array of
+// {stat, report} pairs in Stats order (or, for format csv, the reports'
+// CSV blocks each preceded by a comment line naming its statistic, as
+// core.WriteReports renders them), even for one statistic.
 type BatchExploreRequest struct {
 	ExploreRequest
 	Stats []string `json:"stats"`
-}
-
-// batchReport is one element of the POST /v1/explore/batch JSON reply.
-type batchReport struct {
-	Stat   string       `json:"stat"`
-	Report *core.Report `json:"report"`
 }
 
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
@@ -633,33 +650,11 @@ func (s *Server) handleExploreBatch(w http.ResponseWriter, r *http.Request) {
 	s.serveExplore(w, r, true)
 }
 
-// parseStats normalizes a batch request's statistic list: lower-cased,
-// trimmed, no blanks, no duplicates, at least one entry.
-func parseStats(raw []string) ([]string, error) {
-	seen := map[string]bool{}
-	var stats []string
-	for _, st := range raw {
-		st = strings.ToLower(strings.TrimSpace(st))
-		if st == "" {
-			continue
-		}
-		if seen[st] {
-			return nil, fmt.Errorf("stats names %q twice", st)
-		}
-		seen[st] = true
-		stats = append(stats, st)
-	}
-	if len(stats) == 0 {
-		return nil, fmt.Errorf("stats must name at least one statistic")
-	}
-	return stats, nil
-}
-
 // serveExplore implements both exploration endpoints: POST /v1/explore
 // (one statistic) and POST /v1/explore/batch (a statistic bundle mined
 // in one pass). Both run the same code path — a single statistic is a
-// bundle of one — so their results for a shared statistic are
-// byte-identical.
+// bundle of one — so a statistic's report is byte-identical on both
+// whenever the two requests leave out the same label columns.
 func (s *Server) serveExplore(w http.ResponseWriter, r *http.Request, batch bool) {
 	endpoint := "explore"
 	if batch {
@@ -729,13 +724,12 @@ func (s *Server) serveExplore(w http.ResponseWriter, r *http.Request, batch bool
 			return
 		}
 		var err error
-		if stats, err = parseStats(breq.Stats); err != nil {
+		if stats, err = core.ParseStats(breq.Stats); err != nil {
 			logger.Warn("explore rejected", slog.String("error", err.Error()))
-			s.httpError(w, http.StatusBadRequest, "%v", err)
+			s.httpError(w, http.StatusBadRequest, "stats: %v", err)
 			return
 		}
 		req = breq.ExploreRequest
-		req.Stat = stats[0]
 	} else {
 		if err := dec.Decode(&req); err != nil {
 			logger.Warn("explore rejected", slog.String("error", err.Error()))
@@ -743,16 +737,13 @@ func (s *Server) serveExplore(w http.ResponseWriter, r *http.Request, batch bool
 			return
 		}
 	}
-	p, code, err := s.resolve(req)
+	p, code, err := s.resolve(req, stats)
 	if err != nil {
 		logger.Warn("explore rejected", slog.String("error", err.Error()))
 		s.httpError(w, code, "%v", err)
 		return
 	}
-	if !batch {
-		stats = []string{strings.ToLower(p.req.Stat)}
-	}
-	frec.Dataset, frec.Stat = p.req.Dataset, strings.ToLower(p.req.Stat)
+	frec.Dataset, frec.Stat = p.req.Dataset, p.req.Stat
 	w.Header().Set("X-Dataset-Epoch", strconv.FormatUint(p.epoch, 10))
 
 	// Admission control: reject rather than queue when saturated, so
@@ -816,23 +807,13 @@ func (s *Server) serveExplore(w http.ResponseWriter, r *http.Request, batch bool
 		return
 	}
 
-	// Assemble the outcome bundle: the cached primary plus one outcome per
-	// extra statistic. Extra outcomes are cheap to build (no discretization
-	// or universe construction), so they are not cached. They are built on
-	// the entry's snapshot table — not the resolve-time snapshot — so a
-	// pinned-epoch request's extra statistics cover exactly the rows its
-	// universe covers.
-	outs := make([]*outcome.Outcome, 0, len(stats))
-	outs = append(outs, entry.out)
-	for _, stat := range stats[1:] {
-		o, _, err := core.BuildStatistic(entry.tab, stat, p.req.Actual, p.req.Predicted, p.req.Target)
-		if err != nil {
-			s.httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		outs = append(outs, o)
-	}
-	bundle, err := outcome.NewBundle(outs...)
+	// The entry's outcome is the bundle's primary, the outcome its
+	// universes were built for: the miner serves that primary from a
+	// universe's kept FP-tree. Extra outcomes are cheap to build (no
+	// discretization or universe construction), so they are not cached;
+	// they are built on the entry's table, so a pinned-epoch request's
+	// extra statistics cover exactly the rows its universe covers.
+	bundle, err := core.BuildBundle(entry.tab, p.stats, entry.out, p.req.Actual, p.req.Predicted, p.req.Target)
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -840,7 +821,7 @@ func (s *Server) serveExplore(w http.ResponseWriter, r *http.Request, batch bool
 
 	s.tracer.Counter(obs.CtrServerExplores).Add(1)
 	if batch {
-		s.tracer.Counter(obs.CtrServerBatchStats).Add(int64(len(stats)))
+		s.tracer.Counter(obs.CtrServerBatchStats).Add(int64(len(p.stats)))
 	}
 	cfg := p.config(entry)
 	cfg.Explain, cfg.Tracer, cfg.Progress = p.req.Explain, reqTracer, prog
@@ -883,27 +864,15 @@ func (s *Server) serveExplore(w http.ResponseWriter, r *http.Request, batch bool
 		}
 	}
 
+	ct := "application/json; charset=utf-8"
 	if strings.EqualFold(p.req.Format, "csv") {
-		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-		for i, rep := range reps {
-			if batch {
-				fmt.Fprintf(w, "# stat=%s\n", stats[i])
-			}
-			if err := rep.WriteCSV(w); err != nil {
-				return // reply already partially written
-			}
-		}
-		return
+		ct = "text/csv; charset=utf-8"
 	}
-	if batch {
-		out := make([]batchReport, len(reps))
-		for i, rep := range reps {
-			out[i] = batchReport{Stat: stats[i], Report: rep}
-		}
-		writeJSON(w, http.StatusOK, out)
-		return
+	w.Header().Set("Content-Type", ct)
+	// A batch reply names every report's statistic, even for one.
+	if err := core.WriteReports(w, p.req.Format, p.stats, reps, batch); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError) // moot once a csv block is out
 	}
-	writeJSON(w, http.StatusOK, reps[0])
 }
 
 // retryAfter estimates the Retry-After seconds for a 429: a slot frees
@@ -952,8 +921,8 @@ func (s *Server) exploreCancelled(w http.ResponseWriter, ctx context.Context) {
 	s.httpError(w, http.StatusGatewayTimeout, "exploration cancelled: %v", ctx.Err())
 }
 
-// writeJSON writes v as indented JSON, matching the CLI's json.MarshalIndent
-// rendering so JSON replies and `-format json` output align.
+// writeJSON writes v as indented JSON, the rendering core.WriteReports
+// gives exploration replies.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	raw, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {

@@ -143,11 +143,24 @@ func TestLoadsCSVFromDisk(t *testing.T) {
 	}
 }
 
-// cliCSV renders the exploration the way `hdivexplorer -format csv` does:
-// the same Pipeline call followed by Report.WriteCSV.
-func cliCSV(t *testing.T, tab *hdiv.Table, req ExploreRequest) []byte {
+// cliCSV renders the exploration the way `hdivexplorer -format csv`
+// does: the shared statistic-list path (ParseStats, StatInputs,
+// BuildBundle, PipelineMulti, WriteReports). stats, when given, is the
+// -stats list; otherwise req.Stat is explored alone.
+func cliCSV(t *testing.T, tab *hdiv.Table, req ExploreRequest, stats ...string) []byte {
 	t.Helper()
-	o, excl, err := hdiv.BuildStatistic(tab, req.Stat, req.Actual, req.Predicted, req.Target)
+	if len(stats) == 0 {
+		stats = []string{req.Stat}
+	}
+	stats, err := hdiv.ParseStats(stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	excl, err := hdiv.StatInputs(stats, req.Actual, req.Predicted, req.Target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bun, err := hdiv.BuildBundle(tab, stats, nil, req.Actual, req.Predicted, req.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,12 +181,12 @@ func cliCSV(t *testing.T, tab *hdiv.Table, req ExploreRequest) []byte {
 	if opt.Algorithm, err = hdiv.ParseAlgorithm(req.Algorithm); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := hdiv.Pipeline(tab, o, opt)
+	reps, err := hdiv.PipelineMulti(tab, bun, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var b bytes.Buffer
-	if err := rep.WriteCSV(&b); err != nil {
+	if err := hdiv.WriteReports(&b, "csv", stats, reps, len(reps) > 1); err != nil {
 		t.Fatal(err)
 	}
 	return b.Bytes()
@@ -415,6 +428,10 @@ func TestExploreErrors(t *testing.T) {
 		"bad format":        {ExploreRequest{Dataset: "anomaly", Format: "nope"}, 400},
 		"bad stat":          {ExploreRequest{Dataset: "anomaly", Stat: "nope", Actual: "y", Predicted: "p"}, 400},
 		"missing label col": {ExploreRequest{Dataset: "anomaly", Stat: "fpr", Actual: "missing", Predicted: "p"}, 400},
+		"s above one":       {ExploreRequest{Dataset: "anomaly", Stat: "fpr", Actual: "y", Predicted: "p", S: 1.5}, 400},
+		"negative s":        {ExploreRequest{Dataset: "anomaly", Stat: "fpr", Actual: "y", Predicted: "p", S: -0.1}, 400},
+		"st above one":      {ExploreRequest{Dataset: "anomaly", Stat: "fpr", Actual: "y", Predicted: "p", ST: 1.5}, 400},
+		"negative max_len":  {ExploreRequest{Dataset: "anomaly", Stat: "fpr", Actual: "y", Predicted: "p", MaxLen: -1}, 400},
 	} {
 		rec := postExplore(t, s, tc.req)
 		if rec.Code != tc.code {
