@@ -135,6 +135,11 @@ func run(c cliConfig) error {
 	if c.maxLen < 0 {
 		return usageError{fmt.Sprintf("-maxlen must be >= 0 (got %d)", c.maxLen)}
 	}
+	switch strings.ToLower(c.format) {
+	case "", "text", "csv", "json":
+	default:
+		return usageError{fmt.Sprintf("-format must be text, csv or json (got %q)", c.format)}
+	}
 	statFlag, rawStats := "-stat", []string{c.stat}
 	if c.stats != "" {
 		statFlag, rawStats = "-stats", strings.Split(c.stats, ",")

@@ -462,6 +462,8 @@ func TestFlagValidation(t *testing.T) {
 		// A statistic the list cannot build fails before any data is read.
 		{"unknown stat", func(c *cliConfig) { c.stat = "wat"; c.dataPath += ".missing" }, "-stat"},
 		{"numeric without target", func(c *cliConfig) { c.stats = "error,numeric"; c.dataPath += ".missing" }, "target"},
+		// So does an unknown output format.
+		{"unknown format", func(c *cliConfig) { c.format = "nope"; c.dataPath += ".missing" }, "-format"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

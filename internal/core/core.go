@@ -347,20 +347,25 @@ func exploreUniverseMulti(ctx context.Context, u *fpm.Universe, cfg Config, b *o
 
 	rank := cfg.span.Start(obs.SpanRank)
 	defer rank.End()
+	return rankReports(u, res, b, elapsed), nil
+}
+
+// rankReports builds one report per bundle statistic from a mined result:
+// each ranks the result's itemsets by its own statistic (fpm.Rank) and
+// reads them in that order into its subgroups. elapsed is the mining time
+// the reports carry.
+func rankReports(u *fpm.Universe, res *fpm.Result, b *outcome.Bundle, elapsed time.Duration) []*Report {
+	// Each report carves its subgroups' itemsets from one slab of this many
+	// items, each clipped to its length so an append to one cannot
+	// overwrite the next.
+	numItems := 0
+	for i := range res.Itemsets {
+		numItems += len(res.Itemsets[i].Items)
+	}
 	reps := make([]*Report, b.Len())
 	for k := range reps {
 		o := b.At(k)
-		items := res.Itemsets
-		if b.Len() > 1 {
-			// Each report ranks independently, so give every statistic its
-			// own slice with that statistic's moments in M.
-			items = make([]fpm.MinedItemset, len(res.Itemsets))
-			for i := range res.Itemsets {
-				src := &res.Itemsets[i]
-				items[i] = fpm.MinedItemset{Items: src.Items, Count: src.Count, M: src.MomentsAt(k)}
-			}
-		}
-		fpm.SortByDivergence(items, o, false, false)
+		order := fpm.Rank(res.Itemsets, k, o, false, false)
 		rep := &Report{
 			Global:    o.GlobalMean(),
 			NumRows:   u.NumRows,
@@ -370,21 +375,30 @@ func exploreUniverseMulti(ctx context.Context, u *fpm.Universe, cfg Config, b *o
 			Truncated: res.Truncated,
 			Exhausted: res.Exhausted,
 		}
-		rep.Subgroups = make([]Subgroup, len(items))
-		for i, m := range items {
+		rep.Subgroups = make([]Subgroup, len(order))
+		slab := make(hierarchy.Itemset, numItems)
+		for i, j := range order {
+			m := &res.Itemsets[j]
+			mk := m.MomentsAt(k)
+			n := len(m.Items)
+			set := slab[:n:n]
+			slab = slab[n:]
+			for x, it := range m.Items {
+				set[x] = u.Items[it]
+			}
 			rep.Subgroups[i] = Subgroup{
-				Itemset:    u.Itemset(m.Items),
+				Itemset:    set,
 				ItemIdx:    m.Items,
 				Count:      m.Count,
 				Support:    m.Support(u.NumRows),
-				Statistic:  m.M.Mean(),
-				Divergence: o.DivergenceFromMoments(m.M),
-				T:          o.TValueFromMoments(m.M),
+				Statistic:  mk.Mean(),
+				Divergence: o.DivergenceFromMoments(mk),
+				T:          o.TValueFromMoments(mk),
 			}
 		}
 		reps[k] = rep
 	}
-	return reps, nil
+	return reps
 }
 
 // TopK returns the k subgroups with largest |divergence| (fewer if the

@@ -3,9 +3,11 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/discretize"
 	"repro/internal/fpm"
@@ -100,6 +102,34 @@ func TestSubgroupsSortedByAbsDivergence(t *testing.T) {
 	for i := 1; i < len(rep.Subgroups); i++ {
 		if math.Abs(rep.Subgroups[i].Divergence) > math.Abs(rep.Subgroups[i-1].Divergence)+1e-12 {
 			t.Fatal("subgroups not sorted by |divergence|")
+		}
+	}
+}
+
+// TestSubgroupItemsetsDoNotAlias pins the clipping of the itemsets a
+// report carves from one slab: appending to one subgroup's Itemset must
+// leave its neighbour's items alone, in every report of a bundle.
+func TestSubgroupItemsetsDoNotAlias(t *testing.T) {
+	tab, o, hs := fixture(t, 1500, 3)
+	b, err := outcome.NewBundle(o, outcomeOfLen(t, tab.NumRows()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps, err := ExploreMulti(tab, Config{Hierarchies: hs, MinSupport: 0.05}, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, rep := range reps {
+		if len(rep.Subgroups) < 2 {
+			t.Fatalf("report %d: %d subgroups; the case needs two", k, len(rep.Subgroups))
+		}
+		for i := 0; i+1 < len(rep.Subgroups); i++ {
+			cur, next := rep.Subgroups[i].Itemset, rep.Subgroups[i+1].Itemset
+			want := slices.Clone(next)
+			_ = append(cur, &hierarchy.Item{})
+			if !slices.Equal(next, want) {
+				t.Fatalf("report %d: appending to subgroup %d changed subgroup %d from %s to %s", k, i, i+1, want, next)
+			}
 		}
 	}
 }
@@ -308,4 +338,40 @@ func outcomeOfLen(t *testing.T, n int) *outcome.Outcome {
 	vals := make([]float64, n)
 	vals[0] = 1
 	return outcome.Numeric("tiny", vals)
+}
+
+// benchReports keeps BenchmarkRank's result live.
+var benchReports []*Report
+
+// BenchmarkRank is the ranking stage alone: one op ranks a fixed mined
+// result of over 100k itemsets (an Intentions-like table of 6,000 rows,
+// its label as the statistic, hierarchical, s 0.07) and builds its report
+// from the order, the work exploreUniverseMulti does after mining.
+func BenchmarkRank(b *testing.B) {
+	d := datagen.Intentions(datagen.Config{N: 6000, Seed: 1})
+	label := make([]float64, len(d.Actual))
+	for i, a := range d.Actual {
+		if a {
+			label[i] = 1
+		}
+	}
+	o := outcome.Numeric("label", label)
+	hs, err := discretize.Hierarchies(d.Table, o, discretize.TreeOptions{MinSupport: 0.1}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	u := fpm.GeneralizedUniverse(d.Table, hs, o)
+	res, err := fpm.Mine(u, o, fpm.Options{MinSupport: 0.07})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(res.Itemsets) < 100_000 {
+		b.Fatalf("%d itemsets; the benchmark needs at least 100k", len(res.Itemsets))
+	}
+	bun := outcome.Single(o)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchReports = rankReports(u, res, bun, 0)
+	}
 }

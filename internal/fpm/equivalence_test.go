@@ -10,9 +10,16 @@ import (
 // sortedCopy ranks a result's itemsets by |divergence| with the miner's
 // canonical tie-breaking, leaving the original slice untouched.
 func sortedCopy(res *Result, o *outcome.Outcome) []MinedItemset {
-	items := append([]MinedItemset(nil), res.Itemsets...)
-	SortByDivergence(items, o, false, false)
-	return items
+	return inOrder(res.Itemsets, Rank(res.Itemsets, 0, o, false, false))
+}
+
+// inOrder returns items[order[0]], items[order[1]], … as a new slice.
+func inOrder(items []MinedItemset, order []int32) []MinedItemset {
+	out := make([]MinedItemset, len(order))
+	for i, j := range order {
+		out[i] = items[j]
+	}
+	return out
 }
 
 // sameRanked requires two ranked itemset lists to agree exactly: same

@@ -15,19 +15,18 @@ import (
 	"repro/internal/stats"
 )
 
-// fpNode is one node of an arena-backed FP-tree. Nodes live in the tree's
-// flat slab and link by index: firstChild/nextSib list a node's children
-// (newest first; absorb walks them), next chains nodes of the same item for
-// the header table, and the tree's child index finds a (parent, item)
-// child in O(1), so a whole tree is a handful of slice allocations instead
-// of one map-bearing heap object per node. Beyond the usual support count,
-// each node carries the outcome moments of the transactions (rows) flowing
-// through it, which is what lets divergence fall out of the mining
-// recursion with no extra dataset pass. Under a multi-outcome bundle the
-// node's extra moments live in the tree's parallel mx slab.
+// fpNode is one node of an arena-backed FP-tree, less its item and parent
+// (its fpLink). Nodes live in the tree's flat slab and link by index:
+// firstChild/nextSib list a node's children (newest first; absorb walks
+// them), next chains nodes of the same item for the header table, and the
+// tree's child index finds a (parent, item) child in O(1), so a whole tree
+// is a handful of slice allocations instead of one map-bearing heap object
+// per node. Beyond the usual support count, each node carries the outcome
+// moments of the transactions (rows) flowing through it, which is what
+// lets divergence fall out of the mining recursion with no extra dataset
+// pass. Under a multi-outcome bundle the node's extra moments live in the
+// tree's parallel mx slab.
 type fpNode struct {
-	item       int32 // universe item id; -1 for the root
-	parent     int32
 	firstChild int32
 	nextSib    int32
 	next       int32 // header chain of nodes with the same item
@@ -35,21 +34,32 @@ type fpNode struct {
 	m          stats.Moments
 }
 
-// fpTree is an arena FP-tree plus its header table. headers/tails are
-// indexed by position in order; pos maps a universe item id to its order
-// position + 1 (0 = absent), giving O(1) item→header lookup without a map.
-// mx is the flat extra-moments slab, mxStride entries per node (empty on
-// single-outcome runs). The node and mx arenas double when full.
+// fpLink is a node's item and parent, held in the tree's links slab (node
+// n's at links[n]) apart from the 48-byte fpNode: the growth phase's
+// ancestor walk, the child index's key check and absorb's child sort read
+// only these, so they touch 8 bytes per node.
+type fpLink struct {
+	item   int32 // universe item id; -1 for the root
+	parent int32
+}
+
+// fpTree is an arena FP-tree plus its header table. nodes and links are
+// parallel slabs, one entry per node. headers/tails are indexed by
+// position in order; pos maps a universe item id to its order position + 1
+// (0 = absent), giving O(1) item→header lookup without a map. mx is the
+// flat extra-moments slab, mxStride entries per node (empty on
+// single-outcome runs). The node, link and mx arenas double when full.
 //
 // index is an open-addressing hash table (linear probing, a power-of-two
 // length kept at most half full) from (parent, item) to node+1, 0 marking
-// an empty slot; the key is read back from the node itself. It holds every
+// an empty slot; the key is read back from the node's link. It holds every
 // non-root node, so lookup costs one short probe run however many children
 // the parent has. Conditional trees are recycled through growScratch:
 // putTree clears pos via the order list — O(|order|), not O(universe) —
 // and reset truncates index, which regrows by doubling with the new tree.
 type fpTree struct {
 	nodes    []fpNode
+	links    []fpLink
 	mx       []stats.Moments
 	mxStride int
 	order    []int // the tree's items, most to least frequent
@@ -58,11 +68,6 @@ type fpTree struct {
 	pos      []int32
 	index    []int32 // child index: (parent, item) → node+1
 	shift    uint    // 64 − log2(len(index)): a hash's top bits pick the slot
-}
-
-// rootFPNode is the arena's node 0.
-func rootFPNode() fpNode {
-	return fpNode{item: -1, parent: -1, firstChild: -1, nextSib: -1, next: -1}
 }
 
 // newFPTree builds an empty tree over order.
@@ -77,7 +82,8 @@ func newFPTree(order []int, numItems, mxStride int) *fpTree {
 // reuses the caller's buffer); pos must hold no other order's
 // registrations (putTree clears them).
 func (t *fpTree) reset(order []int, mxStride int) {
-	t.nodes = append(t.nodes[:0], rootFPNode())
+	t.nodes = append(t.nodes[:0], fpNode{firstChild: -1, nextSib: -1, next: -1})
+	t.links = append(t.links[:0], fpLink{item: -1, parent: -1})
 	t.mxStride = mxStride
 	t.mx = slices.Grow(t.mx[:0], mxStride)[:mxStride]
 	clear(t.mx)
@@ -112,8 +118,8 @@ func (t *fpTree) growIndex() {
 	clear(t.index)
 	t.shift = uint(64 - bits.TrailingZeros(uint(n)))
 	mask := n - 1
-	for c := 1; c < len(t.nodes); c++ {
-		h := t.slot(t.nodes[c].parent, t.nodes[c].item)
+	for c := 1; c < len(t.links); c++ {
+		h := t.slot(t.links[c].parent, t.links[c].item)
 		for t.index[h] != 0 {
 			h = (h + 1) & mask
 		}
@@ -131,7 +137,7 @@ func (t *fpTree) child(parent, it int32) int32 {
 	mask := len(t.index) - 1
 	h := t.slot(parent, it)
 	for e := t.index[h]; e != 0; e = t.index[h] {
-		if nd := &t.nodes[e-1]; nd.parent == parent && nd.item == it {
+		if l := t.links[e-1]; l.parent == parent && l.item == it {
 			return e - 1
 		}
 		h = (h + 1) & mask
@@ -141,10 +147,11 @@ func (t *fpTree) child(parent, it int32) int32 {
 	if len(t.nodes) == cap(t.nodes) {
 		t.nodes = slices.Grow(t.nodes, len(t.nodes))
 	}
-	t.nodes = append(t.nodes, fpNode{
-		item: it, parent: parent,
-		firstChild: -1, nextSib: t.nodes[parent].firstChild, next: -1,
-	})
+	if len(t.links) == cap(t.links) {
+		t.links = slices.Grow(t.links, len(t.links))
+	}
+	t.nodes = append(t.nodes, fpNode{firstChild: -1, nextSib: t.nodes[parent].firstChild, next: -1})
+	t.links = append(t.links, fpLink{item: it, parent: parent})
 	t.nodes[parent].firstChild = c
 	if k := t.mxStride; k > 0 {
 		n := len(t.mx)
@@ -204,7 +211,7 @@ func (t *fpTree) nodeMx(n int32) []stats.Moments {
 func (t *fpTree) absorb(src *fpTree, rank []int32) {
 	var kids []int32
 	byRank := func(a, b int32) int {
-		return cmp.Compare(rank[src.nodes[a].item], rank[src.nodes[b].item])
+		return cmp.Compare(rank[src.links[a].item], rank[src.links[b].item])
 	}
 	var walk func(dst, s int32)
 	walk = func(dst, s int32) {
@@ -217,7 +224,7 @@ func (t *fpTree) absorb(src *fpTree, rank []int32) {
 		for i := lo; i < hi; i++ {
 			sc := kids[i]
 			sn := &src.nodes[sc]
-			c := t.child(dst, sn.item)
+			c := t.child(dst, src.links[sc].item)
 			nd := &t.nodes[c]
 			nd.count += sn.count
 			nd.m.AddN(sn.m)
@@ -345,7 +352,7 @@ func buildRootTree(u *Universe, bun *outcome.Bundle, order []int, rank []int32, 
 func rootCounts(t *fpTree, rank []int32) []int {
 	c := make([]int, len(t.order))
 	for n := t.nodes[0].firstChild; n >= 0; n = t.nodes[n].nextSib {
-		c[rank[t.nodes[n].item]] = t.nodes[n].count
+		c[rank[t.links[n].item]] = t.nodes[n].count
 	}
 	return c
 }
@@ -411,6 +418,7 @@ func (u *Universe) keepTree(root *fpTree, roots [][]int, shards int) {
 	u.kept.Store(&keptTree{
 		tree: &fpTree{
 			nodes:   slices.Clone(root.nodes),
+			links:   slices.Clone(root.links),
 			order:   slices.Clone(root.order),
 			headers: slices.Clone(root.headers),
 			tails:   slices.Clone(root.tails),
@@ -654,8 +662,8 @@ func mineFPGrowth(u *Universe, bun *outcome.Bundle, opt Options, minCount int, p
 			// Counted locally, so the hottest loop makes no store
 			// through acc per pruned ancestor.
 			pruned := 0
-			for p := t.nodes[n].parent; t.nodes[p].item >= 0; p = t.nodes[p].parent {
-				pi := t.nodes[p].item
+			for l := t.links[t.links[n].parent]; l.item >= 0; l = t.links[l.parent] {
+				pi := l.item
 				if u.AttrID[pi] == attr {
 					continue
 				}
@@ -710,7 +718,11 @@ func mineFPGrowth(u *Universe, bun *outcome.Bundle, opt Options, minCount int, p
 		// Pass 2: replay the recorded occurrences in chain order — exactly
 		// the order the historical pattern-base list was consumed in —
 		// inserting each path, cut to the conditional support floor in
-		// place, into the conditional tree.
+		// place and reversed, into the conditional tree. Every root path
+		// of every tree is strictly rank-ascending (the root tree inserts
+		// rows in rank order, a conditional tree the reversed paths), so
+		// pass 1 recorded each path in strictly descending rank and the
+		// reversal is the ascending-rank sort insert needs.
 		cond := sc.getTree(condOrder, numItems, t.mxStride, pool)
 		for off := 0; off < len(rec); {
 			n, seg := rec[off], rec[off+2:off+2+int(rec[off+1])]
@@ -724,18 +736,7 @@ func mineFPGrowth(u *Universe, bun *outcome.Bundle, opt Options, minCount int, p
 			if len(path) == 0 {
 				continue
 			}
-			// Insertion sort ascending by global rank (paths are short and
-			// near-sorted: ancestors arrive in descending rank order).
-			for i := 1; i < len(path); i++ {
-				x := path[i]
-				rx := rank[x]
-				j := i - 1
-				for j >= 0 && rank[path[j]] > rx {
-					path[j+1] = path[j]
-					j--
-				}
-				path[j+1] = x
-			}
+			slices.Reverse(path)
 			cond.insert(path, t.nodes[n].count, t.nodes[n].m, t.nodeMx(n))
 		}
 		sc.resetCnt(t.order)

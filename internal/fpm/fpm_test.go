@@ -398,14 +398,13 @@ func TestSupportHelper(t *testing.T) {
 	}
 }
 
-func TestSortByDivergence(t *testing.T) {
+func TestRank(t *testing.T) {
 	u, o := randomUniverse(t, 23, 500, true)
 	res, err := Mine(u, o, Options{MinSupport: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
-	items := append([]MinedItemset(nil), res.Itemsets...)
-	SortByDivergence(items, o, false, false)
+	items := inOrder(res.Itemsets, Rank(res.Itemsets, 0, o, false, false))
 	for i := 1; i < len(items); i++ {
 		da := math.Abs(o.DivergenceFromMoments(items[i-1].M))
 		db := math.Abs(o.DivergenceFromMoments(items[i].M))
@@ -413,13 +412,13 @@ func TestSortByDivergence(t *testing.T) {
 			t.Fatalf("abs sort violated at %d: %v < %v", i, da, db)
 		}
 	}
-	SortByDivergence(items, o, true, true)
+	items = inOrder(res.Itemsets, Rank(res.Itemsets, 0, o, true, true))
 	for i := 1; i < len(items); i++ {
 		if o.DivergenceFromMoments(items[i].M) > o.DivergenceFromMoments(items[i-1].M)+1e-12 {
 			t.Fatal("signed positive sort violated")
 		}
 	}
-	SortByDivergence(items, o, true, false)
+	items = inOrder(res.Itemsets, Rank(res.Itemsets, 0, o, true, false))
 	for i := 1; i < len(items); i++ {
 		if o.DivergenceFromMoments(items[i].M) < o.DivergenceFromMoments(items[i-1].M)-1e-12 {
 			t.Fatal("signed negative sort violated")
@@ -427,14 +426,14 @@ func TestSortByDivergence(t *testing.T) {
 	}
 }
 
-// TestSortByDivergenceMatchesStable pins the unstable ranking sort to the
-// stable one it replaced: on seeded itemsets with many tied divergences
-// (NaN, ±d under the absolute key), lengths and counts, and item indices
-// whose varint encodings order differently from their values (256 before
-// 129), SortByDivergence gives the order of a sort.SliceStable over the
-// historical string-key comparator, element for element, in every key
-// mode.
-func TestSortByDivergenceMatchesStable(t *testing.T) {
+// TestRankMatchesStable pins the unstable ranking sort to the stable one
+// it replaced: on seeded itemsets with many tied divergences (NaN, ±d
+// under the absolute key), lengths and counts, and item indices whose
+// varint encodings order differently from their values (256 before 129),
+// Rank gives the order of a sort.SliceStable over the historical
+// string-key comparator, element for element, in every key mode and for
+// the primary outcome's moments (M) and an extra outcome's (Multi).
+func TestRankMatchesStable(t *testing.T) {
 	actual := []bool{true, true, false, false}
 	o := outcome.ErrorRate(actual, []bool{true, false, true, false}) // global mean 0.5
 	moments := []stats.Moments{
@@ -455,42 +454,46 @@ func TestSortByDivergenceMatchesStable(t *testing.T) {
 				continue
 			}
 			seen[key(idx)] = true
-			items = append(items, MinedItemset{Items: idx, Count: 5 << rng.Intn(3), M: moments[rng.Intn(len(moments))]})
-		}
-		for _, mode := range [][2]bool{{false, false}, {true, true}, {true, false}} {
-			signed, positive := mode[0], mode[1]
-			want := append([]MinedItemset(nil), items...)
-			sortKey := func(m MinedItemset) float64 {
-				d := o.DivergenceFromMoments(m.M)
-				switch {
-				case math.IsNaN(d):
-					return math.Inf(-1)
-				case !signed:
-					return math.Abs(d)
-				case !positive:
-					return -d
-				}
-				return d
-			}
-			sort.SliceStable(want, func(x, y int) bool {
-				a, b := want[x], want[y]
-				if ka, kb := sortKey(a), sortKey(b); ka != kb {
-					return ka > kb
-				}
-				if len(a.Items) != len(b.Items) {
-					return len(a.Items) < len(b.Items)
-				}
-				if a.Count != b.Count {
-					return a.Count > b.Count
-				}
-				return key(a.Items) < key(b.Items)
+			items = append(items, MinedItemset{
+				Items: idx, Count: 5 << rng.Intn(3), M: moments[rng.Intn(len(moments))],
+				Multi: []stats.Moments{moments[rng.Intn(len(moments))]},
 			})
-			got := append([]MinedItemset(nil), items...)
-			SortByDivergence(got, o, signed, positive)
-			if !reflect.DeepEqual(got, want) {
-				for i := range got {
-					if !reflect.DeepEqual(got[i], want[i]) {
-						t.Fatalf("seed %d signed=%v positive=%v: position %d holds %+v, stable sort %+v", seed, signed, positive, i, got[i], want[i])
+		}
+		for k := 0; k <= 1; k++ {
+			for _, mode := range [][2]bool{{false, false}, {true, true}, {true, false}} {
+				signed, positive := mode[0], mode[1]
+				want := append([]MinedItemset(nil), items...)
+				sortKey := func(m MinedItemset) float64 {
+					d := o.DivergenceFromMoments(m.MomentsAt(k))
+					switch {
+					case math.IsNaN(d):
+						return math.Inf(-1)
+					case !signed:
+						return math.Abs(d)
+					case !positive:
+						return -d
+					}
+					return d
+				}
+				sort.SliceStable(want, func(x, y int) bool {
+					a, b := want[x], want[y]
+					if ka, kb := sortKey(a), sortKey(b); ka != kb {
+						return ka > kb
+					}
+					if len(a.Items) != len(b.Items) {
+						return len(a.Items) < len(b.Items)
+					}
+					if a.Count != b.Count {
+						return a.Count > b.Count
+					}
+					return key(a.Items) < key(b.Items)
+				})
+				got := inOrder(items, Rank(items, k, o, signed, positive))
+				if !reflect.DeepEqual(got, want) {
+					for i := range got {
+						if !reflect.DeepEqual(got[i], want[i]) {
+							t.Fatalf("seed %d k=%d signed=%v positive=%v: position %d holds %+v, stable sort %+v", seed, k, signed, positive, i, got[i], want[i])
+						}
 					}
 				}
 			}

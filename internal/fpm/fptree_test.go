@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -25,7 +26,8 @@ import (
 // refTree returns an empty reference tree over order.
 func refTree(order []int, numItems, mxStride int) *fpTree {
 	t := &fpTree{
-		nodes:    []fpNode{{item: -1, parent: -1, firstChild: -1, nextSib: -1, next: -1}},
+		nodes:    []fpNode{{firstChild: -1, nextSib: -1, next: -1}},
+		links:    []fpLink{{item: -1, parent: -1}},
 		mx:       make([]stats.Moments, mxStride),
 		mxStride: mxStride,
 		order:    order,
@@ -44,15 +46,13 @@ func refTree(order []int, numItems, mxStride int) *fpTree {
 // sibling list, creating it (and chaining it onto its header) if absent.
 func refChild(t *fpTree, parent, it int32) int32 {
 	for c := t.nodes[parent].firstChild; c >= 0; c = t.nodes[c].nextSib {
-		if t.nodes[c].item == it {
+		if t.links[c].item == it {
 			return c
 		}
 	}
 	c := int32(len(t.nodes))
-	t.nodes = append(t.nodes, fpNode{
-		item: it, parent: parent,
-		firstChild: -1, nextSib: t.nodes[parent].firstChild, next: -1,
-	})
+	t.nodes = append(t.nodes, fpNode{firstChild: -1, nextSib: t.nodes[parent].firstChild, next: -1})
+	t.links = append(t.links, fpLink{item: it, parent: parent})
 	t.nodes[parent].firstChild = c
 	for k := 0; k < t.mxStride; k++ {
 		t.mx = append(t.mx, stats.Moments{})
@@ -89,10 +89,10 @@ func refAbsorb(t, src *fpTree, rank []int32) {
 			keys = append(keys, c)
 		}
 		sort.Slice(keys, func(a, b int) bool {
-			return rank[src.nodes[keys[a]].item] < rank[src.nodes[keys[b]].item]
+			return rank[src.links[keys[a]].item] < rank[src.links[keys[b]].item]
 		})
 		for _, sc := range keys {
-			c := refChild(t, dst, src.nodes[sc].item)
+			c := refChild(t, dst, src.links[sc].item)
 			t.nodes[c].count += src.nodes[sc].count
 			t.nodes[c].m.AddN(src.nodes[sc].m)
 			for k, v := range src.nodeMx(sc) {
@@ -137,16 +137,20 @@ func refShardTree(u *Universe, bun *outcome.Bundle, order []int, plan engine.Pla
 }
 
 // sameTree requires got's arena to equal want's field for field: every
-// node (item, parent, sibling and header links, count, moments), the
-// extra-moments slab, and the header and tail of every item.
+// node (sibling and header links, count, moments) and its link (item,
+// parent), the extra-moments slab, and the header and tail of every item.
 func sameTree(t *testing.T, label string, got, want *fpTree) {
 	t.Helper()
-	if len(got.nodes) != len(want.nodes) {
-		t.Fatalf("%s: %d nodes, want %d", label, len(got.nodes), len(want.nodes))
+	if len(got.nodes) != len(want.nodes) || len(got.links) != len(want.links) {
+		t.Fatalf("%s: %d nodes and %d links, want %d and %d",
+			label, len(got.nodes), len(got.links), len(want.nodes), len(want.links))
 	}
 	for i := range want.nodes {
 		if got.nodes[i] != want.nodes[i] {
 			t.Fatalf("%s: node %d is %+v, want %+v", label, i, got.nodes[i], want.nodes[i])
+		}
+		if got.links[i] != want.links[i] {
+			t.Fatalf("%s: node %d's link is %+v, want %+v", label, i, got.links[i], want.links[i])
 		}
 	}
 	if len(got.mx) != len(want.mx) {
@@ -318,5 +322,69 @@ func TestConditionalTreeRecycledMatchesReference(t *testing.T) {
 			}
 			sc.putTree(got)
 		}
+	}
+}
+
+// rankAscending fails unless every node below the root's children holds
+// an item ranked strictly above its parent's.
+func rankAscending(t *testing.T, label string, tr *fpTree, rank []int32) {
+	t.Helper()
+	for n := 1; n < len(tr.links); n++ {
+		l := tr.links[n]
+		if l.parent > 0 && rank[l.item] <= rank[tr.links[l.parent].item] {
+			t.Fatalf("%s: node %d (item %d, rank %d) under node %d (item %d, rank %d)", label,
+				n, l.item, rank[l.item], l.parent, tr.links[l.parent].item, rank[tr.links[l.parent].item])
+		}
+	}
+}
+
+// TestFPTreePathsRankAscending pins the invariant the growth phase's pass
+// 2 relies on to reverse a recorded path instead of sorting it: along
+// every root path items rank strictly ascending, so walking up from a
+// node meets them in strictly descending rank. It checks root trees of one
+// and three shards (so absorb runs) and two levels of conditional trees
+// built, as pass 2 builds them, from reversed ancestor walks into trees
+// recycled through getTree and putTree.
+func TestFPTreePathsRankAscending(t *testing.T) {
+	const n, numItems = 3000, 22
+	u, bun3, order, rank := shapeFixture(t, 11, n, numItems)
+	bun := outcome.Single(bun3.Primary())
+	sc := &growScratch{cnt: make([]int, numItems)}
+	pool := engine.NewPool(engine.NewPlan(n, 1))
+	conds := 0
+	var grow func(label string, tr *fpTree, depth int)
+	grow = func(label string, tr *fpTree, depth int) {
+		rankAscending(t, label, tr, rank)
+		if depth == 2 {
+			return
+		}
+		for idx := len(tr.order) - 1; idx >= 0; idx-- {
+			// Ancestors rank above tr.order[idx], so they are all in
+			// tr.order[:idx].
+			cond := sc.getTree(tr.order[:idx], numItems, 0, pool)
+			for h := tr.headers[idx]; h >= 0; h = tr.nodes[h].next {
+				var path []int32
+				for l := tr.links[tr.links[h].parent]; l.item >= 0; l = tr.links[l.parent] {
+					path = append(path, l.item)
+				}
+				slices.Reverse(path)
+				cond.insert(path, tr.nodes[h].count, tr.nodes[h].m, nil)
+			}
+			conds++
+			grow(fmt.Sprintf("%s/%d", label, tr.order[idx]), cond, depth+1)
+			sc.putTree(cond)
+		}
+	}
+	for _, shards := range []int{1, 3} {
+		plan := engine.NewPlan(n, shards)
+		root, _ := buildShardTree(u, bun, order, numItems, plan, 0, nil)
+		for s := 1; s < plan.NumShards(); s++ {
+			st, _ := buildShardTree(u, bun, order, numItems, plan, s, nil)
+			root.absorb(st, rank)
+		}
+		grow(fmt.Sprintf("shards=%d", shards), root, 0)
+	}
+	if pool.Hits() == 0 {
+		t.Fatalf("%d conditional trees, none recycled; the case is vacuous", conds)
 	}
 }

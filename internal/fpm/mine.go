@@ -633,24 +633,24 @@ func key(items []int) string {
 	return string(b)
 }
 
-// SortByDivergence orders mined itemsets for reporting: by |divergence|
-// descending by default. Ties break toward smaller length, then higher
-// support, then lexicographic items for determinism.
+// Rank returns the reporting order of items under bundle outcome k, o
+// (each itemset's moments for it are MomentsAt(k)): order[i] is the index
+// in items of the i-th ranked itemset. Itemsets rank by |divergence|
+// descending by default, by signed divergence descending (positive) or
+// ascending otherwise; NaN ranks last. Ties break toward smaller length,
+// then higher support, then lexicographic items for determinism.
 //
-// The sort is an index sort: divergence keys are computed once per itemset
-// up front (the comparator would otherwise recompute them — and allocate an
-// encoded tie-break key — on every comparison, which dominated ranking
-// cost), a permutation of indices is sorted against the key array,
-// and the permutation is applied in place by cycle-walking — so the scratch
-// is 12 bytes per itemset instead of a decorated copy of the slice. The
-// final tie-break compares item slices in the byte order of their varint
-// encoding (keyCompare), reproducing the exact order of the historical
-// string-key comparison without building strings.
-func SortByDivergence(items []MinedItemset, o *outcome.Outcome, signed bool, positive bool) {
-	keys := make([]float64, len(items))
-	perm := make([]int32, len(items))
+// The sort runs over 16-byte records holding each itemset's key, computed
+// once, its length and its index, so a comparison reads the itemsets only
+// when key and length tie. The final tie-break compares item slices in
+// the byte order of their varint encoding (keyCompare), reproducing the
+// exact order of the historical string-key comparison without building
+// strings. items is not modified: a report is built by reading it in
+// order.
+func Rank(items []MinedItemset, k int, o *outcome.Outcome, signed, positive bool) []int32 {
+	recs := make([]rankRec, len(items))
 	for i := range items {
-		d := o.DivergenceFromMoments(items[i].M)
+		d := o.DivergenceFromMoments(items[i].MomentsAt(k))
 		if math.IsNaN(d) {
 			d = math.Inf(-1)
 		} else if !signed {
@@ -658,42 +658,40 @@ func SortByDivergence(items []MinedItemset, o *outcome.Outcome, signed bool, pos
 		} else if !positive {
 			d = -d
 		}
-		keys[i] = d
-		perm[i] = int32(i)
+		recs[i] = rankRec{key: d, n: int32(len(items[i].Items)), idx: int32(i)}
 	}
 	// The comparator is a total order over distinct itemsets (keyCompare
 	// separates any two distinct item slices), so an unstable sort yields
-	// the one permutation a stable sort would.
-	slices.SortFunc(perm, func(a, b int32) int {
+	// the one order a stable sort would. Keys are never NaN, so plain
+	// comparisons order them.
+	slices.SortFunc(recs, func(a, b rankRec) int {
 		switch {
-		case keys[a] != keys[b]:
-			return cmp.Compare(keys[b], keys[a])
-		case len(items[a].Items) != len(items[b].Items):
-			return cmp.Compare(len(items[a].Items), len(items[b].Items))
-		case items[a].Count != items[b].Count:
-			return cmp.Compare(items[b].Count, items[a].Count)
+		case a.key > b.key:
+			return -1
+		case a.key < b.key:
+			return 1
+		case a.n != b.n:
+			return int(a.n - b.n)
 		}
-		return keyCompare(items[a].Items, items[b].Items)
+		x, y := &items[a.idx], &items[b.idx]
+		if x.Count != y.Count {
+			return cmp.Compare(y.Count, x.Count)
+		}
+		return keyCompare(x.Items, y.Items)
 	})
-	// Apply the permutation (sorted[i] = items[perm[i]]) in place: each
-	// cycle shifts its members one step, with visited slots marked by -1.
-	for i := range perm {
-		j := int(perm[i])
-		if j < 0 || j == i {
-			perm[i] = -1
-			continue
-		}
-		tmp := items[i]
-		dst := i
-		for j != i {
-			items[dst] = items[j]
-			perm[dst] = -1
-			dst = j
-			j = int(perm[dst])
-		}
-		items[dst] = tmp
-		perm[dst] = -1
+	order := make([]int32, len(recs))
+	for i, r := range recs {
+		order[i] = r.idx
 	}
+	return order
+}
+
+// rankRec is Rank's sort record for items[idx]: its divergence key and its
+// length n, the first tie-break.
+type rankRec struct {
+	key float64
+	n   int32
+	idx int32
 }
 
 // keyCompare compares key(a) with key(b), as cmp.Compare does, without

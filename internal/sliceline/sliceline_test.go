@@ -64,8 +64,7 @@ func TestBestSliceMatchesBaseDivExplorer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fpm.SortByDivergence(res.Itemsets, o, true, true)
-		best := res.Itemsets[0]
+		best := res.Itemsets[fpm.Rank(res.Itemsets, 0, o, true, true)[0]]
 		if math.Abs(got[0].AvgError-best.M.Mean()) > 1e-9 {
 			t.Errorf("s=%v: SliceLine best %v (err %.4f) != DivExplorer best %v (err %.4f)",
 				s, got[0].Itemset, got[0].AvgError, u.Itemset(best.Items), best.M.Mean())

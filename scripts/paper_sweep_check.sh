@@ -2,10 +2,12 @@
 # Same-machine wall-clock check on the paper's Figure 2 sweep: run the
 # bench/ paper-sweep workload on a base commit and then on the working
 # tree, one after the other on the same machine, print bench's -compare
-# table as advisory output, and fail only when the change's setup_s or
-# explore_p50_ms is more than twice the base's. The bound is wide on
-# purpose: a single pair of runs resolves a doubling, not the 25% bounds
-# of a full `bench/run.sh -compare` over many runs.
+# table as advisory output, and fail only when an end-to-end metric moves
+# by more than a factor of two the wrong way: setup_s, explore_p50_ms or
+# peak_rss_mb more than twice the base's, or explore_rate below half of
+# it. The bound is wide on purpose: a single pair of runs resolves a
+# doubling, not the 25% bounds of a full `bench/run.sh -compare` over many
+# runs.
 #
 # Usage: scripts/paper_sweep_check.sh <base-commit> [workdir]   (default .paper-sweep)
 # A base commit that is missing from the clone, or that predates bench/,
@@ -42,11 +44,15 @@ value() {
     jq -er --arg m "$2" '.results[] | select(.workload == "paper-sweep") | .metrics[$m].value' "$1"
 }
 fail=0
-for m in setup_s explore_p50_ms; do
+# Each metric with the direction it worsens in: "lower" metrics fail above
+# MAX_RATIO times the base, "higher" ones below the base over MAX_RATIO.
+for gate in setup_s:lower explore_p50_ms:lower peak_rss_mb:lower explore_rate:higher; do
+    m=${gate%%:*} better=${gate#*:}
     base=$(value "$DIR/base/result.json" "$m")
     change=$(value "$DIR/change/result.json" "$m")
-    if awk -v b="$base" -v c="$change" -v r="$MAX_RATIO" 'BEGIN { exit !(c > r * b) }'; then
-        echo "::error::paper-sweep $m: base $base, change $change, more than ${MAX_RATIO}x the base"
+    if awk -v b="$base" -v c="$change" -v r="$MAX_RATIO" -v better="$better" \
+        'BEGIN { exit !(better == "lower" ? c > r * b : c * r < b) }'; then
+        echo "::error::paper-sweep $m: base $base, change $change, worse than ${MAX_RATIO}x the base"
         fail=1
     else
         echo "paper-sweep $m: base $base, change $change, within ${MAX_RATIO}x"
