@@ -6,6 +6,10 @@
 #   make race         go test -race ./...
 #   make budgets      allocation and mining-work budgets of the paper
 #                     artifacts (skipped by the race run)
+#   make cpu-independence
+#                     golden, ranking and determinism tests at -cpu 1,2,4:
+#                     the default worker count is every core, so the
+#                     output must not depend on how many there are
 #   make experiments-check
 #                     regenerate every paper artifact and compare it with
 #                     experiments_output.txt (durations masked)
@@ -29,9 +33,9 @@ GO ?= go
 # passes 1x for a fast structural run.
 BENCHTIME ?= 1s
 
-.PHONY: check vet build test race budgets experiments-check fuzz bench bench-test smoke smoke-daemon test-faults test-crash fmt
+.PHONY: check vet build test race budgets cpu-independence experiments-check fuzz bench bench-test smoke smoke-daemon test-faults test-crash fmt
 
-check: vet build race budgets experiments-check test-faults test-crash bench-test fuzz smoke smoke-daemon
+check: vet build race budgets cpu-independence experiments-check test-faults test-crash bench-test fuzz smoke smoke-daemon
 
 # vet covers the bench module too (its own go.mod keeps the root
 # ./... from reaching it), and fails when gofmt would rewrite any file.
@@ -56,6 +60,15 @@ race:
 # target never runs them.
 budgets:
 	$(GO) test -run '^Test(Allocation|MiningWork)Budget$$' -count=1 -v .
+
+# cpu-independence runs the golden ranked CSV, the ranking tests, the
+# kept-tree equivalence and the explain determinism tests at GOMAXPROCS
+# 1, 2 and 4. Workers 0, the default, resolves to GOMAXPROCS, so these
+# pin the default output to be the same on every core count.
+cpu-independence:
+	$(GO) test -cpu 1,2,4 -count=1 \
+		-run '^(TestGoldenRankedCSV|TestRank.*|TestKeptTreeMatchesBuild|TestExplainDeterministicAcrossWorkersShards)$$' \
+		. ./internal/fpm ./internal/core
 
 # experiments-check regenerates every paper artifact and compares it with
 # the committed experiments_output.txt, Go durations masked and runs of

@@ -79,7 +79,7 @@ func main() {
 	flag.IntVar(&c.top, "top", 20, "number of subgroups to print")
 	flag.Float64Var(&c.minT, "mint", 0, "only print subgroups with |t| at least this")
 	flag.StringVar(&c.format, "format", "text", "output format: text, csv or json")
-	flag.IntVar(&c.workers, "workers", 0, "parallel mining goroutines (0 = serial)")
+	flag.IntVar(&c.workers, "workers", 0, "mining and ranking goroutines (0 = all cores, 1 = serial)")
 	flag.IntVar(&c.shards, "shards", 0, "row shards for the mining data plane (0 = automatic)")
 	flag.IntVar(&c.budgetCandidates, "budget-candidates", 0, "cap on evaluated itemset candidates (0 = unlimited); exhaustion truncates the report")
 	flag.IntVar(&c.budgetItemsets, "budget-itemsets", 0, "cap on frequent itemsets kept (0 = unlimited); exhaustion truncates the report")

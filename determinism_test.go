@@ -36,7 +36,8 @@ func exploreBytes(t *testing.T, opt PipelineOptions) ([]byte, *Report) {
 }
 
 // TestExploreDeterministicAcrossWorkers asserts that core.Explore output
-// is byte-identical for Workers ∈ {0, 1, 4} on the synthetic COMPAS-like
+// is byte-identical for Workers ∈ {1, 0, 4} (serial first, then the
+// default, every core) on the synthetic COMPAS-like
 // dataset, for both miners, and that the deterministic trace counters
 // (candidates, prunes, itemsets emitted) agree as well. Run under -race
 // in CI, this also exercises the parallel mining path for data races.
@@ -48,7 +49,7 @@ func TestExploreDeterministicAcrossWorkers(t *testing.T) {
 		t.Run(alg.String(), func(t *testing.T) {
 			var refBytes []byte
 			refCounters := map[string]int64{}
-			for _, workers := range []int{0, 1, 4} {
+			for _, workers := range []int{1, 0, 4} {
 				tr := NewTracer()
 				got, rep := exploreBytes(t, PipelineOptions{
 					TreeSupport: 0.1, MinSupport: 0.05,
@@ -57,7 +58,7 @@ func TestExploreDeterministicAcrossWorkers(t *testing.T) {
 				if rep.Trace == nil {
 					t.Fatalf("workers=%d: Report.Trace not populated", workers)
 				}
-				if workers == 0 {
+				if workers == 1 {
 					refBytes = got
 					for _, c := range deterministicCounters {
 						refCounters[c] = rep.Trace.Counter(c)
@@ -94,8 +95,8 @@ func TestExploreDeterministicAcrossWorkers(t *testing.T) {
 // guarantee to explain profiles: the Deterministic() view — stage tree
 // shape, mining counters, shard loads, skew and budget rows, with all
 // measured timing/allocation fields stripped — is byte-identical across
-// Workers ∈ {0, 1, 4} for each fixed shard layout, and the mining
-// counters agree across shard layouts too. The full profile must also
+// Workers ∈ {1, 0, 4} (serial first) for each fixed shard layout, and
+// the mining counters agree across shard layouts too. The full profile must also
 // satisfy the measurement contract on a live run: self times sum exactly
 // to the total, and the mining stages report nonzero allocation deltas.
 func TestExplainDeterministicAcrossWorkersShards(t *testing.T) {
@@ -104,7 +105,7 @@ func TestExplainDeterministicAcrossWorkersShards(t *testing.T) {
 			var refMining []byte
 			for _, shards := range []int{1, 4} {
 				var ref []byte
-				for _, workers := range []int{0, 1, 4} {
+				for _, workers := range []int{1, 0, 4} {
 					_, rep := exploreBytes(t, PipelineOptions{
 						TreeSupport: 0.1, MinSupport: 0.05,
 						Algorithm: alg, Workers: workers, Shards: shards,
@@ -212,7 +213,7 @@ func TestPolarityPruneCounters(t *testing.T) {
 
 // TestExploreDeterministicAcrossShards extends the determinism guarantee
 // to the sharded data plane: ranked output is byte-identical for Shards ∈
-// {1, 4, 16} × Workers ∈ {0, 1, 4}, for both miners, and the shard gauge
+// {1, 4, 16} × Workers ∈ {1, 0, 4}, for both miners, and the shard gauge
 // records the layout actually used. The FPR outcome is 0/1-valued, so
 // shard merges are exact and equality must hold bitwise.
 func TestExploreDeterministicAcrossShards(t *testing.T) {
@@ -220,7 +221,7 @@ func TestExploreDeterministicAcrossShards(t *testing.T) {
 		t.Run(alg.String(), func(t *testing.T) {
 			var refBytes []byte
 			for _, shards := range []int{1, 4, 16} {
-				for _, workers := range []int{0, 1, 4} {
+				for _, workers := range []int{1, 0, 4} {
 					tr := NewTracer()
 					got, rep := exploreBytes(t, PipelineOptions{
 						TreeSupport: 0.1, MinSupport: 0.05,

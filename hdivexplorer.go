@@ -294,8 +294,9 @@ type PipelineOptions struct {
 	Mode Mode
 	// Algorithm selects the miner (default FPGrowth).
 	Algorithm Algorithm
-	// Workers enables parallel mining (0 or 1 = serial; results are
-	// identical regardless).
+	// Workers is the number of goroutines mining and ranking run on
+	// (0 = every core, runtime.GOMAXPROCS(0); 1 = serial). Results are
+	// identical regardless.
 	Workers int
 	// Shards fixes the engine data plane's row-shard count (0 = default
 	// layout). Ranked output is byte-identical across shard counts for

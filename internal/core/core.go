@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/fpm"
 	"repro/internal/hierarchy"
 	"repro/internal/obs"
@@ -82,8 +83,9 @@ type Config struct {
 	Algorithm fpm.Algorithm
 	// Mode selects hierarchical or base exploration.
 	Mode Mode
-	// Workers enables parallel mining (0 or 1 = serial). Results are
-	// identical regardless of the setting.
+	// Workers is the number of goroutines mining and ranking run on:
+	// 0 uses every core (runtime.GOMAXPROCS(0)), 1 runs serially. Results
+	// are identical regardless of the setting.
 	Workers int
 	// Shards fixes the engine data plane's row-shard count (0 = default
 	// layout: one shard per engine.DefaultShardRows rows). For boolean
@@ -347,25 +349,21 @@ func exploreUniverseMulti(ctx context.Context, u *fpm.Universe, cfg Config, b *o
 
 	rank := cfg.span.Start(obs.SpanRank)
 	defer rank.End()
-	return rankReports(u, res, b, elapsed), nil
+	return rankReports(u, res, b, elapsed, cfg.Workers)
 }
 
 // rankReports builds one report per bundle statistic from a mined result:
 // each ranks the result's itemsets by its own statistic (fpm.Rank) and
 // reads them in that order into its subgroups. elapsed is the mining time
-// the reports carry.
-func rankReports(u *fpm.Universe, res *fpm.Result, b *outcome.Bundle, elapsed time.Duration) []*Report {
-	// Each report carves its subgroups' itemsets from one slab of this many
-	// items, each clipped to its length so an append to one cannot
-	// overwrite the next.
-	numItems := 0
-	for i := range res.Itemsets {
-		numItems += len(res.Itemsets[i].Items)
-	}
+// the reports carry. Ranking and the build run on workers goroutines
+// (Config.Workers), the build in contiguous chunks of the order
+// (engine.Chunks, at least fpm.RankChunkMin subgroups each); the tracer
+// is left out, so the worker counters keep describing mining.
+func rankReports(u *fpm.Universe, res *fpm.Result, b *outcome.Bundle, elapsed time.Duration, workers int) ([]*Report, error) {
 	reps := make([]*Report, b.Len())
 	for k := range reps {
 		o := b.At(k)
-		order := fpm.Rank(res.Itemsets, k, o, false, false)
+		order := fpm.Rank(res.Itemsets, k, o, false, false, workers)
 		rep := &Report{
 			Global:    o.GlobalMean(),
 			NumRows:   u.NumRows,
@@ -376,29 +374,42 @@ func rankReports(u *fpm.Universe, res *fpm.Result, b *outcome.Bundle, elapsed ti
 			Exhausted: res.Exhausted,
 		}
 		rep.Subgroups = make([]Subgroup, len(order))
-		slab := make(hierarchy.Itemset, numItems)
-		for i, j := range order {
-			m := &res.Itemsets[j]
-			mk := m.MomentsAt(k)
-			n := len(m.Items)
-			set := slab[:n:n]
-			slab = slab[n:]
-			for x, it := range m.Items {
-				set[x] = u.Items[it]
+		chunks := engine.Chunks(len(order), workers, fpm.RankChunkMin)
+		if err := engine.ParallelFor(chunks, chunks, nil, func(c int) {
+			lo, hi := engine.ChunkRange(len(order), chunks, c)
+			// The chunk carves its subgroups' itemsets from one slab of
+			// its own, each clipped to its length so an append to one
+			// cannot overwrite the next.
+			numItems := 0
+			for _, j := range order[lo:hi] {
+				numItems += len(res.Itemsets[j].Items)
 			}
-			rep.Subgroups[i] = Subgroup{
-				Itemset:    set,
-				ItemIdx:    m.Items,
-				Count:      m.Count,
-				Support:    m.Support(u.NumRows),
-				Statistic:  mk.Mean(),
-				Divergence: o.DivergenceFromMoments(mk),
-				T:          o.TValueFromMoments(mk),
+			slab := make(hierarchy.Itemset, numItems)
+			for i, j := range order[lo:hi] {
+				m := &res.Itemsets[j]
+				mk := m.MomentsAt(k)
+				n := len(m.Items)
+				set := slab[:n:n]
+				slab = slab[n:]
+				for x, it := range m.Items {
+					set[x] = u.Items[it]
+				}
+				rep.Subgroups[lo+i] = Subgroup{
+					Itemset:    set,
+					ItemIdx:    m.Items,
+					Count:      m.Count,
+					Support:    m.Support(u.NumRows),
+					Statistic:  mk.Mean(),
+					Divergence: o.DivergenceFromMoments(mk),
+					T:          o.TValueFromMoments(mk),
+				}
 			}
+		}); err != nil {
+			return nil, err
 		}
 		reps[k] = rep
 	}
-	return reps
+	return reps, nil
 }
 
 // TopK returns the k subgroups with largest |divergence| (fewer if the

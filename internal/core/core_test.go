@@ -1,15 +1,19 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/discretize"
+	"repro/internal/engine"
 	"repro/internal/fpm"
 	"repro/internal/hierarchy"
 	"repro/internal/outcome"
@@ -119,17 +123,81 @@ func TestSubgroupItemsetsDoNotAlias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	noAlias(t, "explore", reps)
+	// A report built in chunks carves each chunk from a slab of its own;
+	// the check must hold across the chunk boundaries too.
+	u, res, o := rankFixture(t)
+	reps, err = rankReports(u, res, outcome.Single(o), 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := engine.Chunks(len(res.Itemsets), 3, fpm.RankChunkMin); c != 3 {
+		t.Fatalf("%d itemsets build in %d chunks; the case needs 3", len(res.Itemsets), c)
+	}
+	noAlias(t, "3 chunks", reps)
+}
+
+// noAlias fails when appending to a subgroup's Itemset changes the next
+// subgroup's, in any of reps.
+func noAlias(t *testing.T, label string, reps []*Report) {
+	t.Helper()
 	for k, rep := range reps {
 		if len(rep.Subgroups) < 2 {
-			t.Fatalf("report %d: %d subgroups; the case needs two", k, len(rep.Subgroups))
+			t.Fatalf("%s report %d: %d subgroups; the case needs two", label, k, len(rep.Subgroups))
 		}
 		for i := 0; i+1 < len(rep.Subgroups); i++ {
 			cur, next := rep.Subgroups[i].Itemset, rep.Subgroups[i+1].Itemset
 			want := slices.Clone(next)
 			_ = append(cur, &hierarchy.Item{})
 			if !slices.Equal(next, want) {
-				t.Fatalf("report %d: appending to subgroup %d changed subgroup %d from %s to %s", k, i, i+1, want, next)
+				t.Fatalf("%s report %d: appending to subgroup %d changed subgroup %d from %s to %s", label, k, i, i+1, want, next)
 			}
+		}
+	}
+}
+
+// TestRankReportsWorkersMatchSerial pins parallel ranking to the serial
+// order on BenchmarkRank's fixture, whose ties on key, length and count
+// (42,326 adjacent pairs of 112,705 itemsets under the absolute key)
+// leave the order to the last tie-break: fpm.Rank at workers {2, 3, 8}
+// gives the order of workers 1 element for element, under both the
+// absolute and the signed keys, and rankReports built on those workers
+// equals the serial build field for field.
+func TestRankReportsWorkersMatchSerial(t *testing.T) {
+	u, res, o := rankFixture(t)
+	items := res.Itemsets
+	for _, mode := range [][2]bool{{false, false}, {true, true}, {true, false}} {
+		want := fpm.Rank(items, 0, o, mode[0], mode[1], 1)
+		if mode == [2]bool{} {
+			ties := 0
+			for i := 1; i < len(want); i++ {
+				a, b := &items[want[i-1]], &items[want[i]]
+				if math.Abs(o.DivergenceFromMoments(a.M)) == math.Abs(o.DivergenceFromMoments(b.M)) && len(a.Items) == len(b.Items) && a.Count == b.Count {
+					ties++
+				}
+			}
+			if ties < 40_000 {
+				t.Fatalf("%d adjacent pairs tied on key, length and count; the case needs 40k", ties)
+			}
+		}
+		for _, w := range []int{2, 3, 8} {
+			if got := fpm.Rank(items, 0, o, mode[0], mode[1], w); !slices.Equal(got, want) {
+				t.Fatalf("signed=%v positive=%v workers=%d: order differs from workers 1", mode[0], mode[1], w)
+			}
+		}
+	}
+	bun := outcome.Single(o)
+	want, err := rankReports(u, res, bun, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{2, 3, 8} {
+		got, err := rankReports(u, res, bun, 0, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: reports differ from the serial build", w)
 		}
 	}
 }
@@ -340,38 +408,62 @@ func outcomeOfLen(t *testing.T, n int) *outcome.Outcome {
 	return outcome.Numeric("tiny", vals)
 }
 
+// rankFixture mines BenchmarkRank's input once per test binary: over
+// 100k itemsets of an Intentions-like table of 6,000 rows, its label as
+// the statistic, hierarchical, s 0.07.
+func rankFixture(tb testing.TB) (*fpm.Universe, *fpm.Result, *outcome.Outcome) {
+	tb.Helper()
+	rankOnce.Do(func() {
+		d := datagen.Intentions(datagen.Config{N: 6000, Seed: 1})
+		label := make([]float64, len(d.Actual))
+		for i, a := range d.Actual {
+			if a {
+				label[i] = 1
+			}
+		}
+		o := outcome.Numeric("label", label)
+		hs, err := discretize.Hierarchies(d.Table, o, discretize.TreeOptions{MinSupport: 0.1}, nil)
+		if err != nil {
+			rankErr = err
+			return
+		}
+		u := fpm.GeneralizedUniverse(d.Table, hs, o)
+		res, err := fpm.Mine(u, o, fpm.Options{MinSupport: 0.07})
+		if err == nil && len(res.Itemsets) < 100_000 {
+			err = fmt.Errorf("%d itemsets; the fixture needs at least 100k", len(res.Itemsets))
+		}
+		rankU, rankRes, rankO, rankErr = u, res, o, err
+	})
+	if rankErr != nil {
+		tb.Fatal(rankErr)
+	}
+	return rankU, rankRes, rankO
+}
+
+var (
+	rankOnce sync.Once
+	rankU    *fpm.Universe
+	rankRes  *fpm.Result
+	rankO    *outcome.Outcome
+	rankErr  error
+)
+
 // benchReports keeps BenchmarkRank's result live.
 var benchReports []*Report
 
-// BenchmarkRank is the ranking stage alone: one op ranks a fixed mined
-// result of over 100k itemsets (an Intentions-like table of 6,000 rows,
-// its label as the statistic, hierarchical, s 0.07) and builds its report
-// from the order, the work exploreUniverseMulti does after mining.
+// BenchmarkRank is the ranking stage alone: one op ranks rankFixture's
+// mined result and builds its report from the order, the work
+// exploreUniverseMulti does after mining, on the default workers (every
+// core: run it with -cpu 1,2 to compare the serial and parallel paths).
 func BenchmarkRank(b *testing.B) {
-	d := datagen.Intentions(datagen.Config{N: 6000, Seed: 1})
-	label := make([]float64, len(d.Actual))
-	for i, a := range d.Actual {
-		if a {
-			label[i] = 1
-		}
-	}
-	o := outcome.Numeric("label", label)
-	hs, err := discretize.Hierarchies(d.Table, o, discretize.TreeOptions{MinSupport: 0.1}, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	u := fpm.GeneralizedUniverse(d.Table, hs, o)
-	res, err := fpm.Mine(u, o, fpm.Options{MinSupport: 0.07})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if len(res.Itemsets) < 100_000 {
-		b.Fatalf("%d itemsets; the benchmark needs at least 100k", len(res.Itemsets))
-	}
+	u, res, o := rankFixture(b)
 	bun := outcome.Single(o)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchReports = rankReports(u, res, bun, 0)
+		var err error
+		if benchReports, err = rankReports(u, res, bun, 0, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

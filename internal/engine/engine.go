@@ -203,14 +203,40 @@ func RecoverError(v any) *PanicError {
 	return &PanicError{Value: v, Stack: string(debug.Stack())}
 }
 
+// Workers resolves a worker-count setting: 0 means every core the
+// runtime may use, runtime.GOMAXPROCS(0); any other value stands. Every
+// layer's Workers option reaches the engine through it (fpm.MineMulti and
+// Chunks call it), so an unset count explores on the whole machine and 1
+// stays serial.
+func Workers(w int) int {
+	if w == 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return w
+}
+
+// Chunks returns how many contiguous chunks of n elements a stage run
+// over workers (resolved by Workers) splits into: one per worker, but
+// never a chunk shorter than minChunk, and at least one. Below 2*minChunk
+// elements the stage therefore stays serial. The count depends on n,
+// workers and minChunk only, never on the cores present.
+func Chunks(n, workers, minChunk int) int {
+	return max(1, min(Workers(workers), n/minChunk))
+}
+
+// ChunkRange returns the half-open range [lo, hi) of chunk c when n
+// elements are split into chunks contiguous chunks of near-equal length.
+func ChunkRange(n, chunks, c int) (lo, hi int) {
+	return c * n / chunks, (c + 1) * n / chunks
+}
+
 // ParallelFor runs fn(0..n-1) across at most workers goroutines; workers
 // ≤ 1 runs inline. The worker count is clamped to both n and
 // runtime.GOMAXPROCS(0), so callers may pass arbitrarily large values
 // without spawning useless goroutines. fn invocations must be
 // independent. When tr is non-nil, each worker's completed-task count is
-// recorded under obs.CtrWorkerTaskPrefix+index, its heap-allocation
-// delta under obs.CtrWorkerAllocBytesPrefix/CtrWorkerAllocObjsPrefix,
-// and the clamped worker count under obs.GaugeWorkers.
+// recorded under obs.CtrWorkerTaskPrefix+index and the clamped worker
+// count under obs.GaugeWorkers.
 //
 // A panic in fn is recovered into a *PanicError (the first one wins;
 // obs.CtrPanicsRecovered counts every recovery) instead of crossing the
@@ -237,26 +263,10 @@ func ParallelFor(n, workers int, tr *obs.Tracer, fn func(i int)) error {
 		fn(i)
 		return true
 	}
-	// workerAllocs records the heap-allocation delta over one worker's
-	// lifetime under the per-worker counters the explain profile reads.
-	// Deltas are process-global samples, so overlapping workers attribute
-	// each other's allocations; negative deltas (sampling races) are
-	// dropped. Only taken when tracing, so untraced runs pay nothing.
-	workerAllocs := func(w int, startBytes, startObjs uint64) {
-		bytes, objs := obs.AllocSample()
-		if bytes > startBytes {
-			tr.Counter(fmt.Sprintf("%s%d", obs.CtrWorkerAllocBytesPrefix, w)).Add(int64(bytes - startBytes))
-		}
-		if objs > startObjs {
-			tr.Counter(fmt.Sprintf("%s%d", obs.CtrWorkerAllocObjsPrefix, w)).Add(int64(objs - startObjs))
-		}
-	}
 	if workers <= 1 || n < 2 {
 		if tr != nil {
 			tr.SetGauge(obs.GaugeWorkers, 1)
 			tr.Counter(fmt.Sprintf("%s%d", obs.CtrWorkerTaskPrefix, 0)).Add(int64(n))
-			startBytes, startObjs := obs.AllocSample()
-			defer workerAllocs(0, startBytes, startObjs)
 		}
 		for i := 0; i < n; i++ {
 			if !call(i) {
@@ -275,10 +285,6 @@ func ParallelFor(n, workers int, tr *obs.Tracer, fn func(i int)) error {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var startBytes, startObjs uint64
-			if tr != nil {
-				startBytes, startObjs = obs.AllocSample()
-			}
 			tasks := 0
 			for {
 				i := int(next.Add(1)) - 1
@@ -295,7 +301,6 @@ func ParallelFor(n, workers int, tr *obs.Tracer, fn func(i int)) error {
 			}
 			if tr != nil {
 				tr.Counter(fmt.Sprintf("%s%d", obs.CtrWorkerTaskPrefix, w)).Add(int64(tasks))
-				workerAllocs(w, startBytes, startObjs)
 			}
 		}(w)
 	}

@@ -48,7 +48,10 @@ type fpLink struct {
 // position in order; pos maps a universe item id to its order position + 1
 // (0 = absent), giving O(1) item→header lookup without a map. mx is the
 // flat extra-moments slab, mxStride entries per node (empty on
-// single-outcome runs). The node, link and mx arenas double when full.
+// single-outcome runs). The node, link and mx arenas grow together: the
+// node arena by slices.Grow, the other two to its capacity exactly
+// (growArenas), so cap(links) == cap(nodes) and cap(mx) ==
+// mxStride*cap(nodes) hold for every built tree.
 //
 // index is an open-addressing hash table (linear probing, a power-of-two
 // length kept at most half full) from (parent, item) to node+1, 0 marking
@@ -82,10 +85,12 @@ func newFPTree(order []int, numItems, mxStride int) *fpTree {
 // reuses the caller's buffer); pos must hold no other order's
 // registrations (putTree clears them).
 func (t *fpTree) reset(order []int, mxStride int) {
-	t.nodes = append(t.nodes[:0], fpNode{firstChild: -1, nextSib: -1, next: -1})
-	t.links = append(t.links[:0], fpLink{item: -1, parent: -1})
+	t.nodes, t.links, t.mx = t.nodes[:0], t.links[:0], t.mx[:0]
 	t.mxStride = mxStride
-	t.mx = slices.Grow(t.mx[:0], mxStride)[:mxStride]
+	t.growArenas(1)
+	t.nodes = append(t.nodes, fpNode{firstChild: -1, nextSib: -1, next: -1})
+	t.links = append(t.links, fpLink{item: -1, parent: -1})
+	t.mx = t.mx[:mxStride]
 	clear(t.mx)
 	t.index = t.index[:0]
 	t.order = append(t.order[:0], order...)
@@ -145,19 +150,13 @@ func (t *fpTree) child(parent, it int32) int32 {
 	c := int32(len(t.nodes))
 	t.index[h] = c + 1
 	if len(t.nodes) == cap(t.nodes) {
-		t.nodes = slices.Grow(t.nodes, len(t.nodes))
-	}
-	if len(t.links) == cap(t.links) {
-		t.links = slices.Grow(t.links, len(t.links))
+		t.growArenas(len(t.nodes))
 	}
 	t.nodes = append(t.nodes, fpNode{firstChild: -1, nextSib: t.nodes[parent].firstChild, next: -1})
 	t.links = append(t.links, fpLink{item: it, parent: parent})
 	t.nodes[parent].firstChild = c
 	if k := t.mxStride; k > 0 {
 		n := len(t.mx)
-		if n+k > cap(t.mx) {
-			t.mx = slices.Grow(t.mx, n)
-		}
 		t.mx = t.mx[:n+k]
 		clear(t.mx[n:])
 	}
@@ -169,6 +168,28 @@ func (t *fpTree) child(parent, it int32) int32 {
 	}
 	t.tails[p] = c
 	return c
+}
+
+// growArenas makes room for at least n more nodes: the node arena grows
+// by slices.Grow, whose capacity is rounded to the allocator's size
+// class, and the link and mx arenas are then sized to that capacity
+// exactly, so no arena holds slots the others cannot match.
+func (t *fpTree) growArenas(n int) {
+	t.nodes = slices.Grow(t.nodes, n)
+	c := cap(t.nodes)
+	t.links = withCap(t.links, c)
+	t.mx = withCap(t.mx, c*t.mxStride)
+}
+
+// withCap returns s with capacity exactly c (at least len(s)): s itself
+// when it has it, else a copy.
+func withCap[S ~[]E, E any](s S, c int) S {
+	if cap(s) == c {
+		return s
+	}
+	g := make(S, len(s), c)
+	copy(g, s)
+	return g
 }
 
 // insert adds a transaction (items already filtered to the tree's universe

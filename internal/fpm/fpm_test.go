@@ -404,7 +404,7 @@ func TestRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	items := inOrder(res.Itemsets, Rank(res.Itemsets, 0, o, false, false))
+	items := inOrder(res.Itemsets, Rank(res.Itemsets, 0, o, false, false, 1))
 	for i := 1; i < len(items); i++ {
 		da := math.Abs(o.DivergenceFromMoments(items[i-1].M))
 		db := math.Abs(o.DivergenceFromMoments(items[i].M))
@@ -412,13 +412,13 @@ func TestRank(t *testing.T) {
 			t.Fatalf("abs sort violated at %d: %v < %v", i, da, db)
 		}
 	}
-	items = inOrder(res.Itemsets, Rank(res.Itemsets, 0, o, true, true))
+	items = inOrder(res.Itemsets, Rank(res.Itemsets, 0, o, true, true, 1))
 	for i := 1; i < len(items); i++ {
 		if o.DivergenceFromMoments(items[i].M) > o.DivergenceFromMoments(items[i-1].M)+1e-12 {
 			t.Fatal("signed positive sort violated")
 		}
 	}
-	items = inOrder(res.Itemsets, Rank(res.Itemsets, 0, o, true, false))
+	items = inOrder(res.Itemsets, Rank(res.Itemsets, 0, o, true, false, 1))
 	for i := 1; i < len(items); i++ {
 		if o.DivergenceFromMoments(items[i].M) < o.DivergenceFromMoments(items[i-1].M)-1e-12 {
 			t.Fatal("signed negative sort violated")
@@ -434,33 +434,11 @@ func TestRank(t *testing.T) {
 // string-key comparator, element for element, in every key mode and for
 // the primary outcome's moments (M) and an extra outcome's (Multi).
 func TestRankMatchesStable(t *testing.T) {
-	actual := []bool{true, true, false, false}
-	o := outcome.ErrorRate(actual, []bool{true, false, true, false}) // global mean 0.5
-	moments := []stats.Moments{
-		{}, // no defined outcome: NaN divergence
-		{N: 4, Sum: 1, SumSq: 1},
-		{N: 4, Sum: 3, SumSq: 3},
-		{N: 8, Sum: 6, SumSq: 6},
-		{N: 2, Sum: 1, SumSq: 1},
-	}
+	o := rankOutcome()
 	for seed := int64(1); seed <= 5; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		seen := map[string]bool{}
-		var items []MinedItemset
-		for len(items) < 2000 {
-			idx := rng.Perm(400)[:1+rng.Intn(3)]
-			sort.Ints(idx)
-			if seen[key(idx)] {
-				continue
-			}
-			seen[key(idx)] = true
-			items = append(items, MinedItemset{
-				Items: idx, Count: 5 << rng.Intn(3), M: moments[rng.Intn(len(moments))],
-				Multi: []stats.Moments{moments[rng.Intn(len(moments))]},
-			})
-		}
+		items := rankItems(seed, 2000)
 		for k := 0; k <= 1; k++ {
-			for _, mode := range [][2]bool{{false, false}, {true, true}, {true, false}} {
+			for _, mode := range rankModes {
 				signed, positive := mode[0], mode[1]
 				want := append([]MinedItemset(nil), items...)
 				sortKey := func(m MinedItemset) float64 {
@@ -488,11 +466,80 @@ func TestRankMatchesStable(t *testing.T) {
 					}
 					return key(a.Items) < key(b.Items)
 				})
-				got := inOrder(items, Rank(items, k, o, signed, positive))
+				got := inOrder(items, Rank(items, k, o, signed, positive, 1))
 				if !reflect.DeepEqual(got, want) {
 					for i := range got {
 						if !reflect.DeepEqual(got[i], want[i]) {
 							t.Fatalf("seed %d k=%d signed=%v positive=%v: position %d holds %+v, stable sort %+v", seed, k, signed, positive, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// rankOutcome is the outcome of TestRankMatchesStable's itemsets, its
+// global mean 0.5.
+func rankOutcome() *outcome.Outcome {
+	return outcome.ErrorRate([]bool{true, true, false, false}, []bool{true, false, true, false})
+}
+
+// rankModes are Rank's three key modes as (signed, positive).
+var rankModes = [][2]bool{{false, false}, {true, true}, {true, false}}
+
+// rankItems draws n distinct seeded itemsets of 1–3 of 400 items with
+// many tied divergences (NaN, ±d under the absolute key), lengths and
+// counts, and item indices whose varint encodings order differently from
+// their values (256 before 129), each with one extra outcome's moments.
+func rankItems(seed int64, n int) []MinedItemset {
+	moments := []stats.Moments{
+		{}, // no defined outcome: NaN divergence
+		{N: 4, Sum: 1, SumSq: 1},
+		{N: 4, Sum: 3, SumSq: 3},
+		{N: 8, Sum: 6, SumSq: 6},
+		{N: 2, Sum: 1, SumSq: 1},
+	}
+	rng := rand.New(rand.NewSource(seed))
+	seen := map[string]bool{}
+	var items []MinedItemset
+	for len(items) < n {
+		idx := rng.Perm(400)[:1+rng.Intn(3)]
+		sort.Ints(idx)
+		if seen[key(idx)] {
+			continue
+		}
+		seen[key(idx)] = true
+		items = append(items, MinedItemset{
+			Items: idx, Count: 5 << rng.Intn(3), M: moments[rng.Intn(len(moments))],
+			Multi: []stats.Moments{moments[rng.Intn(len(moments))]},
+		})
+	}
+	return items
+}
+
+// TestRankWorkersMatchSerial runs TestRankMatchesStable's seeds, key
+// modes and outcomes at a size that splits into chunks (eight
+// RankChunkMin chunks and a remainder) and pins Rank at workers {2, 3, 8}
+// to its order at workers 1, element for element: the merged chunks must
+// be the serial order, whatever the core count.
+func TestRankWorkersMatchSerial(t *testing.T) {
+	o := rankOutcome()
+	n := 8*RankChunkMin + 13
+	for seed := int64(1); seed <= 5; seed++ {
+		items := rankItems(seed, n)
+		for k := 0; k <= 1; k++ {
+			for _, mode := range rankModes {
+				want := Rank(items, k, o, mode[0], mode[1], 1)
+				for _, w := range []int{2, 3, 8} {
+					if c := engine.Chunks(n, w, RankChunkMin); c != w {
+						t.Fatalf("workers=%d: %d chunks; the case needs %d", w, c, w)
+					}
+					got := Rank(items, k, o, mode[0], mode[1], w)
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("seed %d k=%d signed=%v positive=%v workers=%d: position %d holds itemset %d, serial %d",
+								seed, k, mode[0], mode[1], w, i, got[i], want[i])
 						}
 					}
 				}
@@ -539,7 +586,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	u, o := randomUniverse(t, 51, 900, true)
 	for _, alg := range []Algorithm{Apriori, FPGrowth} {
 		for _, prune := range []bool{false, true} {
-			serial, err := Mine(u, o, Options{MinSupport: 0.03, Algorithm: alg, PolarityPrune: prune})
+			serial, err := Mine(u, o, Options{MinSupport: 0.03, Algorithm: alg, PolarityPrune: prune, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -388,3 +388,58 @@ func TestFPTreePathsRankAscending(t *testing.T) {
 		t.Fatalf("%d conditional trees, none recycled; the case is vacuous", conds)
 	}
 }
+
+// arenasShareCap fails unless tr's link and mx arenas have exactly the
+// node arena's capacity (mx: mxStride slots per node).
+func arenasShareCap(t *testing.T, label string, tr *fpTree) {
+	t.Helper()
+	if cap(tr.links) != cap(tr.nodes) || cap(tr.mx) != tr.mxStride*cap(tr.nodes) {
+		t.Fatalf("%s: %d nodes in %d node slots, %d link slots, %d mx slots (stride %d)",
+			label, len(tr.nodes), cap(tr.nodes), cap(tr.links), cap(tr.mx), tr.mxStride)
+	}
+}
+
+// TestFPTreeArenasShareCapacity pins the arenas' joint growth: root trees
+// of several row counts (one and three shards, so absorb grows shard 0's
+// tree, with no and two extra outcomes) and conditional trees of several
+// sizes recycled through getTree and putTree, strides changing between
+// uses, end with cap(links) == cap(nodes) and cap(mx) ==
+// mxStride*cap(nodes).
+func TestFPTreeArenasShareCapacity(t *testing.T) {
+	const numItems = 22
+	for _, n := range []int{70, 1000, 6000} {
+		u, bun3, order, rank := shapeFixture(t, int64(n), n, numItems)
+		for _, bun := range []*outcome.Bundle{outcome.Single(bun3.Primary()), bun3} {
+			for _, shards := range []int{1, 3} {
+				plan := engine.NewPlan(n, shards)
+				root, _ := buildShardTree(u, bun, order, numItems, plan, 0, nil)
+				for s := 1; s < plan.NumShards(); s++ {
+					st, _ := buildShardTree(u, bun, order, numItems, plan, s, nil)
+					arenasShareCap(t, fmt.Sprintf("n=%d outcomes=%d shard %d", n, bun.Len(), s), st)
+					root.absorb(st, rank)
+				}
+				arenasShareCap(t, fmt.Sprintf("n=%d outcomes=%d shards=%d root", n, bun.Len(), shards), root)
+			}
+		}
+	}
+	r := rand.New(rand.NewSource(9))
+	sc := &growScratch{cnt: make([]int, numItems)}
+	pool := engine.NewPool(engine.NewPlan(64, 1))
+	for round, tc := range []struct{ txns, stride int }{{3, 0}, {300, 2}, {5000, 2}, {40, 3}, {2000, 0}, {10, 1}} {
+		order := r.Perm(numItems)
+		cond := sc.getTree(order, numItems, tc.stride, pool)
+		arenasShareCap(t, fmt.Sprintf("round %d empty", round), cond)
+		mx := make([]stats.Moments, tc.stride)
+		for k := 0; k < tc.txns; k++ {
+			var items []int32
+			for _, it := range order {
+				if r.Intn(3) == 0 {
+					items = append(items, int32(it))
+				}
+			}
+			cond.insert(items, 1, stats.Moments{N: 1, Sum: 1, SumSq: 1}, mx)
+		}
+		arenasShareCap(t, fmt.Sprintf("round %d: %d transactions, stride %d", round, tc.txns, tc.stride), cond)
+		sc.putTree(cond)
+	}
+}

@@ -70,10 +70,11 @@ type Options struct {
 	PolarityPrune bool
 	// Algorithm selects Apriori or FPGrowth.
 	Algorithm Algorithm
-	// Workers enables parallel mining with the given number of goroutines.
-	// 0 or 1 runs serially; values above the task count or GOMAXPROCS are
-	// clamped. Results are identical and deterministically ordered
-	// regardless of Workers.
+	// Workers is the number of mining goroutines: 0 uses every core
+	// (runtime.GOMAXPROCS(0), resolved by engine.Workers) and 1 runs
+	// serially; values above the task count or GOMAXPROCS are clamped.
+	// Results are identical and deterministically ordered regardless of
+	// Workers.
 	Workers int
 	// Shards fixes the number of row shards of the engine data plane; 0
 	// selects the default layout (one shard per engine.DefaultShardRows
@@ -182,6 +183,7 @@ func MineMulti(u *Universe, b *outcome.Bundle, opt Options) (*Result, error) {
 	if opt.Tracer == nil {
 		opt.Tracer = opt.TraceParent.Tracer()
 	}
+	opt.Workers = engine.Workers(opt.Workers)
 	ctx := opt.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -647,24 +649,21 @@ func key(items []int) string {
 // exact order of the historical string-key comparison without building
 // strings. items is not modified: a report is built by reading it in
 // order.
-func Rank(items []MinedItemset, k int, o *outcome.Outcome, signed, positive bool) []int32 {
+//
+// workers follows Options.Workers (0 = every core). From 2*RankChunkMin
+// itemsets on, the records are filled and sorted in contiguous chunks on
+// that many goroutines (engine.Chunks) and the sorted chunks merged. The
+// comparator is a total order over distinct itemsets, so the order is the
+// serial one element for element, whatever the worker count. A panic in
+// a chunk is raised again on the caller's goroutine, as the serial sort
+// would raise it.
+func Rank(items []MinedItemset, k int, o *outcome.Outcome, signed, positive bool, workers int) []int32 {
 	recs := make([]rankRec, len(items))
-	for i := range items {
-		d := o.DivergenceFromMoments(items[i].MomentsAt(k))
-		if math.IsNaN(d) {
-			d = math.Inf(-1)
-		} else if !signed {
-			d = math.Abs(d)
-		} else if !positive {
-			d = -d
-		}
-		recs[i] = rankRec{key: d, n: int32(len(items[i].Items)), idx: int32(i)}
-	}
 	// The comparator is a total order over distinct itemsets (keyCompare
 	// separates any two distinct item slices), so an unstable sort yields
 	// the one order a stable sort would. Keys are never NaN, so plain
 	// comparisons order them.
-	slices.SortFunc(recs, func(a, b rankRec) int {
+	compare := func(a, b rankRec) int {
 		switch {
 		case a.key > b.key:
 			return -1
@@ -678,12 +677,90 @@ func Rank(items []MinedItemset, k int, o *outcome.Outcome, signed, positive bool
 			return cmp.Compare(y.Count, x.Count)
 		}
 		return keyCompare(x.Items, y.Items)
-	})
-	order := make([]int32, len(recs))
-	for i, r := range recs {
-		order[i] = r.idx
 	}
+	n := len(items)
+	chunks := engine.Chunks(n, workers, RankChunkMin)
+	bounds := make([]int, chunks+1)
+	for c := range chunks {
+		_, bounds[c+1] = engine.ChunkRange(n, chunks, c)
+	}
+	mustParallel(chunks, func(c int) {
+		lo, hi := bounds[c], bounds[c+1]
+		for i := lo; i < hi; i++ {
+			d := o.DivergenceFromMoments(items[i].MomentsAt(k))
+			if math.IsNaN(d) {
+				d = math.Inf(-1)
+			} else if !signed {
+				d = math.Abs(d)
+			} else if !positive {
+				d = -d
+			}
+			recs[i] = rankRec{key: d, n: int32(len(items[i].Items)), idx: int32(i)}
+		}
+		slices.SortFunc(recs[lo:hi], compare)
+	})
+	// Merge neighbouring runs pairwise, in parallel, until at most two are
+	// left; the last merge writes the order itself.
+	if len(bounds) > 3 {
+		buf := make([]rankRec, n)
+		for len(bounds) > 3 {
+			runs := len(bounds) - 1
+			next := make([]int, 0, runs/2+2)
+			for r := 0; r < runs; r += 2 {
+				next = append(next, bounds[r])
+			}
+			next = append(next, n)
+			mustParallel(len(next)-1, func(p int) {
+				lo, mid, hi := bounds[2*p], bounds[min(2*p+1, runs)], bounds[min(2*p+2, runs)]
+				mergeRuns(recs[lo:mid], recs[mid:hi], compare, func(i int, r rankRec) { buf[lo+i] = r })
+			})
+			recs, buf, bounds = buf, recs, next
+		}
+	}
+	order := make([]int32, n)
+	mid := bounds[min(1, len(bounds)-1)]
+	mergeRuns(recs[:mid], recs[mid:], compare, func(i int, r rankRec) { order[i] = r.idx })
 	return order
+}
+
+// RankChunkMin is the fewest itemsets Rank sorts on one goroutine, and
+// the fewest subgroups a report build (core) gives one: below twice this
+// both stay serial, so a small result pays nothing for the workers.
+// Measured with BenchmarkRank's ranking and report build (internal/core)
+// on prefixes of its fixture at 2 workers: chunks of 256 ran 12% slower
+// than serial, chunks of 512 20% faster; 1024 keeps a 2x margin.
+const RankChunkMin = 1024
+
+// mergeRuns merges two sorted runs in compare order, passing each record
+// with its merged position to put; on a tie a's record goes first.
+func mergeRuns(a, b []rankRec, compare func(x, y rankRec) int, put func(i int, r rankRec)) {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		if compare(b[j], a[i]) < 0 {
+			put(i+j, b[j])
+			j++
+		} else {
+			put(i+j, a[i])
+			i++
+		}
+	}
+	for ; i < len(a); i++ {
+		put(i+j, a[i])
+	}
+	for ; j < len(b); j++ {
+		put(i+j, b[j])
+	}
+}
+
+// mustParallel runs fn(0..n-1), one task per goroutine up to GOMAXPROCS,
+// through engine.ParallelFor, untraced so the worker counters keep
+// describing mining, and raises a task's recovered panic again on the
+// caller's goroutine. Rank's tasks number at most its chunks, and those
+// at most its workers.
+func mustParallel(n int, fn func(i int)) {
+	if err := engine.ParallelFor(n, n, nil, fn); err != nil {
+		panic(err)
+	}
 }
 
 // rankRec is Rank's sort record for items[idx]: its divergence key and its

@@ -82,14 +82,11 @@ type ExplainShard struct {
 	Support int64 `json:"support,omitempty"`
 }
 
-// ExplainWorker is one ParallelFor worker's share of the run: tasks
-// completed plus the allocation delta sampled over the worker's
-// lifetime. Both are nondeterministic (scheduling-dependent).
+// ExplainWorker is one ParallelFor worker's share of the run's mining:
+// the tasks it completed, nondeterministic (scheduling-dependent).
 type ExplainWorker struct {
-	Index      int   `json:"index"`
-	Tasks      int64 `json:"tasks"`
-	AllocBytes int64 `json:"alloc_bytes,omitempty"`
-	Allocs     int64 `json:"allocs,omitempty"`
+	Index int   `json:"index"`
+	Tasks int64 `json:"tasks"`
 }
 
 // ExplainCache reports the universe-cache outcome of a server-side
@@ -216,10 +213,6 @@ func NewExplain(tr *Trace) *Explain {
 			shard(i).Support = v
 		} else if i, ok := indexSuffix(name, CtrWorkerTaskPrefix); ok {
 			worker(i).Tasks = v
-		} else if i, ok := indexSuffix(name, CtrWorkerAllocBytesPrefix); ok {
-			worker(i).AllocBytes = v
-		} else if i, ok := indexSuffix(name, CtrWorkerAllocObjsPrefix); ok {
-			worker(i).Allocs = v
 		}
 	}
 	for _, s := range shards {
@@ -412,8 +405,7 @@ func (e *Explain) Text() string {
 	if len(e.Workers) > 0 {
 		b.WriteString("workers:\n")
 		for _, w := range e.Workers {
-			fmt.Fprintf(&b, "  w%-3d tasks=%-9d alloc=%s (%d objects)\n",
-				w.Index, w.Tasks, fmtBytes(w.AllocBytes), w.Allocs)
+			fmt.Fprintf(&b, "  w%-3d tasks=%d\n", w.Index, w.Tasks)
 		}
 	}
 	if e.Cache != nil {

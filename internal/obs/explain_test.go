@@ -27,8 +27,6 @@ func explainTrace() *Trace {
 			CtrShardSupportPrefix + "0":             30,
 			CtrShardSupportPrefix + "1":             10,
 			CtrWorkerTaskPrefix + "0":               7,
-			CtrWorkerAllocBytesPrefix + "0":         4096,
-			CtrWorkerAllocObjsPrefix + "0":          12,
 			CtrBudgetExhaustedPrefix + "candidates": 1,
 		},
 		Gauges: map[string]float64{
@@ -114,7 +112,7 @@ func TestNewExplainCountersShardsBudget(t *testing.T) {
 	if e.ShardSkew != 1.5 {
 		t.Errorf("ShardSkew = %v, want 1.5", e.ShardSkew)
 	}
-	if len(e.Workers) != 1 || e.Workers[0].Tasks != 7 || e.Workers[0].AllocBytes != 4096 || e.Workers[0].Allocs != 12 {
+	if len(e.Workers) != 1 || e.Workers[0].Tasks != 7 {
 		t.Errorf("workers = %+v", e.Workers)
 	}
 	if e.Cache == nil || !e.Cache.Hit {

@@ -76,14 +76,6 @@ const (
 	// load signal behind the explain profile's shard-skew ratio.
 	CtrShardSupportPrefix = "engine.shard_support.s"
 
-	// CtrWorkerAllocBytesPrefix / CtrWorkerAllocObjsPrefix + worker index
-	// record the heap-allocation delta (bytes, objects) sampled over each
-	// ParallelFor worker goroutine's lifetime. Process-global samples, so
-	// approximate when workers overlap; nondeterministic like the task
-	// split.
-	CtrWorkerAllocBytesPrefix = "engine.worker_alloc_bytes.w"
-	CtrWorkerAllocObjsPrefix  = "engine.worker_allocs.w"
-
 	// CtrPoolHits / CtrPoolMisses count buffer acquisitions served by the
 	// run's engine.Pool from recycled storage vs freshly allocated — row
 	// vectors, partial-count matrices, FP-Growth conditional trees and

@@ -434,7 +434,9 @@ type ExploreRequest struct {
 	Top int `json:"top,omitempty"`
 	// MinT drops subgroups with |t| below the threshold (0 = keep all).
 	MinT float64 `json:"min_t,omitempty"`
-	// Workers enables parallel mining (results are identical regardless).
+	// Workers is the number of goroutines mining and ranking run on
+	// (0, the default, = every core; 1 = serial). Results are identical
+	// regardless.
 	Workers int `json:"workers,omitempty"`
 	// Shards fixes the engine data plane's row-shard count (0 = automatic;
 	// ranked results are identical regardless for the built-in rate
