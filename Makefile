@@ -26,7 +26,7 @@
 #                     FuzzWALReplay seed corpus
 #   make bench-test   the bench module's own tests (it sits outside the
 #                     root module, so `go test ./...` never reaches it)
-#   make fuzz         FuzzWALReplay on mutated inputs for 30s
+#   make fuzz         FuzzWALReplay and FuzzRank on mutated inputs, 30s each
 
 GO ?= go
 # BENCHTIME feeds -benchtime: the default 1s gives stable numbers; CI
@@ -100,9 +100,11 @@ test-crash:
 
 # fuzz mutates WAL segment bytes for 30s: replay must never panic
 # nor apply a record whose checksum fails (test-crash runs only the seed
-# corpus).
+# corpus). Then it mutates ranking inputs for 30s: fpm.Rank must never
+# panic and must give its stable-sort oracle's order at workers 1 and 3.
 fuzz:
 	$(GO) test ./internal/wal -fuzz FuzzWALReplay -fuzztime 30s
+	$(GO) test ./internal/fpm -run '^FuzzRank$$' -fuzz '^FuzzRank$$' -fuzztime 30s
 
 # bench-test runs the benchmark harness's unit tests in short mode; the
 # bench module has its own go.mod, so the root test targets skip it.

@@ -12,13 +12,12 @@
 //	hdivexplorer -data census.csv -target income -stat numeric -s 0.05
 //
 // Observability: -explain prints a query-level cost-attribution profile
-// (per-stage self/cumulative time and allocations, mining counters,
-// shard balance, budget consumption) to stderr and -explain-json writes
-// it to a file; -trace prints the raw span tree with per-stage wall time
-// and allocation deltas to stderr, -trace-json writes the
-// machine-readable spans+counters snapshot to a file, -trace-chrome
-// writes a Chrome/Perfetto trace_event file (load it at
-// ui.perfetto.dev), -progress prints a live mining progress ticker to
+// (per-stage self/cumulative time, mining counters, shard balance,
+// budget consumption) to stderr and -explain-json writes it to a file;
+// -trace prints the raw span tree with per-stage wall time to stderr,
+// -trace-json writes the machine-readable spans+counters snapshot to a
+// file, -trace-chrome writes a Chrome/Perfetto trace_event file (load it
+// at ui.perfetto.dev), -progress prints a live mining progress ticker to
 // stderr, and -cpuprofile/-memprofile capture runtime/pprof profiles of
 // the run.
 package main
@@ -85,7 +84,7 @@ func main() {
 	flag.IntVar(&c.budgetItemsets, "budget-itemsets", 0, "cap on frequent itemsets kept (0 = unlimited); exhaustion truncates the report")
 	flag.DurationVar(&c.budgetDeadline, "budget-deadline", 0, "soft mining deadline (0 = none); expiry truncates the report instead of failing")
 	flag.Uint64Var(&c.budgetHeap, "budget-heap-bytes", 0, "heap watermark that truncates mining (0 = off)")
-	flag.BoolVar(&c.explain, "explain", false, "print the query cost-attribution profile (stage times, allocations, shard balance, budget use) to stderr")
+	flag.BoolVar(&c.explain, "explain", false, "print the query cost-attribution profile (stage times, shard balance, budget use) to stderr")
 	flag.StringVar(&c.explainJSON, "explain-json", "", "write the explain profile as JSON to this file")
 	flag.BoolVar(&c.trace, "trace", false, "print the pipeline span tree and counters to stderr")
 	flag.BoolVar(&c.progress, "progress", false, "print a live mining progress line to stderr every 500ms")

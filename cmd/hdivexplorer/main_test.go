@@ -334,7 +334,7 @@ func TestExplainOutputs(t *testing.T) {
 	}
 
 	for _, want := range []string{
-		"explain", "stage", "self%", "self-bytes",
+		"explain", "stage", "self%",
 		"explore.universe", "mine", "explore.rank",
 		"mining: candidates=",
 	} {
@@ -355,18 +355,11 @@ func TestExplainOutputs(t *testing.T) {
 		t.Fatalf("profile empty: %+v", ex)
 	}
 	var selfSum int64
-	mineAlloc := false
 	for _, st := range ex.Stages {
 		selfSum += st.SelfNS
-		if strings.HasPrefix(st.Name, "mine") && st.Bytes > 0 {
-			mineAlloc = true
-		}
 	}
 	if selfSum != ex.TotalNS {
 		t.Errorf("sum(SelfNS)=%d != TotalNS=%d", selfSum, ex.TotalNS)
-	}
-	if !mineAlloc {
-		t.Error("mining stages report zero allocation delta")
 	}
 	if ex.Mining.Candidates <= 0 {
 		t.Errorf("mining counters empty: %+v", ex.Mining)

@@ -363,7 +363,7 @@ func rankReports(u *fpm.Universe, res *fpm.Result, b *outcome.Bundle, elapsed ti
 	reps := make([]*Report, b.Len())
 	for k := range reps {
 		o := b.At(k)
-		order := fpm.Rank(res.Itemsets, k, o, false, false, workers)
+		order := fpm.Rank(res.Itemsets, k, o, workers)
 		rep := &Report{
 			Global:    o.GlobalMean(),
 			NumRows:   u.NumRows,

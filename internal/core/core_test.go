@@ -16,6 +16,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fpm"
 	"repro/internal/hierarchy"
+	"repro/internal/model"
 	"repro/internal/outcome"
 )
 
@@ -158,32 +159,27 @@ func noAlias(t *testing.T, label string, reps []*Report) {
 
 // TestRankReportsWorkersMatchSerial pins parallel ranking to the serial
 // order on BenchmarkRank's fixture, whose ties on key, length and count
-// (42,326 adjacent pairs of 112,705 itemsets under the absolute key)
-// leave the order to the last tie-break: fpm.Rank at workers {2, 3, 8}
-// gives the order of workers 1 element for element, under both the
-// absolute and the signed keys, and rankReports built on those workers
-// equals the serial build field for field.
+// (42,326 adjacent pairs of 112,705 itemsets) leave the order to the last
+// tie-break: fpm.Rank at workers {2, 3, 8} gives the order of workers 1
+// element for element, and rankReports built on those workers equals the
+// serial build field for field.
 func TestRankReportsWorkersMatchSerial(t *testing.T) {
 	u, res, o := rankFixture(t)
 	items := res.Itemsets
-	for _, mode := range [][2]bool{{false, false}, {true, true}, {true, false}} {
-		want := fpm.Rank(items, 0, o, mode[0], mode[1], 1)
-		if mode == [2]bool{} {
-			ties := 0
-			for i := 1; i < len(want); i++ {
-				a, b := &items[want[i-1]], &items[want[i]]
-				if math.Abs(o.DivergenceFromMoments(a.M)) == math.Abs(o.DivergenceFromMoments(b.M)) && len(a.Items) == len(b.Items) && a.Count == b.Count {
-					ties++
-				}
-			}
-			if ties < 40_000 {
-				t.Fatalf("%d adjacent pairs tied on key, length and count; the case needs 40k", ties)
-			}
+	order := fpm.Rank(items, 0, o, 1)
+	ties := 0
+	for i := 1; i < len(order); i++ {
+		a, b := &items[order[i-1]], &items[order[i]]
+		if math.Abs(o.DivergenceFromMoments(a.M)) == math.Abs(o.DivergenceFromMoments(b.M)) && len(a.Items) == len(b.Items) && a.Count == b.Count {
+			ties++
 		}
-		for _, w := range []int{2, 3, 8} {
-			if got := fpm.Rank(items, 0, o, mode[0], mode[1], w); !slices.Equal(got, want) {
-				t.Fatalf("signed=%v positive=%v workers=%d: order differs from workers 1", mode[0], mode[1], w)
-			}
+	}
+	if ties < 40_000 {
+		t.Fatalf("%d adjacent pairs tied on key, length and count; the case needs 40k", ties)
+	}
+	for _, w := range []int{2, 3, 8} {
+		if got := fpm.Rank(items, 0, o, w); !slices.Equal(got, order) {
+			t.Fatalf("workers=%d: order differs from workers 1", w)
 		}
 	}
 	bun := outcome.Single(o)
@@ -408,12 +404,11 @@ func outcomeOfLen(t *testing.T, n int) *outcome.Outcome {
 	return outcome.Numeric("tiny", vals)
 }
 
-// rankFixture mines BenchmarkRank's input once per test binary: over
-// 100k itemsets of an Intentions-like table of 6,000 rows, its label as
-// the statistic, hierarchical, s 0.07.
+// rankFixture mines BenchmarkRank/intentions' input once per test
+// binary: over 100k itemsets of an Intentions-like table of 6,000 rows,
+// its label as the statistic, hierarchical, s 0.07.
 func rankFixture(tb testing.TB) (*fpm.Universe, *fpm.Result, *outcome.Outcome) {
-	tb.Helper()
-	rankOnce.Do(func() {
+	return intentionsFixture.get(tb, func() (*dataset.Table, *outcome.Outcome, error) {
 		d := datagen.Intentions(datagen.Config{N: 6000, Seed: 1})
 		label := make([]float64, len(d.Actual))
 		for i, a := range d.Actual {
@@ -421,49 +416,94 @@ func rankFixture(tb testing.TB) (*fpm.Universe, *fpm.Result, *outcome.Outcome) {
 				label[i] = 1
 			}
 		}
-		o := outcome.Numeric("label", label)
-		hs, err := discretize.Hierarchies(d.Table, o, discretize.TreeOptions{MinSupport: 0.1}, nil)
-		if err != nil {
-			rankErr = err
-			return
-		}
-		u := fpm.GeneralizedUniverse(d.Table, hs, o)
-		res, err := fpm.Mine(u, o, fpm.Options{MinSupport: 0.07})
-		if err == nil && len(res.Itemsets) < 100_000 {
-			err = fmt.Errorf("%d itemsets; the fixture needs at least 100k", len(res.Itemsets))
-		}
-		rankU, rankRes, rankO, rankErr = u, res, o, err
-	})
-	if rankErr != nil {
-		tb.Fatal(rankErr)
-	}
-	return rankU, rankRes, rankO
+		return d.Table, outcome.Numeric("label", label), nil
+	}, 0.1, 0.07, 100_000)
 }
 
-var (
-	rankOnce sync.Once
-	rankU    *fpm.Universe
-	rankRes  *fpm.Result
-	rankO    *outcome.Outcome
-	rankErr  error
-)
+// tiesFixture mines BenchmarkRank/ties' input once per test binary:
+// Figure 2's German cell at s 0.05, hierarchical, the error rate of a
+// random forest trained on the 1,000-row German-like table. The forest
+// fits its training rows, so most subgroups' error rate is 0 and nearly
+// every key ties: over 300k itemsets.
+func tiesFixture(tb testing.TB) (*fpm.Universe, *fpm.Result, *outcome.Outcome) {
+	return germanFixture.get(tb, func() (*dataset.Table, *outcome.Outcome, error) {
+		d := datagen.German(datagen.Config{N: 1000, Seed: 1})
+		f, err := model.TrainForest(d.Table, d.Table.Names(), d.Actual, model.ForestOptions{NumTrees: 15, Seed: 2})
+		if err != nil {
+			return nil, nil, err
+		}
+		pred, err := f.Predict(d.Table)
+		if err != nil {
+			return nil, nil, err
+		}
+		return d.Table, outcome.ErrorRate(d.Actual, pred), nil
+	}, 0.1, 0.05, 300_000)
+}
+
+// minedFixture is a mined result built once per test binary.
+type minedFixture struct {
+	once sync.Once
+	u    *fpm.Universe
+	res  *fpm.Result
+	o    *outcome.Outcome
+	err  error
+}
+
+// get builds the fixture on its first call: load's table and outcome,
+// their hierarchies at tree support st, hierarchical mining at support
+// s, and a check that it mined at least minItemsets itemsets.
+func (f *minedFixture) get(tb testing.TB, load func() (*dataset.Table, *outcome.Outcome, error), st, s float64, minItemsets int) (*fpm.Universe, *fpm.Result, *outcome.Outcome) {
+	tb.Helper()
+	f.once.Do(func() {
+		var tab *dataset.Table
+		if tab, f.o, f.err = load(); f.err != nil {
+			return
+		}
+		hs, err := discretize.Hierarchies(tab, f.o, discretize.TreeOptions{MinSupport: st}, nil)
+		if err != nil {
+			f.err = err
+			return
+		}
+		f.u = fpm.GeneralizedUniverse(tab, hs, f.o)
+		f.res, f.err = fpm.Mine(f.u, f.o, fpm.Options{MinSupport: s})
+		if f.err == nil && len(f.res.Itemsets) < minItemsets {
+			f.err = fmt.Errorf("%d itemsets; the fixture needs at least %d", len(f.res.Itemsets), minItemsets)
+		}
+	})
+	if f.err != nil {
+		tb.Fatal(f.err)
+	}
+	return f.u, f.res, f.o
+}
+
+var intentionsFixture, germanFixture minedFixture
 
 // benchReports keeps BenchmarkRank's result live.
 var benchReports []*Report
 
-// BenchmarkRank is the ranking stage alone: one op ranks rankFixture's
-// mined result and builds its report from the order, the work
-// exploreUniverseMulti does after mining, on the default workers (every
-// core: run it with -cpu 1,2 to compare the serial and parallel paths).
+// BenchmarkRank is the ranking stage alone: one op ranks a mined result
+// and builds its report from the order, the work exploreUniverseMulti
+// does after mining, on the default workers (every core: run it with
+// -cpu 1,2 to compare the serial and parallel paths). intentions ranks
+// rankFixture's result, whose ties leave 42,326 of 112,705 adjacent
+// pairs to the itemsets; ties ranks tiesFixture's, where nearly every
+// pair ties on |divergence|.
 func BenchmarkRank(b *testing.B) {
-	u, res, o := rankFixture(b)
-	bun := outcome.Single(o)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		if benchReports, err = rankReports(u, res, bun, 0, 0); err != nil {
-			b.Fatal(err)
-		}
+	for _, fx := range []struct {
+		name string
+		load func(testing.TB) (*fpm.Universe, *fpm.Result, *outcome.Outcome)
+	}{{"intentions", rankFixture}, {"ties", tiesFixture}} {
+		b.Run(fx.name, func(b *testing.B) {
+			u, res, o := fx.load(b)
+			bun := outcome.Single(o)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if benchReports, err = rankReports(u, res, bun, 0, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

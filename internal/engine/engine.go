@@ -233,10 +233,12 @@ func ChunkRange(n, chunks, c int) (lo, hi int) {
 // ParallelFor runs fn(0..n-1) across at most workers goroutines; workers
 // ≤ 1 runs inline. The worker count is clamped to both n and
 // runtime.GOMAXPROCS(0), so callers may pass arbitrarily large values
-// without spawning useless goroutines. fn invocations must be
-// independent. When tr is non-nil, each worker's completed-task count is
-// recorded under obs.CtrWorkerTaskPrefix+index and the clamped worker
-// count under obs.GaugeWorkers.
+// without spawning useless goroutines. Tasks are handed out in index
+// order, so a task may wait for tasks of lower index, which have all
+// been started; fn invocations must be otherwise independent. When tr is
+// non-nil, each worker's completed-task count is recorded under
+// obs.CtrWorkerTaskPrefix+index and the clamped worker count under
+// obs.GaugeWorkers.
 //
 // A panic in fn is recovered into a *PanicError (the first one wins;
 // obs.CtrPanicsRecovered counts every recovery) instead of crossing the
@@ -245,68 +247,77 @@ func ChunkRange(n, chunks, c int) (lo, hi int) {
 // finish, and ParallelFor returns the error. Callers must treat their
 // task outputs as incomplete when the returned error is non-nil.
 func ParallelFor(n, workers int, tr *obs.Tracer, fn func(i int)) error {
-	if workers > n {
-		workers = n
-	}
-	if p := runtime.GOMAXPROCS(0); workers > p {
-		workers = p
-	}
-	var panicked atomic.Pointer[PanicError]
-	// call runs one task, recovering a panic into the first-wins slot.
-	call := func(i int) (ok bool) {
-		defer func() {
-			if pe := RecoverError(recover()); pe != nil {
-				tr.Counter(obs.CtrPanicsRecovered).Add(1)
-				panicked.CompareAndSwap(nil, pe)
-			}
-		}()
-		fn(i)
-		return true
-	}
-	if workers <= 1 || n < 2 {
+	workers = min(workers, n, runtime.GOMAXPROCS(0))
+	if workers <= 1 {
 		if tr != nil {
 			tr.SetGauge(obs.GaugeWorkers, 1)
 			tr.Counter(fmt.Sprintf("%s%d", obs.CtrWorkerTaskPrefix, 0)).Add(int64(n))
 		}
 		for i := 0; i < n; i++ {
-			if !call(i) {
-				break
+			if pe := runTask(fn, i, tr); pe != nil {
+				return pe
 			}
-		}
-		if pe := panicked.Load(); pe != nil {
-			return pe
 		}
 		return nil
 	}
 	tr.SetGauge(obs.GaugeWorkers, float64(workers))
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			tasks := 0
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					break
-				}
-				if !call(i) {
-					// Abandon the remaining tasks: fast-forward the shared
-					// cursor so every worker's next pull is out of range.
-					next.Store(int64(n))
-					break
-				}
-				tasks++
-			}
-			if tr != nil {
-				tr.Counter(fmt.Sprintf("%s%d", obs.CtrWorkerTaskPrefix, w)).Add(int64(tasks))
-			}
-		}(w)
+	r := &parallelRun{n: n, fn: fn, tr: tr}
+	r.wg.Add(workers)
+	for range workers {
+		go r.work()
 	}
-	wg.Wait()
-	if pe := panicked.Load(); pe != nil {
+	r.wg.Wait()
+	if pe := r.panicked.Load(); pe != nil {
 		return pe
 	}
+	return nil
+}
+
+// parallelRun is the state ParallelFor's workers share: the task cursor,
+// the count of workers started, which numbers them, and the first
+// recovered panic.
+type parallelRun struct {
+	n        int
+	fn       func(i int)
+	tr       *obs.Tracer
+	wg       sync.WaitGroup
+	next     atomic.Int64
+	started  atomic.Int32
+	panicked atomic.Pointer[PanicError]
+}
+
+// work pulls tasks until none is left or one panics.
+func (r *parallelRun) work() {
+	defer r.wg.Done()
+	w := int(r.started.Add(1)) - 1
+	tasks := 0
+	for {
+		i := int(r.next.Add(1)) - 1
+		if i >= r.n {
+			break
+		}
+		if pe := runTask(r.fn, i, r.tr); pe != nil {
+			r.panicked.CompareAndSwap(nil, pe)
+			// Abandon the remaining tasks: fast-forward the shared cursor
+			// so every worker's next pull is out of range.
+			r.next.Store(int64(r.n))
+			break
+		}
+		tasks++
+	}
+	if r.tr != nil {
+		r.tr.Counter(fmt.Sprintf("%s%d", obs.CtrWorkerTaskPrefix, w)).Add(int64(tasks))
+	}
+}
+
+// runTask runs fn(i) and returns its panic, if any, recovered into a
+// *PanicError and counted.
+func runTask(fn func(i int), i int, tr *obs.Tracer) (pe *PanicError) {
+	defer func() {
+		if pe = RecoverError(recover()); pe != nil {
+			tr.Counter(obs.CtrPanicsRecovered).Add(1)
+		}
+	}()
+	fn(i)
 	return nil
 }

@@ -10,7 +10,7 @@ import (
 // sortedCopy ranks a result's itemsets by |divergence| with the miner's
 // canonical tie-breaking, leaving the original slice untouched.
 func sortedCopy(res *Result, o *outcome.Outcome) []MinedItemset {
-	return inOrder(res.Itemsets, Rank(res.Itemsets, 0, o, false, false, 1))
+	return inOrder(res.Itemsets, Rank(res.Itemsets, 0, o, 1))
 }
 
 // inOrder returns items[order[0]], items[order[1]], … as a new slice.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -404,7 +403,7 @@ func TestRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	items := inOrder(res.Itemsets, Rank(res.Itemsets, 0, o, false, false, 1))
+	items := inOrder(res.Itemsets, Rank(res.Itemsets, 0, o, 1))
 	for i := 1; i < len(items); i++ {
 		da := math.Abs(o.DivergenceFromMoments(items[i-1].M))
 		db := math.Abs(o.DivergenceFromMoments(items[i].M))
@@ -412,71 +411,67 @@ func TestRank(t *testing.T) {
 			t.Fatalf("abs sort violated at %d: %v < %v", i, da, db)
 		}
 	}
-	items = inOrder(res.Itemsets, Rank(res.Itemsets, 0, o, true, true, 1))
-	for i := 1; i < len(items); i++ {
-		if o.DivergenceFromMoments(items[i].M) > o.DivergenceFromMoments(items[i-1].M)+1e-12 {
-			t.Fatal("signed positive sort violated")
-		}
-	}
-	items = inOrder(res.Itemsets, Rank(res.Itemsets, 0, o, true, false, 1))
-	for i := 1; i < len(items); i++ {
-		if o.DivergenceFromMoments(items[i].M) < o.DivergenceFromMoments(items[i-1].M)-1e-12 {
-			t.Fatal("signed negative sort violated")
-		}
-	}
 }
 
-// TestRankMatchesStable pins the unstable ranking sort to the stable one
-// it replaced: on seeded itemsets with many tied divergences (NaN, ±d
-// under the absolute key), lengths and counts, and item indices whose
-// varint encodings order differently from their values (256 before 129),
-// Rank gives the order of a sort.SliceStable over the historical
-// string-key comparator, element for element, in every key mode and for
-// the primary outcome's moments (M) and an extra outcome's (Multi).
+// TestRankMatchesStable pins the ranking sort to the stable one it
+// replaced: on seeded itemsets with many tied divergences (NaN, ±d under
+// the absolute key), lengths and counts, and item indices whose varint
+// encodings order differently from their values (256 before 129), Rank
+// gives the order of a sort.SliceStable over the historical string-key
+// comparator (stableRank), element for element, for the primary
+// outcome's moments (M) and an extra outcome's (Multi).
 func TestRankMatchesStable(t *testing.T) {
 	o := rankOutcome()
 	for seed := int64(1); seed <= 5; seed++ {
 		items := rankItems(seed, 2000)
 		for k := 0; k <= 1; k++ {
-			for _, mode := range rankModes {
-				signed, positive := mode[0], mode[1]
-				want := append([]MinedItemset(nil), items...)
-				sortKey := func(m MinedItemset) float64 {
-					d := o.DivergenceFromMoments(m.MomentsAt(k))
-					switch {
-					case math.IsNaN(d):
-						return math.Inf(-1)
-					case !signed:
-						return math.Abs(d)
-					case !positive:
-						return -d
-					}
-					return d
-				}
-				sort.SliceStable(want, func(x, y int) bool {
-					a, b := want[x], want[y]
-					if ka, kb := sortKey(a), sortKey(b); ka != kb {
-						return ka > kb
-					}
-					if len(a.Items) != len(b.Items) {
-						return len(a.Items) < len(b.Items)
-					}
-					if a.Count != b.Count {
-						return a.Count > b.Count
-					}
-					return key(a.Items) < key(b.Items)
-				})
-				got := inOrder(items, Rank(items, k, o, signed, positive, 1))
-				if !reflect.DeepEqual(got, want) {
-					for i := range got {
-						if !reflect.DeepEqual(got[i], want[i]) {
-							t.Fatalf("seed %d k=%d signed=%v positive=%v: position %d holds %+v, stable sort %+v", seed, k, signed, positive, i, got[i], want[i])
-						}
-					}
-				}
-			}
+			checkRank(t, fmt.Sprintf("seed %d k=%d", seed, k), items, k, o, 1)
 		}
 	}
+}
+
+// checkRank fails when Rank at the given workers differs from the stable
+// sort (stableRank), naming the first position that differs.
+func checkRank(t *testing.T, label string, items []MinedItemset, k int, o *outcome.Outcome, workers int) {
+	t.Helper()
+	got, want := Rank(items, k, o, workers), stableRank(items, k, o)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s workers=%d: position %d holds itemset %d %+v, stable sort %d %+v",
+				label, workers, i, got[i], items[got[i]], want[i], items[want[i]])
+		}
+	}
+}
+
+// stableRank is Rank's oracle: the indices of items in the order of a
+// sort.SliceStable by |divergence| descending (NaN last), then length,
+// then count descending, then the string key of the items.
+func stableRank(items []MinedItemset, k int, o *outcome.Outcome) []int32 {
+	sortKey := func(m *MinedItemset) float64 {
+		d := o.DivergenceFromMoments(m.MomentsAt(k))
+		if math.IsNaN(d) {
+			return math.Inf(-1)
+		}
+		return math.Abs(d)
+	}
+	order := make([]int32, len(items))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.SliceStable(order, func(x, y int) bool {
+		a, b := &items[order[x]], &items[order[y]]
+		if ka, kb := sortKey(a), sortKey(b); ka != kb {
+			return ka > kb
+		}
+		if len(a.Items) != len(b.Items) {
+			return len(a.Items) < len(b.Items)
+		}
+		if a.Count != b.Count {
+			return a.Count > b.Count
+		}
+		return key(a.Items) < key(b.Items)
+	})
+	return order
 }
 
 // rankOutcome is the outcome of TestRankMatchesStable's itemsets, its
@@ -485,21 +480,22 @@ func rankOutcome() *outcome.Outcome {
 	return outcome.ErrorRate([]bool{true, true, false, false}, []bool{true, false, true, false})
 }
 
-// rankModes are Rank's three key modes as (signed, positive).
-var rankModes = [][2]bool{{false, false}, {true, true}, {true, false}}
+// rankMoments are the moments of the ranking tests' itemsets under
+// rankOutcome: NaN, -0.25, 0.25 (twice, from different moments) and zero
+// divergence.
+var rankMoments = []stats.Moments{
+	{}, // no defined outcome: NaN divergence
+	{N: 4, Sum: 1, SumSq: 1},
+	{N: 4, Sum: 3, SumSq: 3},
+	{N: 8, Sum: 6, SumSq: 6},
+	{N: 2, Sum: 1, SumSq: 1},
+}
 
 // rankItems draws n distinct seeded itemsets of 1–3 of 400 items with
 // many tied divergences (NaN, ±d under the absolute key), lengths and
 // counts, and item indices whose varint encodings order differently from
 // their values (256 before 129), each with one extra outcome's moments.
 func rankItems(seed int64, n int) []MinedItemset {
-	moments := []stats.Moments{
-		{}, // no defined outcome: NaN divergence
-		{N: 4, Sum: 1, SumSq: 1},
-		{N: 4, Sum: 3, SumSq: 3},
-		{N: 8, Sum: 6, SumSq: 6},
-		{N: 2, Sum: 1, SumSq: 1},
-	}
 	rng := rand.New(rand.NewSource(seed))
 	seen := map[string]bool{}
 	var items []MinedItemset
@@ -511,36 +507,34 @@ func rankItems(seed int64, n int) []MinedItemset {
 		}
 		seen[key(idx)] = true
 		items = append(items, MinedItemset{
-			Items: idx, Count: 5 << rng.Intn(3), M: moments[rng.Intn(len(moments))],
-			Multi: []stats.Moments{moments[rng.Intn(len(moments))]},
+			Items: idx, Count: 5 << rng.Intn(3), M: rankMoments[rng.Intn(len(rankMoments))],
+			Multi: []stats.Moments{rankMoments[rng.Intn(len(rankMoments))]},
 		})
 	}
 	return items
 }
 
-// TestRankWorkersMatchSerial runs TestRankMatchesStable's seeds, key
-// modes and outcomes at a size that splits into chunks (eight
-// RankChunkMin chunks and a remainder) and pins Rank at workers {2, 3, 8}
-// to its order at workers 1, element for element: the merged chunks must
-// be the serial order, whatever the core count.
+// TestRankWorkersMatchSerial runs TestRankMatchesStable's seeds and
+// outcomes at a size that splits into chunks (eight RankChunkMin chunks
+// and a remainder) and pins Rank at workers {2, 3, 8} to its order at
+// workers 1, element for element: the merged chunks must be the serial
+// order, whatever the core count.
 func TestRankWorkersMatchSerial(t *testing.T) {
 	o := rankOutcome()
 	n := 8*RankChunkMin + 13
 	for seed := int64(1); seed <= 5; seed++ {
 		items := rankItems(seed, n)
 		for k := 0; k <= 1; k++ {
-			for _, mode := range rankModes {
-				want := Rank(items, k, o, mode[0], mode[1], 1)
-				for _, w := range []int{2, 3, 8} {
-					if c := engine.Chunks(n, w, RankChunkMin); c != w {
-						t.Fatalf("workers=%d: %d chunks; the case needs %d", w, c, w)
-					}
-					got := Rank(items, k, o, mode[0], mode[1], w)
-					for i := range got {
-						if got[i] != want[i] {
-							t.Fatalf("seed %d k=%d signed=%v positive=%v workers=%d: position %d holds itemset %d, serial %d",
-								seed, k, mode[0], mode[1], w, i, got[i], want[i])
-						}
+			want := Rank(items, k, o, 1)
+			for _, w := range []int{2, 3, 8} {
+				if c := engine.Chunks(n, w, RankChunkMin); c != w {
+					t.Fatalf("workers=%d: %d chunks; the case needs %d", w, c, w)
+				}
+				got := Rank(items, k, o, w)
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("seed %d k=%d workers=%d: position %d holds itemset %d, serial %d",
+							seed, k, w, i, got[i], want[i])
 					}
 				}
 			}

@@ -1,11 +1,9 @@
 package fpm
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -633,181 +631,4 @@ func key(items []int) string {
 		b = append(b, byte(v))
 	}
 	return string(b)
-}
-
-// Rank returns the reporting order of items under bundle outcome k, o
-// (each itemset's moments for it are MomentsAt(k)): order[i] is the index
-// in items of the i-th ranked itemset. Itemsets rank by |divergence|
-// descending by default, by signed divergence descending (positive) or
-// ascending otherwise; NaN ranks last. Ties break toward smaller length,
-// then higher support, then lexicographic items for determinism.
-//
-// The sort runs over 16-byte records holding each itemset's key, computed
-// once, its length and its index, so a comparison reads the itemsets only
-// when key and length tie. The final tie-break compares item slices in
-// the byte order of their varint encoding (keyCompare), reproducing the
-// exact order of the historical string-key comparison without building
-// strings. items is not modified: a report is built by reading it in
-// order.
-//
-// workers follows Options.Workers (0 = every core). From 2*RankChunkMin
-// itemsets on, the records are filled and sorted in contiguous chunks on
-// that many goroutines (engine.Chunks) and the sorted chunks merged. The
-// comparator is a total order over distinct itemsets, so the order is the
-// serial one element for element, whatever the worker count. A panic in
-// a chunk is raised again on the caller's goroutine, as the serial sort
-// would raise it.
-func Rank(items []MinedItemset, k int, o *outcome.Outcome, signed, positive bool, workers int) []int32 {
-	recs := make([]rankRec, len(items))
-	// The comparator is a total order over distinct itemsets (keyCompare
-	// separates any two distinct item slices), so an unstable sort yields
-	// the one order a stable sort would. Keys are never NaN, so plain
-	// comparisons order them.
-	compare := func(a, b rankRec) int {
-		switch {
-		case a.key > b.key:
-			return -1
-		case a.key < b.key:
-			return 1
-		case a.n != b.n:
-			return int(a.n - b.n)
-		}
-		x, y := &items[a.idx], &items[b.idx]
-		if x.Count != y.Count {
-			return cmp.Compare(y.Count, x.Count)
-		}
-		return keyCompare(x.Items, y.Items)
-	}
-	n := len(items)
-	chunks := engine.Chunks(n, workers, RankChunkMin)
-	bounds := make([]int, chunks+1)
-	for c := range chunks {
-		_, bounds[c+1] = engine.ChunkRange(n, chunks, c)
-	}
-	mustParallel(chunks, func(c int) {
-		lo, hi := bounds[c], bounds[c+1]
-		for i := lo; i < hi; i++ {
-			d := o.DivergenceFromMoments(items[i].MomentsAt(k))
-			if math.IsNaN(d) {
-				d = math.Inf(-1)
-			} else if !signed {
-				d = math.Abs(d)
-			} else if !positive {
-				d = -d
-			}
-			recs[i] = rankRec{key: d, n: int32(len(items[i].Items)), idx: int32(i)}
-		}
-		slices.SortFunc(recs[lo:hi], compare)
-	})
-	// Merge neighbouring runs pairwise, in parallel, until at most two are
-	// left; the last merge writes the order itself.
-	if len(bounds) > 3 {
-		buf := make([]rankRec, n)
-		for len(bounds) > 3 {
-			runs := len(bounds) - 1
-			next := make([]int, 0, runs/2+2)
-			for r := 0; r < runs; r += 2 {
-				next = append(next, bounds[r])
-			}
-			next = append(next, n)
-			mustParallel(len(next)-1, func(p int) {
-				lo, mid, hi := bounds[2*p], bounds[min(2*p+1, runs)], bounds[min(2*p+2, runs)]
-				mergeRuns(recs[lo:mid], recs[mid:hi], compare, func(i int, r rankRec) { buf[lo+i] = r })
-			})
-			recs, buf, bounds = buf, recs, next
-		}
-	}
-	order := make([]int32, n)
-	mid := bounds[min(1, len(bounds)-1)]
-	mergeRuns(recs[:mid], recs[mid:], compare, func(i int, r rankRec) { order[i] = r.idx })
-	return order
-}
-
-// RankChunkMin is the fewest itemsets Rank sorts on one goroutine, and
-// the fewest subgroups a report build (core) gives one: below twice this
-// both stay serial, so a small result pays nothing for the workers.
-// Measured with BenchmarkRank's ranking and report build (internal/core)
-// on prefixes of its fixture at 2 workers: chunks of 256 ran 12% slower
-// than serial, chunks of 512 20% faster; 1024 keeps a 2x margin.
-const RankChunkMin = 1024
-
-// mergeRuns merges two sorted runs in compare order, passing each record
-// with its merged position to put; on a tie a's record goes first.
-func mergeRuns(a, b []rankRec, compare func(x, y rankRec) int, put func(i int, r rankRec)) {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if compare(b[j], a[i]) < 0 {
-			put(i+j, b[j])
-			j++
-		} else {
-			put(i+j, a[i])
-			i++
-		}
-	}
-	for ; i < len(a); i++ {
-		put(i+j, a[i])
-	}
-	for ; j < len(b); j++ {
-		put(i+j, b[j])
-	}
-}
-
-// mustParallel runs fn(0..n-1), one task per goroutine up to GOMAXPROCS,
-// through engine.ParallelFor, untraced so the worker counters keep
-// describing mining, and raises a task's recovered panic again on the
-// caller's goroutine. Rank's tasks number at most its chunks, and those
-// at most its workers.
-func mustParallel(n int, fn func(i int)) {
-	if err := engine.ParallelFor(n, n, nil, fn); err != nil {
-		panic(err)
-	}
-}
-
-// rankRec is Rank's sort record for items[idx]: its divergence key and its
-// length n, the first tie-break.
-type rankRec struct {
-	key float64
-	n   int32
-	idx int32
-}
-
-// keyCompare compares key(a) with key(b), as cmp.Compare does, without
-// materializing either string. Single-value varint encodings are
-// self-delimiting (every byte but the last has the high bit set), so two
-// distinct values' encodings always differ within their common prefix —
-// concatenated-stream byte order therefore reduces to comparing the first
-// differing item's encoding, with the shorter slice first on a
-// pure-prefix tie. It is 0 only for equal slices.
-func keyCompare(a, b []int) int {
-	for i := 0; i < min(len(a), len(b)); i++ {
-		if a[i] != b[i] {
-			if varintLess(a[i], b[i]) {
-				return -1
-			}
-			return 1
-		}
-	}
-	return cmp.Compare(len(a), len(b))
-}
-
-// varintLess compares two values by the byte order of their key encoding
-// (low 7 bits first, high bit marking continuation).
-func varintLess(x, y int) bool {
-	for {
-		bx, by := x&0x7f, y&0x7f
-		x >>= 7
-		y >>= 7
-		if x > 0 {
-			bx |= 0x80
-		}
-		if y > 0 {
-			by |= 0x80
-		}
-		if bx != by {
-			return bx < by
-		}
-		if x == 0 && y == 0 {
-			return false
-		}
-	}
 }

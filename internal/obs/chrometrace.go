@@ -112,11 +112,7 @@ func (tr *Trace) WriteChromeTrace(w io.Writer) error {
 		}
 		for _, iv := range t.spans {
 			pop(iv.start)
-			args := map[string]any{
-				"span_id": iv.rec.ID,
-				"bytes":   iv.rec.Bytes,
-				"allocs":  iv.rec.Allocs,
-			}
+			args := map[string]any{"span_id": iv.rec.ID}
 			if iv.rec.Unfinished {
 				args["unfinished"] = true
 			}

@@ -11,18 +11,17 @@ import (
 )
 
 // Explain is the query-level cost-attribution report: one exploration's
-// trace reduced to per-stage self/cumulative wall time and allocation
-// deltas, the mining counters, the per-shard load split with a skew
-// ratio, per-worker utilization, cache outcome and budget consumption.
+// trace reduced to per-stage self/cumulative wall time, the mining
+// counters, the per-shard load split with a skew ratio, per-worker
+// utilization, cache outcome and budget consumption.
 // Build one with NewExplain from any *Trace; the CLI's -explain flag,
 // the server's `"explain": true` request field and GET /v1/explain/{id}
 // all serve this struct.
 //
 // Determinism contract: for a fixed dataset, statistic and shard count,
-// every field except the timing/allocation measurements (TotalNS,
-// stage durations and byte/alloc deltas, worker split, deadline/heap
-// budget rows) is a pure function of the input — byte-identical across
-// worker counts. Deterministic() strips the measured fields so tests can
+// every field except the timing measurements (TotalNS, stage durations,
+// worker split, deadline/heap budget rows) is a pure function of the
+// input — byte-identical across worker counts. Deterministic() strips the measured fields so tests can
 // compare profiles across worker×shard configurations directly.
 type Explain struct {
 	RequestID string `json:"request_id,omitempty"`
@@ -44,24 +43,17 @@ type Explain struct {
 }
 
 // ExplainStage is one span of the trace in tree (pre-order) position:
-// cumulative time/allocations over the whole subtree plus the self
-// portion not covered by child spans.
+// cumulative time over the whole subtree plus the self portion not
+// covered by child spans.
 type ExplainStage struct {
 	Name  string `json:"name"`
 	Depth int    `json:"depth"`
 	// TotalNS is the span's inclusive wall time; SelfNS excludes child
 	// spans. SelfFrac is SelfNS over the profile's TotalNS.
-	TotalNS  int64   `json:"total_ns"`
-	SelfNS   int64   `json:"self_ns"`
-	SelfFrac float64 `json:"self_frac"`
-	// Bytes/Allocs are the span's inclusive heap-allocation deltas;
-	// SelfBytes/SelfAllocs exclude child spans. Process-global samples, so
-	// approximate under concurrency (and floored at zero for self values).
-	Bytes      int64 `json:"bytes"`
-	Allocs     int64 `json:"allocs"`
-	SelfBytes  int64 `json:"self_bytes"`
-	SelfAllocs int64 `json:"self_allocs"`
-	Unfinished bool  `json:"unfinished,omitempty"`
+	TotalNS    int64   `json:"total_ns"`
+	SelfNS     int64   `json:"self_ns"`
+	SelfFrac   float64 `json:"self_frac"`
+	Unfinished bool    `json:"unfinished,omitempty"`
 }
 
 // ExplainMining aggregates the miner's candidate-flow counters.
@@ -145,25 +137,15 @@ func NewExplain(tr *Trace) *Explain {
 		st := ExplainStage{
 			Name: s.Name, Depth: depth,
 			TotalNS: s.DurNS, SelfNS: s.DurNS,
-			Bytes: s.Bytes, Allocs: s.Allocs,
-			SelfBytes: s.Bytes, SelfAllocs: s.Allocs,
 			Unfinished: s.Unfinished,
 		}
 		for _, c := range children[id] {
 			st.SelfNS -= tr.Spans[c].DurNS
-			st.SelfBytes -= tr.Spans[c].Bytes
-			st.SelfAllocs -= tr.Spans[c].Allocs
 		}
-		// Concurrent children can over-subtract (their process-global
-		// deltas overlap); floor rather than report negative self costs.
+		// Concurrent children can over-subtract (their wall times
+		// overlap); floor rather than report a negative self time.
 		if st.SelfNS < 0 {
 			st.SelfNS = 0
-		}
-		if st.SelfBytes < 0 {
-			st.SelfBytes = 0
-		}
-		if st.SelfAllocs < 0 {
-			st.SelfAllocs = 0
 		}
 		e.Stages = append(e.Stages, st)
 		for _, c := range children[id] {
@@ -320,8 +302,7 @@ func indexSuffix(name, prefix string) (int, bool) {
 }
 
 // Deterministic returns a copy of the profile with every measured
-// (timing, allocation, scheduling) field stripped: stage durations and
-// byte/alloc deltas, the worker split, the randomly drawn request id,
+// (timing, scheduling) field stripped: stage durations, the worker split, the randomly drawn request id,
 // and the deadline/heap budget rows. What remains — stage names and
 // tree shape, mining counters, per-shard loads and skew, cache outcome,
 // candidate/itemset budget consumption — is byte-identical across
@@ -371,7 +352,7 @@ func (e *Explain) WriteJSON(w io.Writer) error {
 }
 
 // Text renders the profile as the human-readable -explain report: a
-// stage table (total, self, self-% of wall time, bytes, allocs), the
+// stage table (total, self, self-% of wall time), the
 // mining counters, the shard split with skew, worker utilization, cache
 // outcome and budget consumption.
 func (e *Explain) Text() string {
@@ -381,18 +362,17 @@ func (e *Explain) Text() string {
 		fmt.Fprintf(&b, " %s", e.RequestID)
 	}
 	fmt.Fprintf(&b, ": total %s\n", fmtDuration(time.Duration(e.TotalNS)))
-	fmt.Fprintf(&b, "%-44s %10s %10s %6s %10s %10s\n",
-		"stage", "total", "self", "self%", "self-bytes", "self-allocs")
+	fmt.Fprintf(&b, "%-44s %10s %10s %6s\n", "stage", "total", "self", "self%")
 	for _, st := range e.Stages {
 		mark := ""
 		if st.Unfinished {
 			mark = " (unfinished)"
 		}
-		fmt.Fprintf(&b, "%-44s %10s %10s %5.1f%% %10s %10d%s\n",
+		fmt.Fprintf(&b, "%-44s %10s %10s %5.1f%%%s\n",
 			strings.Repeat("  ", st.Depth)+st.Name,
 			fmtDuration(time.Duration(st.TotalNS)),
 			fmtDuration(time.Duration(st.SelfNS)),
-			st.SelfFrac*100, fmtBytes(st.SelfBytes), st.SelfAllocs, mark)
+			st.SelfFrac*100, mark)
 	}
 	fmt.Fprintf(&b, "mining: candidates=%d pruned_support=%d pruned_polarity=%d itemsets=%d\n",
 		e.Mining.Candidates, e.Mining.PrunedSupport, e.Mining.PrunedPolarity, e.Mining.Itemsets)

@@ -13,10 +13,10 @@ func explainTrace() *Trace {
 	return &Trace{
 		ID: "req-1",
 		Spans: []SpanRecord{
-			{ID: 0, Parent: -1, Name: "explore", DurNS: 1000, Bytes: 500, Allocs: 50},
-			{ID: 1, Parent: 0, Name: "explore.universe", DurNS: 200, Bytes: 100, Allocs: 10},
-			{ID: 2, Parent: 0, Name: "mine", DurNS: 700, Bytes: 350, Allocs: 30},
-			{ID: 3, Parent: 2, Name: "mine.scan", DurNS: 300, Bytes: 100, Allocs: 10},
+			{ID: 0, Parent: -1, Name: "explore", DurNS: 1000},
+			{ID: 1, Parent: 0, Name: "explore.universe", DurNS: 200},
+			{ID: 2, Parent: 0, Name: "mine", DurNS: 700},
+			{ID: 3, Parent: 2, Name: "mine.scan", DurNS: 300},
 		},
 		Counters: map[string]int64{
 			CtrCandidates:                           40,
@@ -76,23 +76,18 @@ func TestNewExplainStages(t *testing.T) {
 	if e.Stages[0].Depth != 0 || e.Stages[1].Depth != 1 || e.Stages[3].Depth != 2 {
 		t.Error("stage depths do not follow the span tree")
 	}
-	// Allocation self deltas follow the same subtraction.
-	if e.Stages[0].SelfBytes != 50 || e.Stages[0].SelfAllocs != 10 {
-		t.Errorf("explore self allocs = %d B / %d objs, want 50 / 10",
-			e.Stages[0].SelfBytes, e.Stages[0].SelfAllocs)
-	}
 }
 
 func TestNewExplainNegativeSelfFloored(t *testing.T) {
 	// Concurrent children whose summed duration exceeds the parent's must
 	// floor to zero, not go negative.
 	tr := &Trace{Spans: []SpanRecord{
-		{ID: 0, Parent: -1, Name: "p", DurNS: 100, Bytes: 10, Allocs: 1},
-		{ID: 1, Parent: 0, Name: "a", DurNS: 90, Bytes: 20, Allocs: 5},
-		{ID: 2, Parent: 0, Name: "b", DurNS: 80, Bytes: 20, Allocs: 5},
+		{ID: 0, Parent: -1, Name: "p", DurNS: 100},
+		{ID: 1, Parent: 0, Name: "a", DurNS: 90},
+		{ID: 2, Parent: 0, Name: "b", DurNS: 80},
 	}}
 	e := NewExplain(tr)
-	if st := e.Stages[0]; st.SelfNS != 0 || st.SelfBytes != 0 || st.SelfAllocs != 0 {
+	if st := e.Stages[0]; st.SelfNS != 0 {
 		t.Errorf("parent self not floored: %+v", st)
 	}
 }
@@ -158,7 +153,7 @@ func TestExplainDeterministic(t *testing.T) {
 		t.Error("Deterministic kept the worker split")
 	}
 	for _, st := range d.Stages {
-		if st.TotalNS != 0 || st.SelfNS != 0 || st.Bytes != 0 || st.SelfAllocs != 0 {
+		if st.TotalNS != 0 || st.SelfNS != 0 {
 			t.Errorf("Deterministic kept measured stage fields: %+v", st)
 		}
 	}

@@ -1,10 +1,10 @@
 // Package obs is the pipeline-wide observability layer: a Tracer of
-// hierarchical spans (wall time plus allocation deltas sampled from
-// runtime/metrics) and a registry of named counters and gauges. Every
-// stage of the H-DivExplorer pipeline — CSV parsing, tree discretization,
-// universe construction, mining, ranking — reports into an optional
-// *Tracer, so regressions can be attributed per stage and the paper's
-// pruning claims (§V-C) validated by counter instead of by stopwatch.
+// hierarchical spans (wall time) and a registry of named counters and
+// gauges. Every stage of the H-DivExplorer pipeline — CSV parsing, tree
+// discretization, universe construction, mining, ranking — reports into
+// an optional *Tracer, so regressions can be attributed per stage and the
+// paper's pruning claims (§V-C) validated by counter instead of by
+// stopwatch.
 //
 // The whole API is nil-safe: a nil *Tracer, *Span or *Counter accepts
 // every call as a no-op, so instrumented code needs no "if tracing"
@@ -120,39 +120,23 @@ func (t *Tracer) Absorb(tr *Trace) {
 
 // Span is one timed region of the pipeline. Spans form a tree: children
 // are started from their parent with Span.Start. A span is finished with
-// End, which records the wall time and the heap-allocation deltas
-// (AllocSample) since the span started. Deltas are process-global, so
-// spans running concurrently attribute each other's allocations; treat
-// Bytes and Allocs as exact only for serial regions.
+// End, which records the wall time since the span started.
 type Span struct {
 	t      *Tracer
 	id     int
 	parent int // -1 for top-level spans
 	name   string
+	start  time.Time
 
-	start        time.Time
-	startBytes   uint64
-	startMallocs uint64
-
-	mu      sync.Mutex
-	dur     time.Duration
-	bytes   int64
-	mallocs int64
-	ended   bool
+	mu    sync.Mutex
+	dur   time.Duration
+	ended bool
 }
 
 // newSpan registers a span under the given parent id. Caller holds no
 // locks.
 func (t *Tracer) newSpan(parent int, name string) *Span {
-	bytes, objects := AllocSample()
-	s := &Span{
-		t:            t,
-		parent:       parent,
-		name:         name,
-		start:        time.Now(),
-		startBytes:   bytes,
-		startMallocs: objects,
-	}
+	s := &Span{t: t, parent: parent, name: name, start: time.Now()}
 	t.mu.Lock()
 	s.id = len(t.spans)
 	t.spans = append(t.spans, s)
@@ -177,13 +161,12 @@ func (s *Span) Start(name string) *Span {
 	return s.t.newSpan(s.id, name)
 }
 
-// End finishes the span, recording duration and allocation deltas. A
-// second End (and End on nil) is a no-op.
+// End finishes the span, recording its duration. A second End (and End
+// on nil) is a no-op.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	bytes, objects := AllocSample()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.ended {
@@ -191,8 +174,6 @@ func (s *Span) End() {
 	}
 	s.ended = true
 	s.dur = time.Since(s.start)
-	s.bytes = int64(bytes - s.startBytes)
-	s.mallocs = int64(objects - s.startMallocs)
 }
 
 // Tracer returns the tracer that owns the span (nil for a nil span).
@@ -279,11 +260,6 @@ type SpanRecord struct {
 	// wall-clock duration. Both in nanoseconds.
 	StartNS int64 `json:"start_ns"`
 	DurNS   int64 `json:"dur_ns"`
-	// Bytes and Allocs are process-global heap-allocation deltas
-	// (cumulative bytes, object count) over the span; approximate under
-	// concurrency.
-	Bytes  int64 `json:"bytes"`
-	Allocs int64 `json:"allocs"`
 	// Unfinished marks spans still open when the snapshot was taken;
 	// their DurNS is the time elapsed so far.
 	Unfinished bool `json:"unfinished,omitempty"`
@@ -349,8 +325,6 @@ func (t *Tracer) Snapshot() *Trace {
 			Name:    s.name,
 			StartNS: s.start.Sub(start).Nanoseconds(),
 			DurNS:   s.dur.Nanoseconds(),
-			Bytes:   s.bytes,
-			Allocs:  s.mallocs,
 		}
 		if !s.ended {
 			rec.DurNS = time.Since(s.start).Nanoseconds()
@@ -402,9 +376,9 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 	return &tr, nil
 }
 
-// Tree renders the spans as an indented tree with duration, bytes and
-// allocation columns, followed by sorted counters and gauges — the
-// -trace human-readable report.
+// Tree renders the spans as an indented tree with their durations,
+// followed by sorted counters and gauges — the -trace human-readable
+// report.
 func (tr *Trace) Tree() string {
 	var b strings.Builder
 	children := map[int][]int{}
@@ -418,9 +392,8 @@ func (tr *Trace) Tree() string {
 		if s.Unfinished {
 			mark = " (unfinished)"
 		}
-		fmt.Fprintf(&b, "%-44s %10s %10s %9d allocs%s\n",
-			strings.Repeat("  ", depth)+s.Name,
-			fmtDuration(s.Duration()), fmtBytes(s.Bytes), s.Allocs, mark)
+		fmt.Fprintf(&b, "%-44s %10s%s\n",
+			strings.Repeat("  ", depth)+s.Name, fmtDuration(s.Duration()), mark)
 		for _, c := range children[id] {
 			walk(c, depth+1)
 		}

@@ -5,21 +5,6 @@ import (
 	rtmetrics "runtime/metrics"
 )
 
-// AllocSample returns the process-lifetime heap allocation totals —
-// cumulative bytes and object count — from runtime/metrics. Unlike
-// runtime.ReadMemStats the samples are read without a stop-the-world,
-// which is what makes per-span and per-worker allocation deltas cheap
-// enough to leave on in production. Two samples subtracted give the
-// allocation delta over a region; deltas are process-global, so
-// concurrent regions attribute each other's allocations.
-func AllocSample() (bytes, objects uint64) {
-	var s [2]rtmetrics.Sample
-	s[0].Name = "/gc/heap/allocs:bytes"
-	s[1].Name = "/gc/heap/allocs:objects"
-	rtmetrics.Read(s[:])
-	return s[0].Value.Uint64(), s[1].Value.Uint64()
-}
-
 // runtimeMetric describes one curated runtime/metrics export: the
 // Prometheus family name, its HELP text, the metric type, and the
 // runtime/metrics name it reads. A family whose metric is missing or

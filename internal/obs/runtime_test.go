@@ -8,23 +8,6 @@ import (
 	"testing"
 )
 
-func TestAllocSample(t *testing.T) {
-	b1, o1 := AllocSample()
-	// Allocate measurably so the cumulative totals must advance.
-	sink := make([][]byte, 64)
-	for i := range sink {
-		sink[i] = make([]byte, 1024)
-	}
-	_ = sink
-	b2, o2 := AllocSample()
-	if b2 < b1 || o2 < o1 {
-		t.Fatalf("AllocSample went backwards: bytes %d -> %d, objects %d -> %d", b1, b2, o1, o2)
-	}
-	if b2 == b1 && o2 == o1 {
-		t.Error("AllocSample did not observe 64KiB of allocations")
-	}
-}
-
 // TestWriteRuntimeMetricsConformance pins the exposition contract for the
 // curated runtime/metrics families: every present family carries exactly
 // one HELP and TYPE line, histogram families emit cumulative
