@@ -139,6 +139,18 @@ func run(c cliConfig) error {
 	default:
 		return usageError{fmt.Sprintf("-format must be text, csv or json (got %q)", c.format)}
 	}
+	criterion, err := hdiv.ParseCriterion(c.criterion)
+	if err != nil {
+		return usageError{fmt.Sprintf("-criterion: %v", err)}
+	}
+	mode, err := hdiv.ParseMode(c.mode)
+	if err != nil {
+		return usageError{fmt.Sprintf("-mode: %v", err)}
+	}
+	algorithm, err := hdiv.ParseAlgorithm(c.algorithm)
+	if err != nil {
+		return usageError{fmt.Sprintf("-algorithm: %v", err)}
+	}
 	statFlag, rawStats := "-stat", []string{c.stat}
 	if c.stats != "" {
 		statFlag, rawStats = "-stats", strings.Split(c.stats, ",")
@@ -194,18 +206,12 @@ func run(c cliConfig) error {
 			SoftDeadline:  c.budgetDeadline,
 			MaxHeapBytes:  c.budgetHeap,
 		},
-		Exclude: exclude,
-		Explain: c.explain || c.explainJSON != "",
-		Tracer:  tracer,
-	}
-	if opt.Criterion, err = hdiv.ParseCriterion(c.criterion); err != nil {
-		return err
-	}
-	if opt.Mode, err = hdiv.ParseMode(c.mode); err != nil {
-		return err
-	}
-	if opt.Algorithm, err = hdiv.ParseAlgorithm(c.algorithm); err != nil {
-		return err
+		Criterion: criterion,
+		Mode:      mode,
+		Algorithm: algorithm,
+		Exclude:   exclude,
+		Explain:   c.explain || c.explainJSON != "",
+		Tracer:    tracer,
 	}
 
 	var prog *hdiv.Progress

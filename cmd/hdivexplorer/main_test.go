@@ -457,6 +457,10 @@ func TestFlagValidation(t *testing.T) {
 		{"numeric without target", func(c *cliConfig) { c.stats = "error,numeric"; c.dataPath += ".missing" }, "target"},
 		// So does an unknown output format.
 		{"unknown format", func(c *cliConfig) { c.format = "nope"; c.dataPath += ".missing" }, "-format"},
+		// And so does an unknown option name.
+		{"unknown criterion", func(c *cliConfig) { c.criterion = "nope"; c.dataPath += ".missing" }, "-criterion"},
+		{"unknown mode", func(c *cliConfig) { c.mode = "nope"; c.dataPath += ".missing" }, "-mode"},
+		{"unknown algorithm", func(c *cliConfig) { c.algorithm = "nope"; c.dataPath += ".missing" }, "-algorithm"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

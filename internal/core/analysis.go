@@ -118,83 +118,6 @@ func (r *Report) Significant(alpha float64) []Subgroup {
 	return out
 }
 
-// itemsetKey canonically encodes sorted universe indices.
-func itemsetKey(idx []int) string {
-	s := append([]int(nil), idx...)
-	sort.Ints(s)
-	b := make([]byte, 0, len(s)*4)
-	for _, v := range s {
-		b = strconv.AppendInt(b, int64(v), 32)
-		b = append(b, ',')
-	}
-	return string(b)
-}
-
-// index lazily builds the itemset-key → subgroup index map used by the
-// lattice navigation helpers.
-func (r *Report) index() map[string]int {
-	if r.byKey == nil {
-		r.byKey = make(map[string]int, len(r.Subgroups))
-		for i := range r.Subgroups {
-			r.byKey[itemsetKey(r.Subgroups[i].ItemIdx)] = i
-		}
-	}
-	return r.byKey
-}
-
-// Parents returns the frequent subgroups whose itemsets are obtained from
-// sg by removing exactly one item (its generalizations within the report).
-func (r *Report) Parents(sg *Subgroup) []*Subgroup {
-	idx := r.index()
-	var out []*Subgroup
-	sub := make([]int, 0, len(sg.ItemIdx)-1)
-	for drop := range sg.ItemIdx {
-		sub = sub[:0]
-		for i, v := range sg.ItemIdx {
-			if i != drop {
-				sub = append(sub, v)
-			}
-		}
-		if len(sub) == 0 {
-			continue
-		}
-		if j, ok := idx[itemsetKey(sub)]; ok {
-			out = append(out, &r.Subgroups[j])
-		}
-	}
-	return out
-}
-
-// Children returns the frequent subgroups whose itemsets extend sg by
-// exactly one item (its refinements within the report).
-func (r *Report) Children(sg *Subgroup) []*Subgroup {
-	key := itemsetKey(sg.ItemIdx)
-	var out []*Subgroup
-	for i := range r.Subgroups {
-		cand := &r.Subgroups[i]
-		if len(cand.ItemIdx) != len(sg.ItemIdx)+1 {
-			continue
-		}
-		if containsAll(cand.ItemIdx, sg.ItemIdx) && itemsetKey(cand.ItemIdx) != key {
-			out = append(out, cand)
-		}
-	}
-	return out
-}
-
-func containsAll(super, sub []int) bool {
-	has := make(map[int]bool, len(super))
-	for _, v := range super {
-		has[v] = true
-	}
-	for _, v := range sub {
-		if !has[v] {
-			return false
-		}
-	}
-	return true
-}
-
 // subgroupJSON is the serialization shape of one subgroup.
 type subgroupJSON struct {
 	Itemset    string   `json:"itemset"`

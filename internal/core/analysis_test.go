@@ -128,54 +128,6 @@ func TestPValueAndSignificant(t *testing.T) {
 	}
 }
 
-func TestLatticeNavigation(t *testing.T) {
-	tab, o, hs := fixture(t, 2000, 26)
-	rep, err := Explore(tab, Config{Outcome: o, Hierarchies: hs, MinSupport: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sg *Subgroup
-	for i := range rep.Subgroups {
-		if len(rep.Subgroups[i].Itemset) == 2 {
-			sg = &rep.Subgroups[i]
-			break
-		}
-	}
-	if sg == nil {
-		t.Fatal("no length-2 subgroup")
-	}
-	parents := rep.Parents(sg)
-	// Both length-1 generalizations are frequent (support is antimonotone),
-	// so both must be present.
-	if len(parents) != 2 {
-		t.Fatalf("parents = %d, want 2", len(parents))
-	}
-	for _, p := range parents {
-		if len(p.Itemset) != 1 {
-			t.Error("parent has wrong length")
-		}
-		if p.Support < sg.Support {
-			t.Error("parent support below child support")
-		}
-		// sg must appear among the parent's children.
-		found := false
-		for _, c := range rep.Children(p) {
-			if c.Itemset.String() == sg.Itemset.String() {
-				found = true
-			}
-		}
-		if !found {
-			t.Error("child missing from parent's Children")
-		}
-	}
-	// Children of sg are supersets with one more item.
-	for _, c := range rep.Children(sg) {
-		if len(c.Itemset) != 3 || c.Support > sg.Support+1e-12 {
-			t.Error("bad child")
-		}
-	}
-}
-
 func TestReportJSON(t *testing.T) {
 	tab, o, hs := fixture(t, 1000, 27)
 	rep, err := Explore(tab, Config{Outcome: o, Hierarchies: hs, MinSupport: 0.1})
@@ -277,51 +229,6 @@ func TestTopKDiverse(t *testing.T) {
 	}
 	if _, err := rep.TopKDiverse(tab, 3, 1.0); err == nil {
 		t.Error("maxJaccard=1 should fail")
-	}
-}
-
-func TestFilterClosed(t *testing.T) {
-	tab, o, hs := fixture(t, 2000, 30)
-	rep, err := Explore(tab, Config{Outcome: o, Hierarchies: hs, MinSupport: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	closed := rep.FilterClosed()
-	if len(closed) == 0 || len(closed) > len(rep.Subgroups) {
-		t.Fatalf("closed = %d of %d", len(closed), len(rep.Subgroups))
-	}
-	// Every non-closed subgroup must have a same-count refinement in the
-	// report; every closed one must not.
-	closedKeys := map[string]bool{}
-	for i := range closed {
-		closedKeys[closed[i].Itemset.String()] = true
-	}
-	for i := range rep.Subgroups {
-		sg := &rep.Subgroups[i]
-		hasEqualChild := false
-		for j := range rep.Subgroups {
-			cand := &rep.Subgroups[j]
-			if len(cand.ItemIdx) == len(sg.ItemIdx)+1 &&
-				cand.Count == sg.Count && containsAll(cand.ItemIdx, sg.ItemIdx) {
-				hasEqualChild = true
-				break
-			}
-		}
-		if hasEqualChild == closedKeys[sg.Itemset.String()] {
-			t.Fatalf("closedness wrong for %v", sg.Itemset)
-		}
-	}
-	// The maximum divergence is preserved: the top subgroup's row set
-	// survives (possibly as a refinement with identical rows and hence
-	// identical divergence).
-	best := 0.0
-	for i := range closed {
-		if v := math.Abs(closed[i].Divergence); v > best {
-			best = v
-		}
-	}
-	if best+1e-12 < rep.MaxAbsDivergence() {
-		t.Errorf("closed filtering lost max divergence: %v < %v", best, rep.MaxAbsDivergence())
 	}
 }
 
@@ -432,57 +339,4 @@ func TestDrift(t *testing.T) {
 	if _, err := Drift(before, swapped); err == nil {
 		t.Error("pattern mismatch should fail")
 	}
-}
-
-func TestCovering(t *testing.T) {
-	tab, o, hs := fixture(t, 2000, 42)
-	rep, err := Explore(tab, Config{Outcome: o, Hierarchies: hs, MinSupport: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pick a row inside the planted anomaly (x>7, g=g1).
-	x := tab.Floats("x")
-	g := tab.Codes("g")
-	g1 := tab.LevelCode("g", "g1")
-	row := -1
-	for i := range x {
-		if x[i] > 8 && g[i] == g1 {
-			row = i
-			break
-		}
-	}
-	if row < 0 {
-		t.Fatal("no anomalous row found")
-	}
-	covering := rep.Covering(tab, row)
-	if len(covering) == 0 {
-		t.Fatal("anomalous row covered by no subgroup")
-	}
-	// Exhaustive check: exactly the subgroups whose row set contains row.
-	want := 0
-	for i := range rep.Subgroups {
-		if rep.Subgroups[i].Itemset.Rows(tab).Get(row) {
-			want++
-		}
-	}
-	if len(covering) != want {
-		t.Fatalf("Covering = %d subgroups, want %d", len(covering), want)
-	}
-	// The most divergent covering subgroup should be strongly positive for
-	// an anomaly member.
-	if covering[0].Divergence < 0.2 {
-		t.Errorf("top covering divergence = %v", covering[0].Divergence)
-	}
-	// Order preserved.
-	for i := 1; i < len(covering); i++ {
-		if math.Abs(covering[i].Divergence) > math.Abs(covering[i-1].Divergence)+1e-12 {
-			t.Fatal("covering not in report order")
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("out-of-range row should panic")
-		}
-	}()
-	rep.Covering(tab, tab.NumRows())
 }

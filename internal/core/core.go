@@ -170,10 +170,6 @@ type Report struct {
 	// survives Trace being stripped (the server drops Trace from responses
 	// unless requested, but keeps Explain).
 	Explain *obs.Explain `json:"explain,omitempty"`
-
-	// byKey lazily indexes subgroups by canonical itemset key for the
-	// lattice-navigation helpers.
-	byKey map[string]int
 }
 
 // Explore runs (H-)DivExplorer over the table.
@@ -429,17 +425,6 @@ func (r *Report) MaxAbsDivergence() float64 {
 	return math.Abs(r.Subgroups[0].Divergence)
 }
 
-// MaxDivergence returns the most positive divergence (0 if none positive).
-func (r *Report) MaxDivergence() float64 {
-	best := 0.0
-	for i := range r.Subgroups {
-		if d := r.Subgroups[i].Divergence; d > best {
-			best = d
-		}
-	}
-	return best
-}
-
 // Top returns the single most divergent subgroup, or nil if empty.
 func (r *Report) Top() *Subgroup {
 	if len(r.Subgroups) == 0 {
@@ -454,17 +439,6 @@ func (r *Report) FilterMinT(tMin float64) []Subgroup {
 	var out []Subgroup
 	for _, s := range r.Subgroups {
 		if math.Abs(s.T) >= tMin {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// FilterLength returns the subgroups of exactly the given length.
-func (r *Report) FilterLength(n int) []Subgroup {
-	var out []Subgroup
-	for _, s := range r.Subgroups {
-		if len(s.Itemset) == n {
 			out = append(out, s)
 		}
 	}

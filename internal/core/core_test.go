@@ -288,20 +288,9 @@ func TestReportHelpers(t *testing.T) {
 	if got := rep.TopK(10_000); len(got) != len(rep.Subgroups) {
 		t.Error("TopK should clamp")
 	}
-	if rep.MaxDivergence() <= 0 {
-		t.Error("planted anomaly should give positive max divergence")
-	}
-	if rep.MaxAbsDivergence() < rep.MaxDivergence() {
-		t.Error("MaxAbs < MaxPositive")
-	}
 	for _, sg := range rep.FilterMinT(5) {
 		if math.Abs(sg.T) < 5 {
 			t.Error("FilterMinT returned low-t subgroup")
-		}
-	}
-	for _, sg := range rep.FilterLength(2) {
-		if len(sg.Itemset) != 2 {
-			t.Error("FilterLength wrong")
 		}
 	}
 	top := rep.Top()
@@ -319,7 +308,7 @@ func TestReportHelpers(t *testing.T) {
 
 func TestEmptyReportHelpers(t *testing.T) {
 	rep := &Report{}
-	if rep.Top() != nil || rep.MaxAbsDivergence() != 0 || rep.MaxDivergence() != 0 {
+	if rep.Top() != nil || rep.MaxAbsDivergence() != 0 {
 		t.Error("empty report helpers should be zero-valued")
 	}
 }

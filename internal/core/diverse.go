@@ -58,36 +58,6 @@ func jaccard(a, b *bitvec.Vector) float64 {
 	return float64(inter) / float64(union)
 }
 
-// FilterClosed returns the closed subgroups of the report: those whose
-// support strictly exceeds every frequent one-item refinement's support.
-// A non-closed subgroup is redundant — some refinement covers exactly the
-// same rows and is therefore at least as informative — so closed filtering
-// compresses reports without losing any distinct row set. Order is
-// preserved.
-func (r *Report) FilterClosed() []Subgroup {
-	// Group subgroups by length for child lookup.
-	byLen := map[int][]*Subgroup{}
-	for i := range r.Subgroups {
-		sg := &r.Subgroups[i]
-		byLen[len(sg.ItemIdx)] = append(byLen[len(sg.ItemIdx)], sg)
-	}
-	var out []Subgroup
-	for i := range r.Subgroups {
-		sg := &r.Subgroups[i]
-		closed := true
-		for _, cand := range byLen[len(sg.ItemIdx)+1] {
-			if cand.Count == sg.Count && containsAll(cand.ItemIdx, sg.ItemIdx) {
-				closed = false
-				break
-			}
-		}
-		if closed {
-			out = append(out, *sg)
-		}
-	}
-	return out
-}
-
 // DriftEntry is one pattern's change between two evaluations.
 type DriftEntry struct {
 	Itemset hierarchy.Itemset
@@ -127,40 +97,4 @@ func Drift(before, after []Subgroup) ([]DriftEntry, error) {
 		return math.Abs(out[a].DivergenceShift) > math.Abs(out[b].DivergenceShift)
 	})
 	return out, nil
-}
-
-// Covering returns the report's subgroups that contain the given row,
-// preserving the report's |divergence| order. This is the instance-level
-// triage view: for one flagged individual, which anomalous subgroups is it
-// a member of?
-func (r *Report) Covering(t *dataset.Table, row int) []Subgroup {
-	if row < 0 || row >= t.NumRows() {
-		panic(fmt.Sprintf("core: row %d out of range [0,%d)", row, t.NumRows()))
-	}
-	var out []Subgroup
-	for i := range r.Subgroups {
-		sg := &r.Subgroups[i]
-		if itemsetContainsRow(t, sg.Itemset, row) {
-			out = append(out, *sg)
-		}
-	}
-	return out
-}
-
-// itemsetContainsRow tests membership of one row without materializing the
-// itemset's full bitset.
-func itemsetContainsRow(t *dataset.Table, its hierarchy.Itemset, row int) bool {
-	for _, it := range its {
-		switch it.Kind {
-		case dataset.Continuous:
-			if !it.MatchesFloat(t.Floats(it.Attr)[row]) {
-				return false
-			}
-		case dataset.Categorical:
-			if !it.MatchesCode(t.Codes(it.Attr)[row]) {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -12,7 +12,7 @@ import (
 // the universe built over the prefix, and o the outcome recomputed over
 // the full table. It is NewUniverse(t, u.Items, o), refused when t has
 // fewer rows than u; u itself is never mutated. Its only caller is the
-// bench harness's epoch build, and ROADMAP item 3 deletes it together
+// bench harness's epoch build, and ROADMAP item 2 deletes it together
 // with that copy of the server's build path.
 func AppendUniverse(t *dataset.Table, u *Universe, o *outcome.Outcome) (*Universe, error) {
 	if t.NumRows() < u.NumRows {

@@ -24,11 +24,13 @@ import (
 
 // driftMonitor watches live datasets for divergence drift: per dataset,
 // the last complete exploration's parameters become the watch
-// specification and its ranked report the baseline. When an append bumps
-// the dataset's epoch, a debounced background re-mine runs the same
-// exploration on the new epoch and compares subgroup t-values against the
-// baseline; subgroups whose |t| crossed the configured threshold in
-// either direction become drift events, served by GET /v1/drift/{name}.
+// specification, and the snapshot it ran on the base. When an append
+// bumps the dataset's epoch, a debounced background re-mine runs the same
+// exploration on the base snapshot and on the new epoch and compares
+// their subgroup t-values; subgroups whose |t| crossed the configured
+// threshold in either direction become drift events, served by GET
+// /v1/drift/{name}. A ranked report is a fixed function of its snapshot
+// and request, so the baseline is mined again rather than kept.
 // Event rates also feed a sliding window (obs.Windowed), so the reply can
 // answer "how many subgroups crossed t in the trailing hour" without a
 // metrics backend.
@@ -38,9 +40,9 @@ type driftMonitor struct {
 	debounce time.Duration
 	remines  *obs.Counter
 	events   *obs.Counter
-	// stateDir, when set, persists each watch (spec, baseline epoch and
-	// subgroup snapshots) to stateDir/<name>/drift.json so a restart
-	// resumes monitoring where the crash interrupted it.
+	// stateDir, when set, persists each watch (spec and base epoch) to
+	// stateDir/<name>/drift.json so a restart resumes monitoring where
+	// the crash interrupted it.
 	stateDir string
 
 	mu      sync.Mutex
@@ -51,10 +53,10 @@ type driftMonitor struct {
 // the monitor's mutex; the re-mine goroutine copies what it needs out
 // under the lock and writes results back the same way.
 type driftWatch struct {
-	params    exploreParams // copy of the last complete exploration
-	haveWatch bool
-	baseEpoch uint64
-	baseline  map[string]subgroupSnap
+	// params is a copy of the last complete exploration; its tab and
+	// epoch are the base snapshot the next re-mine compares against. A
+	// nil tab means nothing is watched yet.
+	params    exploreParams
 	events    []DriftEvent
 	window    *obs.Windowed // events per trailing hour, minute epochs
 	timer     *time.Timer
@@ -112,24 +114,23 @@ func (m *driftMonitor) watch(name string) *driftWatch {
 }
 
 // noteExplore records a complete current-epoch exploration as the
-// dataset's watch specification and drift baseline. Nil-safe on a
-// disabled monitor.
-func (m *driftMonitor) noteExplore(p *exploreParams, rep *core.Report) {
+// dataset's watch specification and its snapshot as the drift base.
+// Nil-safe on a disabled monitor.
+func (m *driftMonitor) noteExplore(p *exploreParams) {
 	if m == nil || m.t < 0 {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	w := m.watch(p.req.Dataset)
+	base := w.params
 	w.params = *p
 	w.params.req.Trace = false
 	w.params.req.Explain = false
-	w.haveWatch = true
-	// Only move the baseline forward: a re-run at the same epoch refreshes
-	// it, but an older cached epoch must not rewind an advanced baseline.
-	if p.epoch >= w.baseEpoch {
-		w.baseEpoch = p.epoch
-		w.baseline = snapshotSubgroups(rep)
+	// Only move the base forward: an explore that took its snapshot
+	// before a re-mine advanced the base must not rewind it.
+	if p.epoch < base.epoch {
+		w.params.tab, w.params.epoch = base.tab, base.epoch
 	}
 	m.persistLocked(p.req.Dataset, w)
 }
@@ -144,7 +145,7 @@ func (m *driftMonitor) noteEpoch(name string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	w := m.watch(name)
-	if !w.haveWatch {
+	if w.params.tab == nil {
 		return // nothing to re-mine until someone explores the dataset
 	}
 	if w.timer != nil {
@@ -154,11 +155,11 @@ func (m *driftMonitor) noteEpoch(name string) {
 	w.timer = time.AfterFunc(m.debounce, func() { m.remine(name) })
 }
 
-// remine runs the watch exploration against the dataset's current epoch
-// and diffs subgroup t-values against the baseline. It runs on the
-// debounce timer's goroutine: panics are contained here (recorded on the
-// watch, counted as server panics) so a poisoned re-mine can never take
-// the daemon down.
+// remine runs the watch exploration on the base snapshot and on the
+// dataset's current epoch and diffs their subgroup t-values. It runs on
+// the debounce timer's goroutine: panics are contained here (recorded on
+// the watch, counted as server panics) so a poisoned re-mine can never
+// take the daemon down.
 func (m *driftMonitor) remine(name string) {
 	defer func() {
 		if pe := engine.RecoverError(recover()); pe != nil {
@@ -173,13 +174,12 @@ func (m *driftMonitor) remine(name string) {
 	m.mu.Lock()
 	w := m.watch(name)
 	w.timer = nil
-	if !w.haveWatch || w.remining {
+	if w.params.tab == nil || w.remining {
 		m.mu.Unlock()
 		return
 	}
 	w.remining = true
-	p := w.params
-	baseEpoch, baseline := w.baseEpoch, w.baseline
+	base := w.params
 	m.mu.Unlock()
 	defer func() {
 		m.mu.Lock()
@@ -197,38 +197,32 @@ func (m *driftMonitor) remine(name string) {
 	if !ok {
 		return
 	}
-	p.tab, p.epoch = v.Snapshot()
-	p.pinned = false
-	p.req.Epoch = 0
-	if p.epoch == baseEpoch {
-		return // the bump was superseded by an explore that moved the baseline
+	cur := base
+	cur.tab, cur.epoch = v.Snapshot()
+	if cur.epoch <= base.epoch {
+		return // the bump was superseded by an explore that moved the base
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), m.server.timeout)
 	defer cancel()
-	entry, _, err := m.server.cache.get(ctx, p.key(), func(e *cacheEntry) error {
-		return m.server.buildEntry(e, &p, nil)
-	})
+	before, err := m.snapshot(ctx, &base)
 	if err != nil {
 		m.setError(name, err.Error())
 		return
 	}
-	bundle, err := outcome.NewBundle(entry.out)
+	after, err := m.snapshot(ctx, &cur)
 	if err != nil {
 		m.setError(name, err.Error())
 		return
 	}
-	reps, err := core.ExploreUniverseMultiContext(ctx, entry.uni[p.mode], p.config(entry), bundle)
-	if err != nil {
-		m.setError(name, err.Error())
-		return
-	}
-	current := snapshotSubgroups(reps[0])
-	events := diffSubgroups(baseline, current, m.t, baseEpoch, p.epoch)
+	events := diffSubgroups(before, after, m.t, base.epoch, cur.epoch)
 
 	m.mu.Lock()
-	w.baseEpoch = p.epoch
-	w.baseline = current
+	// Like noteExplore, only move the base forward: an explore of a newer
+	// epoch may have landed while this re-mine ran.
+	if cur.epoch > w.params.epoch {
+		w.params.tab, w.params.epoch = cur.tab, cur.epoch
+	}
 	w.lastError = ""
 	w.events = append(w.events, events...)
 	if len(w.events) > maxDriftEvents {
@@ -242,24 +236,49 @@ func (m *driftMonitor) remine(name string) {
 		m.server.logger.Info("drift detected",
 			slog.String("dataset", name),
 			slog.Int("events", len(events)),
-			slog.Uint64("from_epoch", baseEpoch),
-			slog.Uint64("to_epoch", p.epoch),
+			slog.Uint64("from_epoch", base.epoch),
+			slog.Uint64("to_epoch", cur.epoch),
 		)
 	}
+}
+
+// snapshot mines the watched exploration p on its snapshot through the
+// universe cache, as serveExplore does, and indexes the primary report by
+// subgroup label. A report cut short by the budget is an error: each
+// subgroup it is missing would read as a crossing.
+func (m *driftMonitor) snapshot(ctx context.Context, p *exploreParams) (map[string]subgroupSnap, error) {
+	entry, _, err := m.server.cache.get(ctx, p.key(), func(e *cacheEntry) error {
+		return m.server.buildEntry(e, p, nil)
+	})
+	if err != nil {
+		return nil, err
+	}
+	bundle, err := outcome.NewBundle(entry.out)
+	if err != nil {
+		return nil, err
+	}
+	reps, err := core.ExploreUniverseMultiContext(ctx, entry.uni[p.mode], p.config(entry), bundle)
+	if err != nil {
+		return nil, err
+	}
+	if reps[0].Truncated {
+		return nil, fmt.Errorf("re-mine of epoch %d truncated: %s budget exhausted", p.epoch, reps[0].Exhausted)
+	}
+	return snapshotSubgroups(reps[0]), nil
 }
 
 // driftState is the persisted form of one dataset's watch: everything
 // needed to resume monitoring after a restart. Stats is the watched
 // exploration's statistic list, which a batch's request alone does not
-// carry: every statistic's label columns stay out of the re-mine, as
-// they stayed out of the baseline. Events and the sliding window are
-// deliberately in-memory only — they describe observations, not
-// obligations.
+// carry: every statistic's label columns stay out of both mines of a
+// re-mine. The base snapshot is the replayed rows of BaseEpoch. Events
+// and the sliding window are deliberately in-memory only — they
+// describe observations, not obligations. The "baseline" field older
+// files carry is ignored.
 type driftState struct {
-	Request   ExploreRequest          `json:"request"`
-	Stats     []string                `json:"stats,omitempty"`
-	BaseEpoch uint64                  `json:"base_epoch"`
-	Baseline  map[string]subgroupSnap `json:"baseline"`
+	Request   ExploreRequest `json:"request"`
+	Stats     []string       `json:"stats,omitempty"`
+	BaseEpoch uint64         `json:"base_epoch"`
 }
 
 // statePath is the watch's persistence file, "" when persistence is off.
@@ -275,14 +294,13 @@ func (m *driftMonitor) statePath(name string) string {
 // more). Caller holds m.mu.
 func (m *driftMonitor) persistLocked(name string, w *driftWatch) {
 	path := m.statePath(name)
-	if path == "" || !w.haveWatch {
+	if path == "" || w.params.tab == nil {
 		return
 	}
 	raw, err := json.Marshal(driftState{
 		Request:   w.params.req,
 		Stats:     w.params.stats,
-		BaseEpoch: w.baseEpoch,
-		Baseline:  w.baseline,
+		BaseEpoch: w.params.epoch,
 	})
 	if err != nil {
 		return
@@ -300,11 +318,13 @@ func (m *driftMonitor) persistLocked(name string, w *driftWatch) {
 	}
 }
 
-// restore reloads persisted watches after WAL recovery and re-arms the
-// debounce timer for any dataset whose replay advanced the epoch past
-// the persisted baseline — a crash between an append and its re-mine
-// still produces the drift report. Called once from New, before the
-// server takes traffic.
+// restore reloads persisted watches after WAL recovery, with the base
+// snapshot taken from the replayed rows of the persisted base epoch, and
+// re-arms the debounce timer for any dataset whose replay advanced the
+// epoch past it — a crash between an append and its re-mine still
+// produces the drift report. A base epoch past the retention window can
+// no longer be mined: the watch restarts from the current epoch without
+// a re-mine. Called once from New, before the server takes traffic.
 func (m *driftMonitor) restore() {
 	if m == nil || m.t < 0 || m.stateDir == "" {
 		return
@@ -322,25 +342,29 @@ func (m *driftMonitor) restore() {
 			continue
 		}
 		st.Request.Dataset = name
-		st.Request.Epoch = 0
-		p, _, err := m.server.resolve(st.Request, st.Stats)
+		st.Request.Epoch = st.BaseEpoch
+		p, code, err := m.server.resolve(st.Request, st.Stats)
+		if code == http.StatusGone {
+			m.server.logger.Warn("drift base epoch past the retention window, re-baselined at the current epoch",
+				slog.String("dataset", name), slog.Uint64("baseline_epoch", st.BaseEpoch))
+			st.Request.Epoch = 0
+			p, _, err = m.server.resolve(st.Request, st.Stats)
+		}
 		if err != nil {
 			m.server.logger.Warn("drift state no longer resolvable, ignoring",
 				slog.String("dataset", name), slog.String("error", err.Error()))
 			continue
 		}
+		// The watch is a current-epoch request again, so the next
+		// drift.json does not carry the pinned epoch in its request.
+		p.req.Epoch, p.pinned = 0, false
 		m.mu.Lock()
-		w := m.watch(name)
-		w.params = *p
-		w.haveWatch = true
-		w.baseEpoch = st.BaseEpoch
-		w.baseline = st.Baseline
+		m.watch(name).params = *p
 		m.mu.Unlock()
-		cur := m.server.tables[name].Epoch()
-		if cur > st.BaseEpoch {
+		if cur := m.server.tables[name].Epoch(); cur > p.epoch {
 			m.server.logger.Info("drift watch re-armed after replay",
 				slog.String("dataset", name),
-				slog.Uint64("baseline_epoch", st.BaseEpoch),
+				slog.Uint64("baseline_epoch", p.epoch),
 				slog.Uint64("epoch", cur))
 			m.noteEpoch(name)
 		}
@@ -458,8 +482,8 @@ func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request) {
 	}
 	s.drift.mu.Lock()
 	if dw, ok := s.drift.watches[name]; ok {
-		reply.BaselineEpoch = dw.baseEpoch
-		reply.Watching = dw.haveWatch
+		reply.BaselineEpoch = dw.params.epoch
+		reply.Watching = dw.params.tab != nil
 		reply.Stat = dw.params.req.Stat
 		reply.Remining = dw.remining
 		reply.LastError = dw.lastError

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -10,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -470,11 +472,11 @@ func TestDriftRearmsAfterReplay(t *testing.T) {
 }
 
 // TestDriftBatchBaselineRearmsAfterReplay is TestDriftRearmsAfterReplay
-// with a baseline set by a batch whose numeric statistic adds a label
+// with a watch set by a batch whose numeric statistic adds a label
 // column, the target. The watch persists the statistic list, so both
 // re-mines, before the crash and after the replay, run over the batch's
-// universe: no baseline subgroup and no drift event ever has an item on
-// the target.
+// universe: no subgroup of the watch's base, mined as a re-mine mines
+// it, and no drift event ever has an item on the target.
 func TestDriftBatchBaselineRearmsAfterReplay(t *testing.T) {
 	cfg := Config{
 		Datasets:      []DatasetConfig{{Name: "d", Table: targetTable(t)}},
@@ -493,17 +495,22 @@ func TestDriftBatchBaselineRearmsAfterReplay(t *testing.T) {
 	noTarget := func(s *Server, when string) {
 		t.Helper()
 		s.drift.mu.Lock()
-		defer s.drift.mu.Unlock()
 		w := s.drift.watches["d"]
-		if len(w.baseline) == 0 {
+		base, events := w.params, slices.Clone(w.events)
+		s.drift.mu.Unlock()
+		baseline, err := s.drift.snapshot(context.Background(), &base)
+		if err != nil {
+			t.Fatalf("%s: mining the base: %v", when, err)
+		}
+		if len(baseline) == 0 {
 			t.Fatalf("%s: empty baseline", when)
 		}
-		for label := range w.baseline {
+		for label := range baseline {
 			if strings.Contains(label, "income") {
 				t.Errorf("%s: baseline subgroup %q has an item on the target", when, label)
 			}
 		}
-		for _, ev := range w.events {
+		for _, ev := range events {
 			if strings.Contains(ev.Subgroup, "income") {
 				t.Errorf("%s: drift event on %q has an item on the target", when, ev.Subgroup)
 			}
@@ -541,6 +548,76 @@ func TestDriftBatchBaselineRearmsAfterReplay(t *testing.T) {
 		t.Errorf("drift after replay: watching=%v stat=%q last_error=%q, want true/error/none", got.Watching, got.Stat, got.LastError)
 	}
 	noTarget(s2, "re-mine after the replay")
+}
+
+// TestDriftRearmsPastRetentionAtCurrentEpoch restarts a watch whose base
+// epoch the replay leaves outside the retention window: the base can no
+// longer be mined, so the watch comes back at the current epoch without
+// a re-mine, and the next append re-mines from there. The state file
+// also carries the "baseline" field older builds wrote, which loads and
+// is ignored.
+func TestDriftRearmsPastRetentionAtCurrentEpoch(t *testing.T) {
+	cfg := durableConfig(t, t.TempDir())
+	cfg.EpochRetain = 2
+	cfg.DriftDebounce = time.Hour // the crash preempts every re-mine
+	s1 := newTestServer(t, cfg)
+	if rec := postExplore(t, s1, ExploreRequest{Dataset: "anomaly", Stat: "error", Actual: "y", Predicted: "p", S: 0.05, ST: 0.1}); rec.Code != 200 {
+		t.Fatalf("baseline explore: %d", rec.Code)
+	}
+	for i := 0; i < 3; i++ {
+		if rec := postAppend(t, s1, "anomaly", quietBatch(20, 600+20*i)); rec.Code != 200 {
+			t.Fatalf("append %d: %d %s", i, rec.Code, rec.Body.String())
+		}
+	}
+	s1.drift.mu.Lock()
+	s1.drift.watches["anomaly"].timer.Stop()
+	s1.drift.mu.Unlock()
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(cfg.WALDir, "anomaly", "drift.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st map[string]any
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	if len(st) != 3 || st["base_epoch"] != 1.0 {
+		t.Fatalf("drift.json = %s, want request, stats and base_epoch 1", raw)
+	}
+	st["baseline"] = map[string]subgroupSnap{"x>80": {Support: 0.19, Divergence: 0.81, T: 50}}
+	if raw, err = json.Marshal(st); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.DriftDebounce = time.Millisecond
+	s2 := newTestServer(t, cfg)
+	t.Cleanup(func() { s2.Close() })
+	s2.drift.mu.Lock()
+	armed := s2.drift.watches["anomaly"].timer != nil
+	s2.drift.mu.Unlock()
+	if armed {
+		t.Error("restore re-armed a watch whose base epoch is past the retention window")
+	}
+	got := awaitDrift(t, s2, "anomaly", func(r driftReply) bool { return r.Watching })
+	if got.BaselineEpoch != 4 || got.Epoch != 4 {
+		t.Errorf("drift after replay: baseline %d at epoch %d, want 4/4", got.BaselineEpoch, got.Epoch)
+	}
+	if rec := postAppend(t, s2, "anomaly", quietBatch(20, 660)); rec.Code != 200 {
+		t.Fatalf("append after restart: %d %s", rec.Code, rec.Body.String())
+	}
+	got = awaitDrift(t, s2, "anomaly", func(r driftReply) bool { return r.BaselineEpoch == 5 })
+	if got.LastError != "" {
+		t.Errorf("re-mine after restart: last_error %q", got.LastError)
+	}
+	if n := s2.tracer.Snapshot().Counter(obs.CtrServerPanics); n != 0 {
+		t.Errorf("%d panics after the restart", n)
+	}
 }
 
 // exactRows is the test-side copy of every row a TestRecoveryExactEpochs

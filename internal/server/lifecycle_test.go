@@ -14,6 +14,7 @@ import (
 
 	hdiv "repro"
 	"repro/internal/faultinject"
+	"repro/internal/fpm"
 	"repro/internal/obs"
 )
 
@@ -54,6 +55,21 @@ func anomalousBatch(n int) string {
 			y, p = p, y
 		}
 		rows = append(rows, fmt.Sprintf(`[%d,%q,%q]`, x, y, p))
+	}
+	return `{"columns":["x","y","p"],"rows":[` + strings.Join(rows, ",") + `]}`
+}
+
+// lowErrorBatch builds rows in the x < 40 head with every prediction
+// wrong: appended onto anomalyTable it splits x's tree at new cuts, adds
+// subgroups and moves the t-values of the ones already there.
+func lowErrorBatch(n int) string {
+	var rows []string
+	for i := 0; i < n; i++ {
+		y, p := "false", "true"
+		if i%2 == 0 {
+			y, p = p, y
+		}
+		rows = append(rows, fmt.Sprintf(`[%d,%q,%q]`, i%40, y, p))
 	}
 	return `{"columns":["x","y","p"],"rows":[` + strings.Join(rows, ",") + `]}`
 }
@@ -526,6 +542,93 @@ func TestDriftMonitorDetectsCrossing(t *testing.T) {
 	if snap.Counter(obs.CtrServerDriftRemines) < 1 || snap.Counter(obs.CtrServerDriftEvents) < 1 {
 		t.Errorf("drift counters: remines=%d events=%d, want >= 1 each",
 			snap.Counter(obs.CtrServerDriftRemines), snap.Counter(obs.CtrServerDriftEvents))
+	}
+}
+
+// TestDriftRemineDiffsExploredReports pins a re-mine to the reports an
+// explore returns: its events equal diffSubgroups over the full reports
+// of the watched request explored at the base epoch and at the new one,
+// so the baseline mined in the re-mine is the explored report. At t 10
+// the fixture gives one crossing each way, one of them from a base
+// subgroup's nonzero t.
+func TestDriftRemineDiffsExploredReports(t *testing.T) {
+	s := newTestServer(t, Config{
+		Datasets:      []DatasetConfig{{Name: "anomaly", Table: anomalyTable(t)}},
+		DriftT:        10,
+		DriftDebounce: time.Millisecond,
+	})
+	req := ExploreRequest{Dataset: "anomaly", Stat: "error", Actual: "y", Predicted: "p", S: 0.05, ST: 0.1}
+	explored := func() map[string]subgroupSnap {
+		t.Helper()
+		rec := postExplore(t, s, req)
+		if rec.Code != 200 {
+			t.Fatalf("explore: %d %s", rec.Code, rec.Body.String())
+		}
+		var rep struct {
+			Subgroups []struct {
+				Itemset                string
+				Support, Divergence, T float64
+			}
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &rep); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]subgroupSnap{}
+		for _, sg := range rep.Subgroups {
+			out[sg.Itemset] = subgroupSnap{Support: sg.Support, Divergence: sg.Divergence, T: sg.T}
+		}
+		return out
+	}
+	before := explored()
+	if rec := postAppend(t, s, "anomaly", lowErrorBatch(100)); rec.Code != 200 {
+		t.Fatalf("append: %d %s", rec.Code, rec.Body.String())
+	}
+	reply := awaitDrift(t, s, "anomaly", func(d driftReply) bool { return d.BaselineEpoch == 2 })
+	// Explored after the re-mine, at the epoch it already moved the base
+	// to, so this explore leaves the watch as it is.
+	want := diffSubgroups(before, explored(), 10, 1, 2)
+	if len(want) < 2 || want[0].Direction == want[len(want)-1].Direction {
+		t.Fatalf("fixture gives %d events %+v, want crossings in both directions", len(want), want)
+	}
+	got := reply.Events
+	if len(got) != len(want) {
+		t.Fatalf("re-mine events = %+v, want %+v", got, want)
+	}
+	for i := range got {
+		got[i].UnixNano, want[i].UnixNano = 0, 0
+		if got[i] != want[i] {
+			t.Errorf("event %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestDriftBudgetTruncatedRemineKeepsBase checks that a re-mine cut short
+// by the server's budget does not become the base, where each subgroup
+// it misses would read as crossed_down: the first epoch's 2 itemsets fit
+// MaxItemsets 3, the appended epoch's do not, so the re-mine reports the
+// exhausted dimension, emits no event and keeps the base at epoch 1.
+func TestDriftBudgetTruncatedRemineKeepsBase(t *testing.T) {
+	s := newTestServer(t, Config{
+		Datasets:      []DatasetConfig{{Name: "anomaly", Table: anomalyTable(t)}},
+		DriftT:        2,
+		DriftDebounce: time.Millisecond,
+		Budget:        fpm.Budget{MaxItemsets: 3},
+	})
+	req := ExploreRequest{Dataset: "anomaly", Stat: "error", Actual: "y", Predicted: "p", S: 0.05, ST: 0.1}
+	rec := postExplore(t, s, req)
+	if rec.Code != 200 || strings.Contains(rec.Body.String(), `"truncated":true`) {
+		t.Fatalf("base explore: %d %s, want a complete report", rec.Code, rec.Body.String())
+	}
+	if rec := postAppend(t, s, "anomaly", lowErrorBatch(100)); rec.Code != 200 {
+		t.Fatalf("append: %d %s", rec.Code, rec.Body.String())
+	}
+	reply := awaitDrift(t, s, "anomaly", func(d driftReply) bool { return d.LastError != "" })
+	if !strings.Contains(reply.LastError, fpm.ExhaustedItemsets) || !strings.Contains(reply.LastError, "epoch 2") {
+		t.Errorf("last_error = %q, want the truncated epoch 2 and its %q budget", reply.LastError, fpm.ExhaustedItemsets)
+	}
+	if reply.BaselineEpoch != 1 || len(reply.Events) != 0 || reply.WindowEvents != 0 {
+		t.Errorf("truncated re-mine: baseline %d, %d events, %d in window; want 1, 0, 0",
+			reply.BaselineEpoch, len(reply.Events), reply.WindowEvents)
 	}
 }
 

@@ -838,10 +838,10 @@ func (s *Server) serveExplore(w http.ResponseWriter, r *http.Request, batch bool
 		return
 	}
 	frec.Status = "done"
-	// A complete current-epoch exploration becomes (or refreshes) the
-	// dataset's drift-watch baseline.
+	// A complete current-epoch exploration becomes the dataset's drift
+	// watch, its snapshot the drift base.
 	if !p.pinned && !reps[0].Truncated {
-		s.drift.noteExplore(p, reps[0])
+		s.drift.noteExplore(p)
 	}
 	if reps[0].Truncated {
 		// Still a 200: the ranked prefix is valid, the lattice just was
