@@ -67,7 +67,7 @@ budgets:
 # pin the default output to be the same on every core count.
 cpu-independence:
 	$(GO) test -cpu 1,2,4 -count=1 \
-		-run '^(TestGoldenRankedCSV|TestRank.*|TestKeptTreeMatchesBuild|TestExplainDeterministicAcrossWorkersShards)$$' \
+		-run '^(TestGoldenRankedCSV|TestRank.*|TestKeptTreeMatchesBuild|TestExplainDeterministicAcrossWorkers)$$' \
 		. ./internal/fpm ./internal/core
 
 # experiments-check regenerates every paper artifact and compares it with
@@ -90,7 +90,7 @@ test-faults:
 # segment rotation, snapshot compaction, FuzzWALReplay's seed corpus),
 # the dataset snapshot codec and SnapshotAt retention property, the
 # server-level crash-recovery equivalence property (seeded
-# kill-and-restart across workers × shards), pinned epochs across
+# kill-and-restart across worker counts), pinned epochs across
 # compaction, restart and cache eviction, and the daemon restart round
 # trip.
 test-crash:

@@ -26,7 +26,7 @@ const allocBudgetSlack = 1.25
 // values are the baseline an earlier CI allocation check read from a
 // committed JSON artifact, at the same bound; this test replaced both.
 // The B/op values were lowered to the measurement after FP-Growth's tree
-// build stopped allocating shard-wide transaction arrays and fixed-size
+// build stopped allocating table-wide transaction arrays and fixed-size
 // emission slabs, the allocs/op values after ranking stopped allocating
 // each subgroup's itemset on its own. Lower them when a change cuts
 // allocations for good; raising them needs a stated reason.
@@ -78,7 +78,7 @@ func TestAllocationBudget(t *testing.T) {
 
 // Committed mining counts (Report.Mining) of the Table III explorations,
 // the 56 Figure 2 cells and the 28 polarity-pruned Figure 4 cells at
-// benchCfg sizes, summed over the explorations. Counts are exact and do not depend on Workers, Shards or
+// benchCfg sizes, summed over the explorations. Counts are exact and do not depend on Workers or
 // GOMAXPROCS, so they carry no slack. Lower them when a change cuts work
 // for good; raising them needs a stated reason.
 const (

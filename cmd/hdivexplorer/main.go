@@ -12,7 +12,7 @@
 //	hdivexplorer -data census.csv -target income -stat numeric -s 0.05
 //
 // Observability: -explain prints a query-level cost-attribution profile
-// (per-stage self/cumulative time, mining counters, shard balance,
+// (per-stage self/cumulative time, mining counters, worker split,
 // budget consumption) to stderr and -explain-json writes it to a file;
 // -trace prints the raw span tree with per-stage wall time to stderr,
 // -trace-json writes the machine-readable spans+counters snapshot to a
@@ -43,7 +43,7 @@ type cliConfig struct {
 	stats                                    string
 	s, st, minT                              float64
 	polarity                                 bool
-	maxLen, top, workers, shards             int
+	maxLen, top, workers                     int
 	budgetCandidates, budgetItemsets         int
 	budgetDeadline                           time.Duration
 	budgetHeap                               uint64
@@ -79,12 +79,11 @@ func main() {
 	flag.Float64Var(&c.minT, "mint", 0, "only print subgroups with |t| at least this")
 	flag.StringVar(&c.format, "format", "text", "output format: text, csv or json")
 	flag.IntVar(&c.workers, "workers", 0, "mining and ranking goroutines (0 = all cores, 1 = serial)")
-	flag.IntVar(&c.shards, "shards", 0, "row shards for the mining data plane (0 = automatic)")
 	flag.IntVar(&c.budgetCandidates, "budget-candidates", 0, "cap on evaluated itemset candidates (0 = unlimited); exhaustion truncates the report")
 	flag.IntVar(&c.budgetItemsets, "budget-itemsets", 0, "cap on frequent itemsets kept (0 = unlimited); exhaustion truncates the report")
 	flag.DurationVar(&c.budgetDeadline, "budget-deadline", 0, "soft mining deadline (0 = none); expiry truncates the report instead of failing")
 	flag.Uint64Var(&c.budgetHeap, "budget-heap-bytes", 0, "heap watermark that truncates mining (0 = off)")
-	flag.BoolVar(&c.explain, "explain", false, "print the query cost-attribution profile (stage times, shard balance, budget use) to stderr")
+	flag.BoolVar(&c.explain, "explain", false, "print the query cost-attribution profile (stage times, mining counters, budget use) to stderr")
 	flag.StringVar(&c.explainJSON, "explain-json", "", "write the explain profile as JSON to this file")
 	flag.BoolVar(&c.trace, "trace", false, "print the pipeline span tree and counters to stderr")
 	flag.BoolVar(&c.progress, "progress", false, "print a live mining progress line to stderr every 500ms")
@@ -115,9 +114,6 @@ func run(c cliConfig) error {
 	}
 	if c.workers < 0 {
 		return usageError{fmt.Sprintf("-workers must be >= 0 (got %d)", c.workers)}
-	}
-	if c.shards < 0 {
-		return usageError{fmt.Sprintf("-shards must be >= 0 (got %d)", c.shards)}
 	}
 	if c.budgetCandidates < 0 || c.budgetItemsets < 0 || c.budgetDeadline < 0 {
 		return usageError{"-budget-* values must be >= 0"}
@@ -199,7 +195,6 @@ func run(c cliConfig) error {
 		MaxLen:        c.maxLen,
 		PolarityPrune: c.polarity,
 		Workers:       c.workers,
-		Shards:        c.shards,
 		ResourceBudget: hdiv.Budget{
 			MaxCandidates: c.budgetCandidates,
 			MaxItemsets:   c.budgetItemsets,

@@ -325,7 +325,7 @@ func TestExplainOutputs(t *testing.T) {
 		dataPath: path, actualCol: "y", predCol: "p",
 		stat: "error", criterion: "divergence", mode: "hierarchical",
 		algorithm: "fpgrowth", format: "text",
-		s: 0.05, st: 0.1, top: 5, workers: 2, shards: 2,
+		s: 0.05, st: 0.1, top: 5, workers: 2,
 		explain: true, explainJSON: jsonPath,
 		stdout: &out, stderr: &errBuf,
 	}
@@ -443,7 +443,6 @@ func TestFlagValidation(t *testing.T) {
 		wantMsg string
 	}{
 		{"negative workers", func(c *cliConfig) { c.workers = -1 }, "-workers"},
-		{"negative shards", func(c *cliConfig) { c.shards = -3 }, "-shards"},
 		{"zero s", func(c *cliConfig) { c.s = 0; c.stat = "error" }, "-s"},
 		{"negative s", func(c *cliConfig) { c.s = -0.1 }, "-s"},
 		{"s above one", func(c *cliConfig) { c.s = 1.5 }, "-s"},

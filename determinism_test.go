@@ -90,61 +90,44 @@ func TestExploreDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestExplainDeterministicAcrossWorkersShards extends the determinism
+// TestExplainDeterministicAcrossWorkers extends the determinism
 // guarantee to explain profiles: the Deterministic() view — stage tree
-// shape, mining counters, shard loads, skew and budget rows, with all
-// measured timing fields stripped — is byte-identical across Workers ∈
-// {1, 0, 4} (serial first) for each fixed shard layout, and the mining
-// counters agree across shard layouts too. The full profile must also
-// satisfy the measurement contract on a live run: self times sum exactly
-// to the total.
-func TestExplainDeterministicAcrossWorkersShards(t *testing.T) {
+// shape, mining counters and budget rows, with all measured timing fields
+// stripped — is byte-identical across Workers ∈ {1, 0, 4} (serial first).
+// The full profile must also satisfy the measurement contract on a live
+// run: self times sum exactly to the total.
+func TestExplainDeterministicAcrossWorkers(t *testing.T) {
 	for _, alg := range []Algorithm{FPGrowth, Apriori} {
 		t.Run(alg.String(), func(t *testing.T) {
-			var refMining []byte
-			for _, shards := range []int{1, 4} {
-				var ref []byte
-				for _, workers := range []int{1, 0, 4} {
-					_, rep := exploreBytes(t, PipelineOptions{
-						TreeSupport: 0.1, MinSupport: 0.05,
-						Algorithm: alg, Workers: workers, Shards: shards,
-						Explain: true,
-					})
-					if rep.Explain == nil {
-						t.Fatalf("shards=%d workers=%d: Report.Explain not populated", shards, workers)
-					}
-					got, err := json.Marshal(rep.Explain.Deterministic())
-					if err != nil {
-						t.Fatal(err)
-					}
-					if ref == nil {
-						ref = got
-					} else if !bytes.Equal(got, ref) {
-						t.Errorf("shards=%d workers=%d: deterministic explain differs from serial run:\n%s\nvs\n%s",
-							shards, workers, got, ref)
-					}
-					mining, err := json.Marshal(rep.Explain.Mining)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if refMining == nil {
-						refMining = mining
-					} else if !bytes.Equal(mining, refMining) {
-						t.Errorf("shards=%d workers=%d: mining counters differ across shard layouts: %s vs %s",
-							shards, workers, mining, refMining)
-					}
+			var ref []byte
+			for _, workers := range []int{1, 0, 4} {
+				_, rep := exploreBytes(t, PipelineOptions{
+					TreeSupport: 0.1, MinSupport: 0.05,
+					Algorithm: alg, Workers: workers, Explain: true,
+				})
+				if rep.Explain == nil {
+					t.Fatalf("workers=%d: Report.Explain not populated", workers)
+				}
+				got, err := json.Marshal(rep.Explain.Deterministic())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ref == nil {
+					ref = got
+				} else if !bytes.Equal(got, ref) {
+					t.Errorf("workers=%d: deterministic explain differs from serial run:\n%s\nvs\n%s",
+						workers, got, ref)
+				}
 
-					// Measurement contract on the full (non-deterministic)
-					// profile: the self-time columns account for the whole
-					// run.
-					var selfSum int64
-					for _, st := range rep.Explain.Stages {
-						selfSum += st.SelfNS
-					}
-					if selfSum != rep.Explain.TotalNS {
-						t.Errorf("shards=%d workers=%d: sum(SelfNS)=%d != TotalNS=%d",
-							shards, workers, selfSum, rep.Explain.TotalNS)
-					}
+				// Measurement contract on the full (non-deterministic)
+				// profile: the self-time columns account for the whole run.
+				var selfSum int64
+				for _, st := range rep.Explain.Stages {
+					selfSum += st.SelfNS
+				}
+				if selfSum != rep.Explain.TotalNS {
+					t.Errorf("workers=%d: sum(SelfNS)=%d != TotalNS=%d",
+						workers, selfSum, rep.Explain.TotalNS)
 				}
 			}
 		})
@@ -204,47 +187,6 @@ func TestPolarityPruneCounters(t *testing.T) {
 	}
 }
 
-// TestExploreDeterministicAcrossShards extends the determinism guarantee
-// to the sharded data plane: ranked output is byte-identical for Shards ∈
-// {1, 4, 16} × Workers ∈ {1, 0, 4}, for both miners, and the shard gauge
-// records the layout actually used. The FPR outcome is 0/1-valued, so
-// shard merges are exact and equality must hold bitwise.
-func TestExploreDeterministicAcrossShards(t *testing.T) {
-	for _, alg := range []Algorithm{FPGrowth, Apriori} {
-		t.Run(alg.String(), func(t *testing.T) {
-			var refBytes []byte
-			for _, shards := range []int{1, 4, 16} {
-				for _, workers := range []int{1, 0, 4} {
-					tr := NewTracer()
-					got, rep := exploreBytes(t, PipelineOptions{
-						TreeSupport: 0.1, MinSupport: 0.05,
-						Algorithm: alg, Workers: workers, Shards: shards, Tracer: tr,
-					})
-					if refBytes == nil {
-						refBytes = got
-						continue
-					}
-					if !bytes.Equal(got, refBytes) {
-						t.Errorf("shards=%d workers=%d: output differs from shards=1 serial run",
-							shards, workers)
-					}
-					if g := rep.Trace.Gauges[obs.GaugeShards]; g != float64(shards) {
-						t.Errorf("shards=%d workers=%d: %s gauge = %v", shards, workers, obs.GaugeShards, g)
-					}
-				}
-			}
-			// The sharded layouts must also match the default plan.
-			tr := NewTracer()
-			got, _ := exploreBytes(t, PipelineOptions{
-				TreeSupport: 0.1, MinSupport: 0.05, Algorithm: alg, Tracer: tr,
-			})
-			if !bytes.Equal(got, refBytes) {
-				t.Errorf("default shard layout differs from explicit layouts")
-			}
-		})
-	}
-}
-
 // TestExploreMultiMatchesIndependentRuns is the single-pass bundle
 // guarantee end to end: ExploreMulti over {FPR, FNR, error} renders every
 // report byte-identical to an independent Explore of the same statistic
@@ -283,33 +225,31 @@ func TestExploreMultiMatchesIndependentRuns(t *testing.T) {
 	}
 
 	for _, alg := range []Algorithm{FPGrowth, Apriori} {
-		for _, shards := range []int{0, 4} {
-			cfg := ExploreConfig{
-				Hierarchies: hs, MinSupport: 0.05,
-				Algorithm: alg, Shards: shards,
-			}
-			reps, err := ExploreMulti(d.Table, cfg, b)
+		cfg := ExploreConfig{
+			Hierarchies: hs, MinSupport: 0.05,
+			Algorithm: alg,
+		}
+		reps, err := ExploreMulti(d.Table, cfg, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(reps) != len(outs) {
+			t.Fatalf("%s: %d reports, want %d", alg, len(reps), len(outs))
+		}
+		for k, o := range outs {
+			scfg := cfg
+			scfg.Outcome = o
+			single, err := Explore(d.Table, scfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(reps) != len(outs) {
-				t.Fatalf("%s shards=%d: %d reports, want %d", alg, shards, len(reps), len(outs))
+			if !bytes.Equal(csv(reps[k]), csv(single)) {
+				t.Errorf("%s: %s report differs from independent Explore",
+					alg, o.Name)
 			}
-			for k, o := range outs {
-				scfg := cfg
-				scfg.Outcome = o
-				single, err := Explore(d.Table, scfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(csv(reps[k]), csv(single)) {
-					t.Errorf("%s shards=%d: %s report differs from independent Explore",
-						alg, shards, o.Name)
-				}
-				if reps[k].Global != single.Global {
-					t.Errorf("%s shards=%d: %s global %v vs %v",
-						alg, shards, o.Name, reps[k].Global, single.Global)
-				}
+			if reps[k].Global != single.Global {
+				t.Errorf("%s: %s global %v vs %v",
+					alg, o.Name, reps[k].Global, single.Global)
 			}
 		}
 	}

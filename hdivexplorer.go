@@ -33,8 +33,8 @@ type (
 	// ProgressSnapshot is one consistent view of a Progress reporter.
 	ProgressSnapshot = obs.ProgressSnapshot
 	// Explain is a query-level cost-attribution profile: per-stage wall
-	// time and allocations, mining counters, shard balance, cache outcome
-	// and budget consumption, aggregated from a trace snapshot. Reports
+	// time, mining counters, worker split, cache outcome and budget
+	// consumption, aggregated from a trace snapshot. Reports
 	// carry one when the run asked for it (PipelineOptions.Explain or
 	// ExploreConfig.Explain).
 	Explain = obs.Explain
@@ -298,10 +298,6 @@ type PipelineOptions struct {
 	// (0 = every core, runtime.GOMAXPROCS(0); 1 = serial). Results are
 	// identical regardless.
 	Workers int
-	// Shards fixes the engine data plane's row-shard count (0 = default
-	// layout). Ranked output is byte-identical across shard counts for
-	// boolean outcomes (all built-in rate statistics).
-	Shards int
 	// ResourceBudget bounds the mining run; on exhaustion the pipeline
 	// returns a ranked Report flagged Truncated instead of failing. The
 	// zero value is unlimited.
@@ -407,7 +403,6 @@ func pipelinePrepare(ctx context.Context, t *Table, o *Outcome, opt *PipelineOpt
 		Algorithm:     opt.Algorithm,
 		Mode:          opt.Mode,
 		Workers:       opt.Workers,
-		Shards:        opt.Shards,
 		Budget:        opt.ResourceBudget,
 		Explain:       opt.Explain,
 		Tracer:        opt.Tracer,

@@ -282,21 +282,12 @@ func (v *Vector) AndMoments(u *Vector, vals []float64) (n int, sum, sumSq float6
 }
 
 // NumWords returns the number of 64-bit words backing the vector. Word w
-// covers bits [64w, 64w+64) ∩ [0, Len); the shard views below address
-// sub-ranges of whole words so shard boundaries never split a word.
+// covers bits [64w, 64w+64) ∩ [0, Len); the range primitives below
+// address sub-ranges of whole words.
 func (v *Vector) NumWords() int { return len(v.words) }
 
-// CountRange returns the popcount of the words in [loWord, hiWord).
-func (v *Vector) CountRange(loWord, hiWord int) int {
-	c := 0
-	for _, w := range v.words[loWord:hiWord] {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
 // AndCountRange returns the popcount of v AND u restricted to the words in
-// [loWord, hiWord) — the shard view of AndCount.
+// [loWord, hiWord) — the range view of AndCount.
 func (v *Vector) AndCountRange(u *Vector, loWord, hiWord int) int {
 	v.mustMatch(u)
 	c := 0
@@ -306,24 +297,11 @@ func (v *Vector) AndCountRange(u *Vector, loWord, hiWord int) int {
 	return c
 }
 
-// AndNotCountRange returns the popcount of v AND NOT u restricted to the
-// words in [loWord, hiWord). Used to count rows whose outcome is ⊥ (set in
-// the row mask, clear in the validity mask) shard by shard.
-func (v *Vector) AndNotCountRange(u *Vector, loWord, hiWord int) int {
-	v.mustMatch(u)
-	c := 0
-	for wi := loWord; wi < hiWord; wi++ {
-		c += bits.OnesCount64(v.words[wi] &^ u.words[wi])
-	}
-	return c
-}
-
 // AndMomentsRange is AndMoments restricted to the words in [loWord,
 // hiWord): over the set bits i of v AND u with 64·loWord ≤ i < 64·hiWord,
-// it returns the count, the sum of vals[i] and the sum of squares. Merging
-// the per-shard results of a word partition reproduces AndMoments exactly
-// for integral-valued outcomes (the sums are then exact in float64, so
-// addition order cannot matter).
+// it returns the count, the sum of vals[i] and the sum of squares. Over
+// the whole word range it adds in AndMoments' order, so the result is
+// AndMoments' bit for bit.
 func (v *Vector) AndMomentsRange(u *Vector, vals []float64, loWord, hiWord int) (n int, sum, sumSq float64) {
 	v.mustMatch(u)
 	if len(vals) < v.n {
@@ -344,7 +322,7 @@ func (v *Vector) AndMomentsRange(u *Vector, vals []float64, loWord, hiWord int) 
 }
 
 // ForEachRange calls fn for each set bit in the words [loWord, hiWord), in
-// increasing order — the shard view of ForEach.
+// increasing order — the range view of ForEach.
 func (v *Vector) ForEachRange(loWord, hiWord int, fn func(i int)) {
 	for wi := loWord; wi < hiWord; wi++ {
 		w := v.words[wi]

@@ -356,7 +356,7 @@ func BenchmarkAndCount(b *testing.B) {
 }
 
 // randomPair builds two random vectors of length n plus a value slice,
-// for exercising the word-range shard-view primitives.
+// for exercising the word-range primitives.
 func randomPair(rng *rand.Rand, n int) (v, u *Vector, vals []float64) {
 	v, u = New(n), New(n)
 	vals = make([]float64, n)
@@ -390,30 +390,18 @@ func TestRangePrimitivesMatchNaive(t *testing.T) {
 				if rowHi > n {
 					rowHi = n
 				}
-				var count, andCount, andNotCount, mN int
+				var andCount, mN int
 				var mSum, mSumSq float64
 				for i := rowLo; i < rowHi; i++ {
-					if !v.Get(i) {
-						continue
-					}
-					count++
-					if u.Get(i) {
+					if v.Get(i) && u.Get(i) {
 						andCount++
 						mN++
 						mSum += vals[i]
 						mSumSq += vals[i] * vals[i]
-					} else {
-						andNotCount++
 					}
-				}
-				if got := v.CountRange(lo, hi); got != count {
-					t.Fatalf("n=%d [%d,%d): CountRange = %d, want %d", n, lo, hi, got, count)
 				}
 				if got := v.AndCountRange(u, lo, hi); got != andCount {
 					t.Fatalf("n=%d [%d,%d): AndCountRange = %d, want %d", n, lo, hi, got, andCount)
-				}
-				if got := v.AndNotCountRange(u, lo, hi); got != andNotCount {
-					t.Fatalf("n=%d [%d,%d): AndNotCountRange = %d, want %d", n, lo, hi, got, andNotCount)
 				}
 				gotN, gotSum, gotSumSq := v.AndMomentsRange(u, vals, lo, hi)
 				if gotN != mN || gotSum != mSum || gotSumSq != mSumSq {
@@ -422,7 +410,7 @@ func TestRangePrimitivesMatchNaive(t *testing.T) {
 				}
 			}
 		}
-		// A partition of the word range must sum to the unsharded primitives.
+		// A partition of the word range must sum to the whole-vector primitives.
 		for _, parts := range []int{1, 2, 3, 5} {
 			if parts > words && words > 0 {
 				continue
@@ -452,7 +440,7 @@ func TestRangePrimitivesMatchNaive(t *testing.T) {
 	}
 }
 
-// TestForEachRange checks the shard-view iterator yields exactly the set
+// TestForEachRange checks the word-range iterator yields exactly the set
 // bits of the row interval, in ascending order.
 func TestForEachRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))

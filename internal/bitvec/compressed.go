@@ -5,17 +5,17 @@ import (
 )
 
 // Set is the read-only row-set contract shared by the dense Vector and the
-// roaring-style Compressed representation. The engine data plane and both
-// miners are written against this interface, so an item's representation is
-// invisible to them.
+// roaring-style Compressed representation. Both miners and the outcome
+// accumulators are written against this interface, so an item's
+// representation is invisible to them.
 //
 // The *Range primitives address half-open word intervals [loWord, hiWord)
-// of the underlying 64-bit word layout — the unit engine.Plan shards are
-// expressed in. Every implementation must visit set bits in ascending index
-// order, both within a word range and across the whole set: the float
-// accumulations layered on top (AndMomentsRange) then see an identical
-// addition order regardless of representation, which is what keeps ranked
-// mining output byte-identical when compressed items engage.
+// of the underlying 64-bit word layout — the FP-tree build reads items in
+// row blocks of a few words. Every implementation must visit set bits in
+// ascending index order, both within a word range and across the whole
+// set: the float accumulations layered on top (AndMomentsRange) then see
+// an identical addition order regardless of representation, which is what
+// keeps ranked mining output byte-identical when compressed items engage.
 //
 // The dense operand u of the And* primitives is always a *Vector: validity
 // masks and materialized subgroup row sets stay dense; only per-item
@@ -27,12 +27,8 @@ type Set interface {
 	Count() int
 	// NumWords returns the number of 64-bit words of the layout.
 	NumWords() int
-	// CountRange returns the popcount of the words in [loWord, hiWord).
-	CountRange(loWord, hiWord int) int
 	// AndCountRange returns the popcount of (set AND u) over the word range.
 	AndCountRange(u *Vector, loWord, hiWord int) int
-	// AndNotCountRange returns the popcount of (set AND NOT u) over the range.
-	AndNotCountRange(u *Vector, loWord, hiWord int) int
 	// AndMomentsRange accumulates count, Σvals[i] and Σvals[i]² over the set
 	// bits of (set AND u) in the word range, in ascending index order.
 	AndMomentsRange(u *Vector, vals []float64, loWord, hiWord int) (n int, sum, sumSq float64)
@@ -79,7 +75,7 @@ func Pack(v *Vector) Set {
 
 // Container geometry: each container covers 2^16 bits = 1024 words, so a
 // container index is a bit index >> 16 and container boundaries are always
-// word-aligned (a shard's word range never splits a bit across containers).
+// word-aligned (a word range never splits a bit across containers).
 const (
 	containerBits  = 1 << 16
 	containerWords = containerBits / wordBits
@@ -290,33 +286,6 @@ func clipRun(r interval, lw0, lw1 int) (rs, re int, ok bool) {
 	return rs, re, rs <= re
 }
 
-// CountRange returns the popcount of the words in [loWord, hiWord).
-func (c *Compressed) CountRange(loWord, hiWord int) int {
-	total := 0
-	c.forContainers(loWord, hiWord, func(ci int, ct *container, lw0, lw1 int) {
-		if lw0 == 0 && lw1 == c.wordsInContainer(ci) {
-			total += int(ct.card)
-			return
-		}
-		switch ct.kind {
-		case cArray:
-			i0, i1 := arrBounds(ct.arr, lw0, lw1)
-			total += i1 - i0
-		case cBitmap:
-			for _, w := range ct.words[lw0:lw1] {
-				total += bits.OnesCount64(w)
-			}
-		case cRun:
-			for _, r := range ct.runs {
-				if rs, re, ok := clipRun(r, lw0, lw1); ok {
-					total += re - rs + 1
-				}
-			}
-		}
-	})
-	return total
-}
-
 // wordsInContainer returns container ci's word count (short for the last).
 func (c *Compressed) wordsInContainer(ci int) int {
 	cw := c.NumWords() - ci*containerWords
@@ -369,11 +338,6 @@ func andCountRunWords(uw []uint64, rs, re int) int {
 		n += bits.OnesCount64(uw[w])
 	}
 	return n + bits.OnesCount64(uw[w1]&maskUpTo(re%wordBits))
-}
-
-// AndNotCountRange returns the popcount of (c AND NOT u) over the range.
-func (c *Compressed) AndNotCountRange(u *Vector, loWord, hiWord int) int {
-	return c.CountRange(loWord, hiWord) - c.AndCountRange(u, loWord, hiWord)
 }
 
 // AndMomentsRange accumulates (count, Σvals, Σvals²) over the set bits of

@@ -87,11 +87,6 @@ type Config struct {
 	// 0 uses every core (runtime.GOMAXPROCS(0)), 1 runs serially. Results
 	// are identical regardless of the setting.
 	Workers int
-	// Shards fixes the engine data plane's row-shard count (0 = default
-	// layout: one shard per engine.DefaultShardRows rows). For boolean
-	// outcomes — every built-in rate statistic — ranked output is
-	// byte-identical across shard counts.
-	Shards int
 	// Budget bounds the mining run's resource consumption; on exhaustion
 	// the exploration returns a ranked Report flagged Truncated instead of
 	// failing. The zero value is unlimited. See fpm.Budget for the
@@ -107,8 +102,8 @@ type Config struct {
 	// goroutine to watch a long run; nil disables collection.
 	Progress *obs.Progress
 	// Explain, when true, attaches an obs.Explain cost-attribution profile
-	// (per-stage self/cumulative time and allocations, mining counters,
-	// shard split, budget consumption) to the report. A nil Tracer is
+	// (per-stage self/cumulative wall time, mining counters, worker split,
+	// budget consumption) to the report. A nil Tracer is
 	// upgraded to a fresh one so Explain is self-sufficient.
 	Explain bool
 
@@ -332,7 +327,6 @@ func exploreUniverseMulti(ctx context.Context, u *fpm.Universe, cfg Config, b *o
 		PolarityPrune: cfg.PolarityPrune,
 		Algorithm:     cfg.Algorithm,
 		Workers:       cfg.Workers,
-		Shards:        cfg.Shards,
 		Budget:        cfg.Budget,
 		Tracer:        cfg.Tracer,
 		TraceParent:   cfg.span,

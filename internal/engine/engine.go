@@ -1,27 +1,12 @@
-// Package engine is the sharded data plane under the mining code. It
-// partitions the dataset's rows into word-aligned shards (Plan), evaluates
-// candidate itemsets shard by shard into mergeable accumulators (Acc), and
-// schedules independent tasks across workers (ParallelFor). Decoupling
-// candidate *enumeration* (which stays in fpm) from *accumulation* (which
-// runs per shard and merges associatively) is the seam future scaling work
-// — distributed shards, incremental append, alternate backends — plugs
-// into.
+// Package engine schedules the mining code's independent tasks across
+// workers (ParallelFor, with the worker count resolved by Workers and
+// contiguous stages split by Chunks), contains their panics (PanicError),
+// and recycles their per-run buffers (Pool). The miners accumulate every
+// itemset's support and outcome moments in one pass over the rows; the
+// only parallel axis is across tasks — Apriori candidates, FP-Growth
+// top-level branches, ranking chunks — never across rows.
 //
-// Determinism and merge ordering: shard merges happen in ascending shard
-// order, and every built-in rate statistic has values in {0, 1}, whose
-// partial sums are exact integers in float64 — so merged moments are
-// bit-identical to a single-pass scan regardless of the shard count.
-// Numeric outcomes with non-integral values may differ from the unsharded
-// scan in the last ulp once NumShards > 1; the default plan keeps datasets
-// of up to DefaultShardRows rows in a single shard, where the scan order
-// is identical to the unsharded code path. Accumulation consumes row sets
-// through the bitvec.Set interface (its *Range primitives visit bits in
-// ascending order over word-aligned shard ranges), so dense and compressed
-// item representations produce identical accumulators.
-//
-// Pool recycles the data plane's per-run buffers (materialized row
-// vectors, partial-count matrices) with explicit ownership rules; see its
-// type comment and DESIGN.md §11.
+// Pool's ownership rules are in its type comment and DESIGN.md §11.
 package engine
 
 import (
@@ -31,149 +16,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/bitvec"
 	"repro/internal/obs"
-	"repro/internal/stats"
 )
-
-// DefaultShardRows is the row count per shard when the caller does not fix
-// a shard count: 65536 rows = 1024 words, large enough that per-shard
-// bookkeeping is noise, small enough that wide datasets expose shard-level
-// parallelism.
-const DefaultShardRows = 1 << 16
-
-// wordBits mirrors the bitvec word size; shard boundaries are always
-// word-aligned so shard views never split a word.
-const wordBits = 64
-
-// Plan is a word-aligned partition of a dataset's rows into shards.
-// The zero value is unusable; build one with NewPlan.
-type Plan struct {
-	numRows  int
-	numWords int
-	bounds   []int // word boundaries; shard s covers words [bounds[s], bounds[s+1])
-}
-
-// NewPlan partitions numRows rows into the given number of shards on word
-// boundaries. shards ≤ 0 selects the default layout: ceil(numRows /
-// DefaultShardRows) shards, so small datasets stay single-shard. The shard
-// count is clamped to the word count (a shard must hold at least one word)
-// and is always at least 1, even for an empty dataset.
-func NewPlan(numRows, shards int) Plan {
-	if numRows < 0 {
-		panic("engine: negative row count")
-	}
-	numWords := (numRows + wordBits - 1) / wordBits
-	if shards <= 0 {
-		shards = (numRows + DefaultShardRows - 1) / DefaultShardRows
-	}
-	if shards > numWords {
-		shards = numWords
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	p := Plan{numRows: numRows, numWords: numWords, bounds: make([]int, shards+1)}
-	base, rem := numWords/shards, numWords%shards
-	w := 0
-	for s := 0; s < shards; s++ {
-		p.bounds[s] = w
-		w += base
-		if s < rem {
-			w++
-		}
-	}
-	p.bounds[shards] = numWords
-	return p
-}
-
-// NumRows returns the number of rows the plan partitions.
-func (p Plan) NumRows() int { return p.numRows }
-
-// NumShards returns the number of shards.
-func (p Plan) NumShards() int { return len(p.bounds) - 1 }
-
-// WordRange returns the half-open word interval [lo, hi) of shard s, the
-// unit bitvec's range primitives operate on.
-func (p Plan) WordRange(s int) (lo, hi int) { return p.bounds[s], p.bounds[s+1] }
-
-// RowRange returns the half-open row interval [lo, hi) of shard s.
-func (p Plan) RowRange(s int) (lo, hi int) {
-	lo = p.bounds[s] * wordBits
-	hi = p.bounds[s+1] * wordBits
-	if hi > p.numRows {
-		hi = p.numRows
-	}
-	return lo, hi
-}
-
-// Acc is the per-shard outcome accumulator: everything the divergence
-// statistics need from one shard of a subgroup's rows. Acc values merge
-// associatively (integer fields exactly; float sums exactly whenever the
-// outcome values are integral, e.g. the 0/1 rate statistics), so shard
-// results can be combined in any grouping as long as the final reduction
-// visits shards in ascending order.
-type Acc struct {
-	// Rows is the subgroup's support within the shard (popcount of the row
-	// bitset), including rows whose outcome is ⊥.
-	Rows int
-	// Bottom counts subgroup rows with undefined (⊥) outcome.
-	Bottom int
-	// Pos and Neg split the defined rows of a boolean outcome by value
-	// (1 / 0); both stay 0 for non-boolean outcomes.
-	Pos, Neg int
-	// Sum and SumSq accumulate the outcome values over defined rows.
-	Sum, SumSq float64
-}
-
-// Merge folds b into a. Associative and commutative on the integer fields;
-// on the float fields it is exact (hence order-independent) whenever the
-// outcome values are integral.
-func (a *Acc) Merge(b Acc) {
-	a.Rows += b.Rows
-	a.Bottom += b.Bottom
-	a.Pos += b.Pos
-	a.Neg += b.Neg
-	a.Sum += b.Sum
-	a.SumSq += b.SumSq
-}
-
-// N returns the number of defined-outcome rows in the accumulator.
-func (a Acc) N() int { return a.Rows - a.Bottom }
-
-// Moments converts the accumulator to the stats.Moments triple used by the
-// divergence and Welch-t formulas.
-func (a Acc) Moments() stats.Moments {
-	return stats.Moments{N: a.N(), Sum: a.Sum, SumSq: a.SumSq}
-}
-
-// Accumulate computes the Acc of rows∈shard s of the plan for the outcome
-// described by (valid, vals, boolean): valid masks rows with a defined
-// outcome, vals holds the values, boolean marks outcomes whose defined
-// values are all 0 or 1 (making Pos/Neg meaningful and the float sums
-// exact). rows may be dense or compressed; the Set contract guarantees an
-// identical accumulation order either way.
-func Accumulate(p Plan, s int, rows bitvec.Set, valid *bitvec.Vector, vals []float64, boolean bool) Acc {
-	lo, hi := p.WordRange(s)
-	n, sum, sumSq := rows.AndMomentsRange(valid, vals, lo, hi)
-	a := Acc{Rows: rows.CountRange(lo, hi), Sum: sum, SumSq: sumSq}
-	a.Bottom = a.Rows - n
-	if boolean {
-		a.Pos = int(sum)
-		a.Neg = n - a.Pos
-	}
-	return a
-}
-
-// AccumulateAll merges the per-shard accumulators of every shard of the
-// plan in ascending shard order.
-func AccumulateAll(p Plan, rows bitvec.Set, valid *bitvec.Vector, vals []float64, boolean bool) Acc {
-	var a Acc
-	for s := 0; s < p.NumShards(); s++ {
-		a.Merge(Accumulate(p, s, rows, valid, vals, boolean))
-	}
-	return a
-}
 
 // PanicError is a worker panic recovered by ParallelFor (or by a miner's
 // serial section): the original panic value plus the stack of the

@@ -2,172 +2,12 @@ package engine
 
 import (
 	"errors"
-	"math/rand"
 	"strings"
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/bitvec"
 	"repro/internal/obs"
 )
-
-func TestNewPlanBounds(t *testing.T) {
-	tests := []struct {
-		name       string
-		rows       int
-		shards     int
-		wantShards int
-	}{
-		{"empty dataset", 0, 0, 1},
-		{"empty dataset explicit shards", 0, 8, 1},
-		{"one row", 1, 0, 1},
-		{"one word default", 64, 0, 1},
-		{"shards clamped to words", 100, 16, 2}, // 100 rows = 2 words
-		{"even split", 64 * 8, 4, 4},
-		{"uneven split", 64*8 + 1, 4, 4},
-		{"default layout small", DefaultShardRows, 0, 1},
-		{"default layout two shards", DefaultShardRows + 1, 0, 2},
-		{"explicit", 1 << 20, 16, 16},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			p := NewPlan(tt.rows, tt.shards)
-			if got := p.NumShards(); got != tt.wantShards {
-				t.Fatalf("NumShards() = %d, want %d", got, tt.wantShards)
-			}
-			if p.NumRows() != tt.rows {
-				t.Errorf("NumRows() = %d, want %d", p.NumRows(), tt.rows)
-			}
-			// Shards must tile the word range: contiguous, non-overlapping,
-			// each non-empty (except the single shard of an empty dataset),
-			// covering every word exactly once.
-			prevHi := 0
-			totalRows := 0
-			for s := 0; s < p.NumShards(); s++ {
-				lo, hi := p.WordRange(s)
-				if lo != prevHi {
-					t.Errorf("shard %d starts at word %d, want %d", s, lo, prevHi)
-				}
-				if hi < lo || (hi == lo && tt.rows > 0) {
-					t.Errorf("shard %d empty word range [%d, %d)", s, lo, hi)
-				}
-				prevHi = hi
-				rLo, rHi := p.RowRange(s)
-				if rLo != lo*64 {
-					t.Errorf("shard %d row lo = %d, want %d", s, rLo, lo*64)
-				}
-				if rHi > tt.rows {
-					t.Errorf("shard %d row hi %d exceeds %d rows", s, rHi, tt.rows)
-				}
-				totalRows += rHi - rLo
-			}
-			if wantWords := (tt.rows + 63) / 64; prevHi != wantWords {
-				t.Errorf("shards cover %d words, want %d", prevHi, wantWords)
-			}
-			if totalRows != tt.rows {
-				t.Errorf("row ranges cover %d rows, want %d", totalRows, tt.rows)
-			}
-			// Balance: shard word counts differ by at most one.
-			min, max := 1<<62, 0
-			for s := 0; s < p.NumShards(); s++ {
-				lo, hi := p.WordRange(s)
-				if w := hi - lo; w < min {
-					min = w
-				} else if w > max {
-					max = w
-				}
-			}
-			if p.NumShards() > 1 && max-min > 1 {
-				t.Errorf("unbalanced plan: shard word counts span [%d, %d]", min, max)
-			}
-		})
-	}
-}
-
-// randomOutcome builds a pseudo-random subgroup bitset and outcome over n
-// rows; boolean selects 0/1 values (with some ⊥ rows) vs arbitrary floats.
-func randomOutcome(rng *rand.Rand, n int, boolean bool) (rows, valid *bitvec.Vector, vals []float64) {
-	rows, valid = bitvec.New(n), bitvec.New(n)
-	vals = make([]float64, n)
-	for i := 0; i < n; i++ {
-		if rng.Intn(3) != 0 {
-			rows.Set(i)
-		}
-		if rng.Intn(5) != 0 {
-			valid.Set(i)
-			if boolean {
-				vals[i] = float64(rng.Intn(2))
-			} else {
-				vals[i] = rng.NormFloat64()
-			}
-		}
-	}
-	return rows, valid, vals
-}
-
-// TestAccumulateMatchesUnsharded verifies that merging per-shard
-// accumulators in ascending order reproduces the unsharded scan exactly
-// for boolean outcomes, at any shard count.
-func TestAccumulateMatchesUnsharded(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{0, 1, 63, 64, 65, 1000, 4096} {
-		rows, valid, vals := randomOutcome(rng, n, true)
-		ref := AccumulateAll(NewPlan(n, 1), rows, valid, vals, true)
-
-		// Reference invariants against the plain bitvec primitives.
-		if ref.Rows != rows.Count() {
-			t.Fatalf("n=%d: Rows = %d, want %d", n, ref.Rows, rows.Count())
-		}
-		wantN, wantSum, wantSumSq := rows.AndMoments(valid, vals)
-		if ref.N() != wantN || ref.Sum != wantSum || ref.SumSq != wantSumSq {
-			t.Fatalf("n=%d: moments (%d, %v, %v), want (%d, %v, %v)",
-				n, ref.N(), ref.Sum, ref.SumSq, wantN, wantSum, wantSumSq)
-		}
-		if ref.Pos+ref.Neg != ref.N() || float64(ref.Pos) != ref.Sum {
-			t.Fatalf("n=%d: pos/neg split inconsistent: %+v", n, ref)
-		}
-
-		for _, shards := range []int{2, 3, 4, 16, 64} {
-			got := AccumulateAll(NewPlan(n, shards), rows, valid, vals, true)
-			if got != ref {
-				t.Errorf("n=%d shards=%d: %+v, want %+v", n, shards, got, ref)
-			}
-		}
-	}
-}
-
-// TestMergeAssociative checks that regrouping shard merges does not change
-// the result for integral-valued outcomes: left fold == pairwise tree fold.
-func TestMergeAssociative(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	n := 2048
-	rows, valid, vals := randomOutcome(rng, n, true)
-	p := NewPlan(n, 8)
-
-	accs := make([]Acc, p.NumShards())
-	for s := range accs {
-		accs[s] = Accumulate(p, s, rows, valid, vals, true)
-	}
-
-	var left Acc
-	for _, a := range accs {
-		left.Merge(a)
-	}
-	for len(accs) > 1 { // pairwise tree reduction
-		var next []Acc
-		for i := 0; i < len(accs); i += 2 {
-			a := accs[i]
-			if i+1 < len(accs) {
-				a.Merge(accs[i+1])
-			}
-			next = append(next, a)
-		}
-		accs = next
-	}
-	if left != accs[0] {
-		t.Errorf("left fold %+v != tree fold %+v", left, accs[0])
-	}
-}
 
 func TestParallelFor(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 4, 100} {

@@ -7,11 +7,10 @@ import (
 	"repro/internal/bitvec"
 )
 
-// Pool recycles the flat buffers the mining hot path burns through —
-// materialized row bitvectors and partial-count matrices — across Apriori
-// levels and FP-Growth branches of one mining run. It is keyed by the run's
-// Plan so every pooled vector has the same geometry and a Get can skip all
-// shape checks.
+// Pool recycles the row vectors the mining hot path burns through across
+// Apriori levels of one mining run. It is keyed by the run's row count, so
+// every pooled vector has the same length and a Get can skip all shape
+// checks.
 //
 // Ownership rules (see DESIGN.md §11 for the full lifecycle):
 //
@@ -20,7 +19,7 @@ import (
 //     word) before reading.
 //   - Universe-owned vectors (Universe.Rows) must never be passed to
 //     PutVector; only buffers obtained from the pool (or allocated with the
-//     run's geometry and owned by the caller) may be returned.
+//     run's row count and owned by the caller) may be returned.
 //   - A buffer must not be used after PutVector. Returning is optional:
 //     dropping a pooled buffer on an error or truncation path is safe, the
 //     GC reclaims it.
@@ -35,16 +34,15 @@ import (
 type Pool struct {
 	rows         int
 	vecs         sync.Pool
-	ints         sync.Pool
 	hits, misses atomic.Int64
 }
 
-// NewPool returns a pool dispensing vectors of the plan's row count.
-func NewPool(p Plan) *Pool {
-	return &Pool{rows: p.NumRows()}
+// NewPool returns a pool dispensing vectors of the given row count.
+func NewPool(rows int) *Pool {
+	return &Pool{rows: rows}
 }
 
-// GetVector returns a vector of the plan's row count with unspecified
+// GetVector returns a vector of the pool's row count with unspecified
 // contents. The caller must fully overwrite it before reading.
 func (pl *Pool) GetVector() *bitvec.Vector {
 	if v, ok := pl.vecs.Get().(*bitvec.Vector); ok {
@@ -55,38 +53,14 @@ func (pl *Pool) GetVector() *bitvec.Vector {
 	return bitvec.New(pl.rows)
 }
 
-// PutVector returns a vector to the pool. Vectors of the wrong geometry
-// are dropped, so a caller holding mixed-origin buffers can return them
+// PutVector returns a vector to the pool. Vectors of another length are
+// dropped, so a caller holding mixed-origin buffers can return them
 // indiscriminately.
 func (pl *Pool) PutVector(v *bitvec.Vector) {
 	if v == nil || v.Len() != pl.rows {
 		return
 	}
 	pl.vecs.Put(v)
-}
-
-// GetInts returns a zeroed []int of length n, reusing pooled capacity
-// when possible.
-func (pl *Pool) GetInts(n int) []int {
-	if s, ok := pl.ints.Get().(*[]int); ok && cap(*s) >= n {
-		pl.hits.Add(1)
-		out := (*s)[:n]
-		for i := range out {
-			out[i] = 0
-		}
-		return out
-	}
-	pl.misses.Add(1)
-	return make([]int, n)
-}
-
-// PutInts returns an int slice's capacity to the pool.
-func (pl *Pool) PutInts(s []int) {
-	if cap(s) == 0 {
-		return
-	}
-	s = s[:0]
-	pl.ints.Put(&s)
 }
 
 // NoteHit and NoteMiss fold an external cache's reuse outcome into the

@@ -29,7 +29,7 @@
 //
 //	Arm("server.cache_fill", "error(disk gone)")
 //	Arm("fpm.candidate_batch", "panic@2")
-//	HDIV_FAILPOINTS="dataset.read_csv=delay(50ms),engine.shard_merge=error"
+//	HDIV_FAILPOINTS="dataset.read_csv=delay(50ms),fpm.candidate_batch=error"
 package faultinject
 
 import (

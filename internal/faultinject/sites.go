@@ -14,9 +14,6 @@ const (
 	// each Apriori level and each FP-Growth conditional universe (the
 	// hBatch observation sites).
 	SiteCandidateBatch = "fpm.candidate_batch"
-	// SiteShardMerge fires once per shard merge: each FP-Growth shard-tree
-	// absorb and each Apriori partial-count reduction.
-	SiteShardMerge = "engine.shard_merge"
 	// SiteCacheFill fires inside the server's universe-cache build
 	// function, while singleflight waiters block on the entry.
 	SiteCacheFill = "server.cache_fill"

@@ -19,7 +19,7 @@ import (
 //
 //   - MaxCandidates and MaxItemsets check the counts MiningStats
 //     reports, so the truncated ranked output is byte-identical across
-//     Workers and Shards settings: Apriori trims each level's candidate
+//     Workers settings: Apriori trims each level's candidate
 //     batch to a deterministic prefix, and FP-Growth runs its growth
 //     phase serially under these caps (a capped run is bounded by
 //     construction, so the lost parallelism is bounded too).

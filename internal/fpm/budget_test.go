@@ -61,8 +61,8 @@ func TestBudgetGenerousMatchesUnbudgeted(t *testing.T) {
 
 // TestBudgetTruncationDeterministic is the acceptance property for
 // deterministic budgets: for each algorithm, the truncated ranked output
-// is identical — bitwise, including moments — across Workers and Shards
-// in {1,4}×{1,4}, and the result is flagged with the exhausted dimension.
+// is identical — bitwise, including moments — across Workers {1, 4},
+// and the result is flagged with the exhausted dimension.
 func TestBudgetTruncationDeterministic(t *testing.T) {
 	u, o := randomUniverse(t, 11, 400, true)
 	budgets := []struct {
@@ -78,35 +78,33 @@ func TestBudgetTruncationDeterministic(t *testing.T) {
 		for _, bc := range budgets {
 			var ref *Result
 			for _, workers := range []int{1, 4} {
-				for _, shards := range []int{1, 4} {
-					label := fmt.Sprintf("%v/%s/w%d/s%d", alg, bc.name, workers, shards)
-					res, err := Mine(u, o, Options{
-						MinSupport: 0.05, Algorithm: alg,
-						Workers: workers, Shards: shards, Budget: bc.b,
-					})
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					if !res.Truncated {
-						t.Fatalf("%s: not truncated (budget too generous for the fixture?)", label)
-					}
-					if bc.dim != "" && res.Exhausted != bc.dim {
-						t.Errorf("%s: exhausted %q, want %q", label, res.Exhausted, bc.dim)
-					}
-					if bc.b.MaxItemsets > 0 && len(res.Itemsets) > bc.b.MaxItemsets {
-						t.Errorf("%s: %d itemsets exceed cap %d", label, len(res.Itemsets), bc.b.MaxItemsets)
-					}
-					if ref == nil {
-						ref = res
-						continue
-					}
-					sameRanked(t, label, sortedCopy(res, o), sortedCopy(ref, o))
-					if res.Stats != ref.Stats {
-						t.Errorf("%s: stats differ: %+v vs %+v", label, res.Stats, ref.Stats)
-					}
-					if res.Exhausted != ref.Exhausted {
-						t.Errorf("%s: exhausted %q vs reference %q", label, res.Exhausted, ref.Exhausted)
-					}
+				label := fmt.Sprintf("%v/%s/w%d", alg, bc.name, workers)
+				res, err := Mine(u, o, Options{
+					MinSupport: 0.05, Algorithm: alg,
+					Workers: workers, Budget: bc.b,
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if !res.Truncated {
+					t.Fatalf("%s: not truncated (budget too generous for the fixture?)", label)
+				}
+				if bc.dim != "" && res.Exhausted != bc.dim {
+					t.Errorf("%s: exhausted %q, want %q", label, res.Exhausted, bc.dim)
+				}
+				if bc.b.MaxItemsets > 0 && len(res.Itemsets) > bc.b.MaxItemsets {
+					t.Errorf("%s: %d itemsets exceed cap %d", label, len(res.Itemsets), bc.b.MaxItemsets)
+				}
+				if ref == nil {
+					ref = res
+					continue
+				}
+				sameRanked(t, label, sortedCopy(res, o), sortedCopy(ref, o))
+				if res.Stats != ref.Stats {
+					t.Errorf("%s: stats differ: %+v vs %+v", label, res.Stats, ref.Stats)
+				}
+				if res.Exhausted != ref.Exhausted {
+					t.Errorf("%s: exhausted %q vs reference %q", label, res.Exhausted, ref.Exhausted)
 				}
 			}
 			// A truncated run must be a genuine cut, not the full lattice.
@@ -180,38 +178,32 @@ func TestMineSoftDeadlineTruncates(t *testing.T) {
 }
 
 // TestMineFaultInjection pins the failpoint wiring inside both miners:
-// an armed candidate-batch or shard-merge site surfaces as a clean error
-// (never a crash), and a panic-armed site is recovered into a
-// *engine.PanicError with the recovery counted. Each armed run gets a
-// fresh universe: FP-Growth's shard merge runs only when the root tree is
-// built, not when a universe's kept tree serves the run.
+// an armed candidate-batch site surfaces as a clean error (never a
+// crash), and a panic-armed site is recovered into a *engine.PanicError
+// with the recovery counted.
 func TestMineFaultInjection(t *testing.T) {
 	u, o := randomUniverse(t, 17, 400, true)
 	for _, alg := range []Algorithm{Apriori, FPGrowth} {
-		for _, site := range []string{faultinject.SiteCandidateBatch, faultinject.SiteShardMerge} {
-			u, o := randomUniverse(t, 17, 400, true)
-			t.Cleanup(faultinject.Reset)
-			if err := faultinject.Arm(site, "error(injected)"); err != nil {
-				t.Fatal(err)
-			}
-			_, err := Mine(u, o, Options{MinSupport: 0.05, Algorithm: alg, Workers: 4, Shards: 4})
-			var fe *faultinject.Error
-			if !errors.As(err, &fe) || fe.Site != site {
-				t.Fatalf("%v/%s: want injected *faultinject.Error, got %v", alg, site, err)
-			}
-			faultinject.Reset()
-			// The same call with failpoints disarmed succeeds.
-			if _, err := Mine(u, o, Options{MinSupport: 0.05, Algorithm: alg, Workers: 4, Shards: 4}); err != nil {
-				t.Fatalf("%v/%s: disarmed run failed: %v", alg, site, err)
-			}
+		t.Cleanup(faultinject.Reset)
+		if err := faultinject.Arm(faultinject.SiteCandidateBatch, "error(injected)"); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Mine(u, o, Options{MinSupport: 0.05, Algorithm: alg, Workers: 4})
+		var fe *faultinject.Error
+		if !errors.As(err, &fe) || fe.Site != faultinject.SiteCandidateBatch {
+			t.Fatalf("%v: want injected *faultinject.Error, got %v", alg, err)
+		}
+		faultinject.Reset()
+		// The same call with failpoints disarmed succeeds.
+		if _, err := Mine(u, o, Options{MinSupport: 0.05, Algorithm: alg, Workers: 4}); err != nil {
+			t.Fatalf("%v: disarmed run failed: %v", alg, err)
 		}
 
-		t.Cleanup(faultinject.Reset)
 		if err := faultinject.Arm(faultinject.SiteCandidateBatch, "panic"); err != nil {
 			t.Fatal(err)
 		}
 		tr := obs.New()
-		_, err := Mine(u, o, Options{MinSupport: 0.05, Algorithm: alg, Workers: 4, Tracer: tr})
+		_, err = Mine(u, o, Options{MinSupport: 0.05, Algorithm: alg, Workers: 4, Tracer: tr})
 		var pe *engine.PanicError
 		if !errors.As(err, &pe) {
 			t.Fatalf("%v: want *engine.PanicError, got %v", alg, err)

@@ -25,8 +25,8 @@ func inOrder(items []MinedItemset, order []int32) []MinedItemset {
 // sameRanked requires two ranked itemset lists to agree exactly: same
 // order, same items, same support, bit-identical moments. The fixture's
 // error-rate outcome has 0/1 values, so partial sums are exact integers
-// and cross-algorithm, cross-worker and cross-shard agreement must be
-// bitwise, not approximate.
+// and cross-algorithm and cross-worker agreement must be bitwise, not
+// approximate.
 func sameRanked(t *testing.T, label string, got, want []MinedItemset) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -46,8 +46,7 @@ func sameRanked(t *testing.T, label string, got, want []MinedItemset) {
 // TestRankedEquivalenceProperty is the cross-algorithm equivalence
 // property: over randomized small universes, Apriori and FP-Growth
 // produce identical ranked results — for serial and parallel mining
-// (Workers ∈ {1, 0, 4}, serial first) and across shard layouts. Run under -race in CI,
-// it doubles as a race detector for both parallel paths.
+// (Workers ∈ {1, 0, 4}, serial first). Run under -race in CI, it doubles as a race detector for both parallel paths.
 func TestRankedEquivalenceProperty(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		for _, generalized := range []bool{false, true} {
@@ -56,27 +55,25 @@ func TestRankedEquivalenceProperty(t *testing.T) {
 			for _, prune := range []bool{false, true} {
 				var ref []MinedItemset
 				for _, workers := range []int{1, 0, 4} {
-					for _, shards := range []int{0, 3} {
-						for _, alg := range []Algorithm{Apriori, FPGrowth} {
-							label := fmt.Sprintf("seed=%d gen=%v prune=%v workers=%d shards=%d %s",
-								seed, generalized, prune, workers, shards, alg)
-							res, err := Mine(u, o, Options{
-								MinSupport: 0.05, PolarityPrune: prune,
-								Algorithm: alg, Workers: workers, Shards: shards,
-							})
-							if err != nil {
-								t.Fatalf("%s: %v", label, err)
-							}
-							ranked := sortedCopy(res, o)
-							if ref == nil {
-								ref = ranked
-								if len(ref) == 0 {
-									t.Fatalf("%s: no itemsets mined", label)
-								}
-								continue
-							}
-							sameRanked(t, label, ranked, ref)
+					for _, alg := range []Algorithm{Apriori, FPGrowth} {
+						label := fmt.Sprintf("seed=%d gen=%v prune=%v workers=%d %s",
+							seed, generalized, prune, workers, alg)
+						res, err := Mine(u, o, Options{
+							MinSupport: 0.05, PolarityPrune: prune,
+							Algorithm: alg, Workers: workers,
+						})
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
 						}
+						ranked := sortedCopy(res, o)
+						if ref == nil {
+							ref = ranked
+							if len(ref) == 0 {
+								t.Fatalf("%s: no itemsets mined", label)
+							}
+							continue
+						}
+						sameRanked(t, label, ranked, ref)
 					}
 				}
 			}
@@ -108,29 +105,27 @@ func TestMineMultiMatchesIndependentMines(t *testing.T) {
 	}
 
 	for _, alg := range []Algorithm{Apriori, FPGrowth} {
-		for _, shards := range []int{0, 4} {
-			opt := Options{MinSupport: 0.05, Algorithm: alg, Shards: shards}
-			multi, err := MineMulti(u, bun, opt)
-			if err != nil {
-				t.Fatal(err)
+		opt := Options{MinSupport: 0.05, Algorithm: alg}
+		multi, err := MineMulti(u, bun, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		single, err := Mine(u, o, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranked, want := sortedCopy(multi, o), sortedCopy(single, o)
+		sameRanked(t, alg.String()+" primary", ranked, want)
+		for _, it := range multi.Itemsets {
+			if len(it.Multi) != 1 {
+				t.Fatalf("%s: Multi has %d entries, want 1", alg, len(it.Multi))
 			}
-			single, err := Mine(u, o, opt)
-			if err != nil {
-				t.Fatal(err)
+			m, x := it.M, it.MomentsAt(1)
+			if x.N != m.N {
+				t.Fatalf("%s: extra N=%d, primary N=%d", alg, x.N, m.N)
 			}
-			ranked, want := sortedCopy(multi, o), sortedCopy(single, o)
-			sameRanked(t, fmt.Sprintf("%s shards=%d primary", alg, shards), ranked, want)
-			for _, it := range multi.Itemsets {
-				if len(it.Multi) != 1 {
-					t.Fatalf("%s shards=%d: Multi has %d entries, want 1", alg, shards, len(it.Multi))
-				}
-				m, x := it.M, it.MomentsAt(1)
-				if x.N != m.N {
-					t.Fatalf("%s shards=%d: extra N=%d, primary N=%d", alg, shards, x.N, m.N)
-				}
-				if x.Sum != float64(m.N)-m.Sum {
-					t.Fatalf("%s shards=%d: complement sum %v, want %v", alg, shards, x.Sum, float64(m.N)-m.Sum)
-				}
+			if x.Sum != float64(m.N)-m.Sum {
+				t.Fatalf("%s: complement sum %v, want %v", alg, x.Sum, float64(m.N)-m.Sum)
 			}
 		}
 	}

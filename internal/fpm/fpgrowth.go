@@ -1,8 +1,6 @@
 package fpm
 
 import (
-	"cmp"
-	"fmt"
 	"math/bits"
 	"slices"
 	"sort"
@@ -16,10 +14,9 @@ import (
 )
 
 // fpNode is one node of an arena-backed FP-tree, less its item and parent
-// (its fpLink). Nodes live in the tree's flat slab and link by index:
-// firstChild/nextSib list a node's children (newest first; absorb walks
-// them), next chains nodes of the same item for the header table, and the
-// tree's child index finds a (parent, item) child in O(1), so a whole tree
+// (its fpLink). Nodes live in the tree's flat slab and link by index: next
+// chains nodes of the same item for the header table, and the tree's
+// child index finds a (parent, item) child in O(1), so a whole tree
 // is a handful of slice allocations instead of one map-bearing heap object
 // per node. Beyond the usual support count, each node carries the outcome
 // moments of the transactions (rows) flowing through it, which is what
@@ -27,17 +24,15 @@ import (
 // pass. Under a multi-outcome bundle the node's extra moments live in the
 // tree's parallel mx slab.
 type fpNode struct {
-	firstChild int32
-	nextSib    int32
-	next       int32 // header chain of nodes with the same item
-	count      int
-	m          stats.Moments
+	next  int32 // header chain of nodes with the same item
+	count int
+	m     stats.Moments
 }
 
 // fpLink is a node's item and parent, held in the tree's links slab (node
-// n's at links[n]) apart from the 48-byte fpNode: the growth phase's
-// ancestor walk, the child index's key check and absorb's child sort read
-// only these, so they touch 8 bytes per node.
+// n's at links[n]) apart from the 40-byte fpNode: the growth phase's
+// ancestor walk and the child index's key check read only these, so they
+// touch 8 bytes per node.
 type fpLink struct {
 	item   int32 // universe item id; -1 for the root
 	parent int32
@@ -88,7 +83,7 @@ func (t *fpTree) reset(order []int, mxStride int) {
 	t.nodes, t.links, t.mx = t.nodes[:0], t.links[:0], t.mx[:0]
 	t.mxStride = mxStride
 	t.growArenas(1)
-	t.nodes = append(t.nodes, fpNode{firstChild: -1, nextSib: -1, next: -1})
+	t.nodes = append(t.nodes, fpNode{next: -1})
 	t.links = append(t.links, fpLink{item: -1, parent: -1})
 	t.mx = t.mx[:mxStride]
 	clear(t.mx)
@@ -133,8 +128,8 @@ func (t *fpTree) growIndex() {
 }
 
 // child returns node parent's child for item it, creating it (and linking
-// it onto the header chain in creation order, which absorb and the growth
-// recursion rely on for determinism) if absent.
+// it onto the header chain in creation order, which the growth recursion
+// relies on for determinism) if absent.
 func (t *fpTree) child(parent, it int32) int32 {
 	if 2*len(t.nodes) > len(t.index) {
 		t.growIndex()
@@ -152,9 +147,8 @@ func (t *fpTree) child(parent, it int32) int32 {
 	if len(t.nodes) == cap(t.nodes) {
 		t.growArenas(len(t.nodes))
 	}
-	t.nodes = append(t.nodes, fpNode{firstChild: -1, nextSib: t.nodes[parent].firstChild, next: -1})
+	t.nodes = append(t.nodes, fpNode{next: -1})
 	t.links = append(t.links, fpLink{item: it, parent: parent})
-	t.nodes[parent].firstChild = c
 	if k := t.mxStride; k > 0 {
 		n := len(t.mx)
 		t.mx = t.mx[:n+k]
@@ -221,64 +215,21 @@ func (t *fpTree) nodeMx(n int32) []stats.Moments {
 	return t.mx[int(n)*t.mxStride : (int(n)+1)*t.mxStride]
 }
 
-// absorb merges src (a shard tree built over the same item order) into t.
-// Children are visited in rank order — the same order insertions create
-// them — so header chains, and therefore the whole mining recursion, are
-// deterministic regardless of how rows were split into shards. Counts and
-// integer-valued moment sums merge exactly; see the engine package note on
-// float exactness. Each node's rank-sorted children are a segment of one
-// stack shared by the whole walk, so the fold allocates only when that
-// stack outgrows its capacity, not per node.
-func (t *fpTree) absorb(src *fpTree, rank []int32) {
-	var kids []int32
-	byRank := func(a, b int32) int {
-		return cmp.Compare(rank[src.links[a].item], rank[src.links[b].item])
-	}
-	var walk func(dst, s int32)
-	walk = func(dst, s int32) {
-		lo := len(kids)
-		for c := src.nodes[s].firstChild; c >= 0; c = src.nodes[c].nextSib {
-			kids = append(kids, c)
-		}
-		hi := len(kids)
-		slices.SortFunc(kids[lo:hi], byRank)
-		for i := lo; i < hi; i++ {
-			sc := kids[i]
-			sn := &src.nodes[sc]
-			c := t.child(dst, src.links[sc].item)
-			nd := &t.nodes[c]
-			nd.count += sn.count
-			nd.m.AddN(sn.m)
-			if t.mxStride > 0 {
-				base := int(c) * t.mxStride
-				for k, v := range src.nodeMx(sc) {
-					t.mx[base+k].AddN(v)
-				}
-			}
-			walk(c, sc)
-		}
-		kids = kids[:lo]
-	}
-	walk(0, 0)
-}
-
 // fpBlockWords is the width, in bitmap words, of the row blocks
-// buildShardTree assembles transactions for: 512 rows.
+// buildRootTree assembles transactions for: 512 rows.
 const fpBlockWords = 8
 
-// buildShardTree builds the FP-tree of one row shard, one block of
+// buildRootTree builds the root FP-tree over order, one block of
 // fpBlockWords words at a time. A block's transactions are assembled in a
 // block-rows × |order| buffer — each row's segment filled by one
 // ForEachRange pass per item, in order, so items land in rank order —
 // then inserted in ascending row order, exactly the order a row-at-a-time
 // build inserts them. Scratch is one block's buffer however many rows the
-// shard holds. The returned rows count is the number of non-empty
-// transactions inserted.
-func buildShardTree(u *Universe, bun *outcome.Bundle, order []int, numItems int, plan engine.Plan, s int, cancel *canceller) (t *fpTree, rows int) {
+// universe holds. On cancellation it returns the tree built so far.
+func buildRootTree(u *Universe, bun *outcome.Bundle, order []int, cancel *canceller) *fpTree {
 	nOut := bun.Len()
-	t = newFPTree(order, numItems, nOut-1)
-	wordLo, wordHi := plan.WordRange(s)
-	_, rowHi := plan.RowRange(s)
+	t := newFPTree(order, len(u.Rows), nOut-1)
+	numWords := (u.NumRows + 63) / 64
 	width := len(order)
 	const blockRows = fpBlockWords * 64
 	txn := make([]int32, blockRows*width)
@@ -295,17 +246,17 @@ func buildShardTree(u *Universe, bun *outcome.Bundle, order []int, numItems int,
 		mx = make([]stats.Moments, nOut-1) // reused per row; insert adds values
 	}
 	prim := bun.Primary()
-	for lo := wordLo; lo < wordHi; lo += fpBlockWords {
+	for lo := 0; lo < numWords; lo += fpBlockWords {
 		if cancel.cancelled() {
-			return t, 0
+			return t
 		}
-		hi := min(lo+fpBlockWords, wordHi)
+		hi := min(lo+fpBlockWords, numWords)
 		base = lo * 64
 		for _, it := range order {
 			it32 = int32(it)
 			u.Rows[it].ForEachRange(lo, hi, fill)
 		}
-		for i := range min(blockRows, rowHi-base) {
+		for i := range min(blockRows, u.NumRows-base) {
 			cnt := n[i]
 			if cnt == 0 {
 				continue
@@ -323,66 +274,15 @@ func buildShardTree(u *Universe, bun *outcome.Bundle, order []int, numItems int,
 				}
 			}
 			t.insert(txn[i*width:i*width+int(cnt)], 1, m, mx)
-			rows++
 		}
 	}
-	return t, rows
-}
-
-// buildRootTree builds the root FP-tree over order: one tree per row
-// shard, in parallel, then a deterministic fold into shard 0's tree under
-// a mine.merge span. It also returns each shard's rootCounts, taken
-// before the fold, for keepTree.
-func buildRootTree(u *Universe, bun *outcome.Bundle, order []int, rank []int32, plan engine.Plan, opt Options, build *obs.Span, cancel *canceller) (*fpTree, [][]int, error) {
-	nShards := plan.NumShards()
-	trees := make([]*fpTree, nShards)
-	roots := make([][]int, nShards)
-	if err := engine.ParallelFor(nShards, opt.Workers, opt.Tracer, func(s int) {
-		if cancel.cancelled() {
-			trees[s] = newFPTree(order, len(u.Items), bun.Len()-1)
-			return
-		}
-		t, rows := buildShardTree(u, bun, order, len(u.Items), plan, s, cancel)
-		trees[s] = t
-		roots[s] = rootCounts(t, rank)
-		if tr := opt.Tracer; tr != nil {
-			tr.Counter(fmt.Sprintf("%s%d", obs.CtrShardRowsPrefix, s)).Add(int64(rows))
-		}
-	}); err != nil {
-		return nil, nil, err
-	}
-	tree := trees[0]
-	if nShards > 1 {
-		merge := build.Start(obs.SpanMineMerge)
-		defer merge.End()
-		for s := 1; s < nShards; s++ {
-			if cancel.cancelled() {
-				break
-			}
-			if err := faultinject.Hit(faultinject.SiteShardMerge); err != nil {
-				return nil, nil, err
-			}
-			tree.absorb(trees[s], rank)
-		}
-	}
-	return tree, roots, nil
-}
-
-// rootCounts returns the counts of t's root children by rank: the rows t
-// holds, split by the rank of their first item.
-func rootCounts(t *fpTree, rank []int32) []int {
-	c := make([]int, len(t.order))
-	for n := t.nodes[0].firstChild; n >= 0; n = t.nodes[n].nextSib {
-		c[rank[t.links[n].item]] = t.nodes[n].count
-	}
-	return c
+	return t
 }
 
 // keptTree is a universe's root FP-tree, kept so re-queries need not
-// rebuild it. The tree depends only on the universe, the outcome, the
-// item order and the shard count, and the order at a higher support is a
-// prefix of the order at a lower one (items ranked by count desc, item
-// asc). Root paths are rank-ascending, so the nodes of the first K items
+// rebuild it. The tree depends only on the universe, the outcome and the
+// item order, and the order at a higher support is a prefix of the order
+// at a lower one (items ranked by count desc, item asc). Root paths are rank-ascending, so the nodes of the first K items
 // form an ancestor-closed top of the tree, and that top is node for node
 // the tree a build over order[:K] makes: the same rows in the same order,
 // the same header-chain order, the same per-node summation order. A
@@ -393,18 +293,15 @@ func rootCounts(t *fpTree, rank []int32) []int {
 // tree is a copy clipped to its length, without the child index (the
 // recursion never reads it), and is never written once published, so
 // concurrent mines share it; it is single-outcome, so it has no extra
-// moments. roots holds each shard's rootCounts, from which a re-query
-// reports the shard rows its build would have.
+// moments.
 type keptTree struct {
-	tree   *fpTree
-	shards int
-	roots  [][]int
+	tree *fpTree
 }
 
-// serves reports whether k can stand in for a build over order with
-// nShards shards: order is a prefix of k's.
-func (k *keptTree) serves(order []int, nShards int) bool {
-	return k != nil && k.shards == nShards && len(order) <= len(k.tree.order) &&
+// serves reports whether k can stand in for a build over order: order is
+// a prefix of k's.
+func (k *keptTree) serves(order []int) bool {
+	return k != nil && len(order) <= len(k.tree.order) &&
 		slices.Equal(order, k.tree.order[:len(order)])
 }
 
@@ -415,25 +312,10 @@ func (k *keptTree) view(n int) *fpTree {
 	return &t
 }
 
-// reportRows adds to tr the rows each shard's build over the first n
-// items inserts: its rows whose first item ranks below n.
-func (k *keptTree) reportRows(tr *obs.Tracer, n int) {
-	if tr == nil {
-		return
-	}
-	for s, c := range k.roots {
-		rows := 0
-		for _, v := range c[:n] {
-			rows += v
-		}
-		tr.Counter(fmt.Sprintf("%s%d", obs.CtrShardRowsPrefix, s)).Add(int64(rows))
-	}
-}
-
-// keepTree publishes a clipped copy of root, a merged root tree, unless
-// u was released or already keeps a tree serving root's order.
-func (u *Universe) keepTree(root *fpTree, roots [][]int, shards int) {
-	if u.released.Load() || u.kept.Load().serves(root.order, shards) {
+// keepTree publishes a clipped copy of root, a built root tree, unless u
+// was released or already keeps a tree serving root's order.
+func (u *Universe) keepTree(root *fpTree) {
+	if u.released.Load() || u.kept.Load().serves(root.order) {
 		return
 	}
 	u.kept.Store(&keptTree{
@@ -444,8 +326,6 @@ func (u *Universe) keepTree(root *fpTree, roots [][]int, shards int) {
 			headers: slices.Clone(root.headers),
 			tails:   slices.Clone(root.tails),
 		},
-		shards: shards,
-		roots:  roots,
 	})
 	if u.released.Load() { // a ReleaseTree raced the store: it wins
 		u.kept.Store(nil)
@@ -511,19 +391,15 @@ func (sc *growScratch) putTree(t *fpTree) {
 // ancestors/descendants), which enforces the one-item-per-attribute rule of
 // generalized itemsets.
 //
-// Tree construction is sharded: each row shard builds its own tree in
-// parallel, and the shard trees are folded into shard 0's tree in
-// ascending shard order with rank-ordered child traversal, so the merged
-// tree — and everything mined from it — is identical across shard and
-// worker counts. With a single shard the build is exactly the unsharded
-// construction. A universe mined again over its own outcome keeps its
-// root tree and mines later requests from a view of it (keptTree), with
-// the same results, counters and spans as a build.
+// The root tree is built once, serially, over all rows; the top-level
+// branches then mine in parallel. A universe mined again over its own
+// outcome keeps its root tree and mines later requests from a view of it
+// (keptTree), with the same results, counters and spans as a build.
 //
 // A deterministic budget (MaxCandidates or MaxItemsets) serializes the
 // growth phase: the recursion then visits branches in the fixed serial
 // order, so the truncation point — and hence the ranked output — is
-// byte-identical across Workers and Shards. A capped run is bounded by
+// byte-identical across Workers. A capped run is bounded by
 // construction, so the lost parallelism is bounded too. The soft
 // dimensions (deadline, heap) stay parallel and stop cooperatively.
 //
@@ -534,7 +410,7 @@ func (sc *growScratch) putTree(t *fpTree) {
 // buffer while counting conditional supports, pass 2 replays them — and
 // emitted itemsets, Items and Multi slices are carved from slabs that
 // start small and double (see fpLocal).
-func mineFPGrowth(u *Universe, bun *outcome.Bundle, opt Options, minCount int, plan engine.Plan, pool *engine.Pool, span *obs.Span, cancel *canceller, counts *obs.MiningCounters, budget *budgetTracker, hBatch *obs.Histogram) (*Result, error) {
+func mineFPGrowth(u *Universe, bun *outcome.Bundle, opt Options, minCount int, pool *engine.Pool, span *obs.Span, cancel *canceller, counts *obs.MiningCounters, budget *budgetTracker, hBatch *obs.Histogram) (*Result, error) {
 	res := &Result{}
 	nOut := bun.Len()
 	numItems := len(u.Items)
@@ -567,13 +443,8 @@ func mineFPGrowth(u *Universe, bun *outcome.Bundle, opt Options, minCount int, p
 		return fr[a].item < fr[b].item
 	})
 	order := make([]int, len(fr))
-	// rank maps a universe item to its root-order position. Conditional
-	// orders are subsequences of the root order, so sorting by this global
-	// rank is equivalent to sorting by any conditional tree's local rank.
-	rank := make([]int32, numItems)
 	for i, f := range fr {
 		order[i] = f.item
-		rank[f.item] = int32(i)
 	}
 	scan.End()
 
@@ -582,25 +453,14 @@ func mineFPGrowth(u *Universe, bun *outcome.Bundle, opt Options, minCount int, p
 	// universe's own outcome over an uncut scan may use or keep one, and
 	// a universe keeps one only from its second build on.
 	build := span.Start(obs.SpanMineBuild)
-	nShards := plan.NumShards()
 	reusable := nOut == 1 && bun.Primary() == u.out && nAllowed == numItems
 	var tree *fpTree
-	if k := u.kept.Load(); reusable && k.serves(order, nShards) {
+	if k := u.kept.Load(); reusable && k.serves(order) {
 		tree = k.view(len(order))
-		k.reportRows(opt.Tracer, len(order))
-		if nShards > 1 {
-			build.Start(obs.SpanMineMerge).End()
-		}
 	} else {
-		var roots [][]int
-		var err error
-		tree, roots, err = buildRootTree(u, bun, order, rank, plan, opt, build, cancel)
-		if err != nil {
-			build.End()
-			return nil, err
-		}
+		tree = buildRootTree(u, bun, order, cancel)
 		if reusable && u.builds.Add(1) > 1 && !cancel.cancelled() {
-			u.keepTree(tree, roots, nShards)
+			u.keepTree(tree)
 		}
 	}
 	build.End()

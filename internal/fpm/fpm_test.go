@@ -731,17 +731,10 @@ func BenchmarkFPTreeBuild(b *testing.B) {
 		}
 	}
 	sort.SliceStable(order, func(x, y int) bool { return u.Rows[order[x]].Count() > u.Rows[order[y]].Count() })
-	rank := make([]int32, len(u.Items))
-	for i, it := range order {
-		rank[it] = int32(i)
-	}
-	plan := engine.NewPlan(u.NumRows, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := buildRootTree(u, bun, order, rank, plan, Options{}, nil, nil); err != nil {
-			b.Fatal(err)
-		}
+		buildRootTree(u, bun, order, nil)
 	}
 }
 

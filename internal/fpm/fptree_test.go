@@ -16,17 +16,16 @@ import (
 )
 
 // The reference below is the FP-tree construction the miner must
-// reproduce node for node: a child lookup that walks the parent's sibling
-// list, one-at-a-time node appends, per-row transactions read straight off
-// the item bitmaps, and a shard fold that sorts each node's children by
-// rank. The production tree is free to find children and assemble rows
+// reproduce node for node: a child lookup that scans every node's link,
+// one-at-a-time node appends and per-row transactions read straight off
+// the item bitmaps. The production tree is free to find children and assemble rows
 // however it likes, but the arena it leaves — node creation order, header
 // chains, per-node counts and moment sums — must be this one.
 
 // refTree returns an empty reference tree over order.
 func refTree(order []int, numItems, mxStride int) *fpTree {
 	t := &fpTree{
-		nodes:    []fpNode{{firstChild: -1, nextSib: -1, next: -1}},
+		nodes:    []fpNode{{next: -1}},
 		links:    []fpLink{{item: -1, parent: -1}},
 		mx:       make([]stats.Moments, mxStride),
 		mxStride: mxStride,
@@ -42,18 +41,17 @@ func refTree(order []int, numItems, mxStride int) *fpTree {
 	return t
 }
 
-// refChild finds parent's child for item it by a linear walk of the
-// sibling list, creating it (and chaining it onto its header) if absent.
+// refChild finds parent's child for item it by a linear scan of the
+// links, creating it (and chaining it onto its header) if absent.
 func refChild(t *fpTree, parent, it int32) int32 {
-	for c := t.nodes[parent].firstChild; c >= 0; c = t.nodes[c].nextSib {
-		if t.links[c].item == it {
-			return c
+	for c, l := range t.links {
+		if l.parent == parent && l.item == it {
+			return int32(c)
 		}
 	}
 	c := int32(len(t.nodes))
-	t.nodes = append(t.nodes, fpNode{firstChild: -1, nextSib: t.nodes[parent].firstChild, next: -1})
+	t.nodes = append(t.nodes, fpNode{next: -1})
 	t.links = append(t.links, fpLink{item: it, parent: parent})
-	t.nodes[parent].firstChild = c
 	for k := 0; k < t.mxStride; k++ {
 		t.mx = append(t.mx, stats.Moments{})
 	}
@@ -80,41 +78,15 @@ func refInsert(t *fpTree, items []int32, count int, m stats.Moments, mx []stats.
 	}
 }
 
-// refAbsorb folds src into t, visiting each node's children in rank order.
-func refAbsorb(t, src *fpTree, rank []int32) {
-	var walk func(dst, s int32)
-	walk = func(dst, s int32) {
-		var keys []int32
-		for c := src.nodes[s].firstChild; c >= 0; c = src.nodes[c].nextSib {
-			keys = append(keys, c)
-		}
-		sort.Slice(keys, func(a, b int) bool {
-			return rank[src.links[keys[a]].item] < rank[src.links[keys[b]].item]
-		})
-		for _, sc := range keys {
-			c := refChild(t, dst, src.links[sc].item)
-			t.nodes[c].count += src.nodes[sc].count
-			t.nodes[c].m.AddN(src.nodes[sc].m)
-			for k, v := range src.nodeMx(sc) {
-				t.mx[int(c)*t.mxStride+k].AddN(v)
-			}
-			walk(c, sc)
-		}
-	}
-	walk(0, 0)
-}
-
-// refShardTree builds shard s's tree row by row in ascending row order,
+// refRootTree builds the root tree row by row in ascending row order,
 // each row's items in order.
-func refShardTree(u *Universe, bun *outcome.Bundle, order []int, plan engine.Plan, s int) (*fpTree, int) {
+func refRootTree(u *Universe, bun *outcome.Bundle, order []int) *fpTree {
 	t := refTree(order, len(u.Rows), bun.Len()-1)
 	dense := make([]*bitvec.Vector, len(u.Rows))
 	for i, rs := range u.Rows {
 		dense[i] = rs.Dense()
 	}
-	lo, hi := plan.RowRange(s)
-	rows := 0
-	for r := lo; r < hi; r++ {
+	for r := 0; r < u.NumRows; r++ {
 		var items []int32
 		for _, it := range order {
 			if dense[it].Get(r) {
@@ -131,13 +103,12 @@ func refShardTree(u *Universe, bun *outcome.Bundle, order []int, plan engine.Pla
 			}
 		}
 		refInsert(t, items, 1, moments[0], moments[1:])
-		rows++
 	}
-	return t, rows
+	return t
 }
 
 // sameTree requires got's arena to equal want's field for field: every
-// node (sibling and header links, count, moments) and its link (item,
+// node (header link, count, moments) and its link (item,
 // parent), the extra-moments slab, and the header and tail of every item.
 func sameTree(t *testing.T, label string, got, want *fpTree) {
 	t.Helper()
@@ -169,15 +140,11 @@ func sameTree(t *testing.T, label string, got, want *fpTree) {
 
 // maxFanOut returns the largest number of children of any node.
 func maxFanOut(t *fpTree) int {
-	best := 0
-	for i := range t.nodes {
-		k := 0
-		for c := t.nodes[i].firstChild; c >= 0; c = t.nodes[c].nextSib {
-			k++
-		}
-		best = max(best, k)
+	kids := make([]int, len(t.links))
+	for _, l := range t.links[1:] {
+		kids[l.parent]++
 	}
-	return best
+	return slices.Max(kids)
 }
 
 // shapeFixture is a universe of numItems items over n rows whose
@@ -227,14 +194,13 @@ func shapeFixture(t *testing.T, seed int64, n, numItems int) (*Universe, *outcom
 	return u, bun, order, rank
 }
 
-// TestShardTreeMatchesReference builds the root FP-tree of a seeded
-// universe shard by shard, folds the shards, and compares every arena with
-// the reference construction: bundles of one and three outcomes, one shard
-// and three (so absorb runs), dense and compressed item rows, shared
-// prefixes and a root with more than 8 children.
-func TestShardTreeMatchesReference(t *testing.T) {
+// TestRootTreeMatchesReference builds the root FP-tree of a seeded
+// universe block by block and compares every arena with the reference
+// construction: bundles of one and three outcomes, dense and compressed
+// item rows, shared prefixes and a root with more than 8 children.
+func TestRootTreeMatchesReference(t *testing.T) {
 	const n, numItems = 3000, 22
-	u, bun3, order, rank := shapeFixture(t, 11, n, numItems)
+	u, bun3, order, _ := shapeFixture(t, 11, n, numItems)
 	compressed := 0
 	for _, rs := range u.Rows {
 		if _, ok := rs.(*bitvec.Compressed); ok {
@@ -246,30 +212,14 @@ func TestShardTreeMatchesReference(t *testing.T) {
 	}
 	bun1 := outcome.Single(bun3.Primary())
 	for _, bun := range []*outcome.Bundle{bun1, bun3} {
-		for _, shards := range []int{1, 3} {
-			label := fmt.Sprintf("outcomes=%d shards=%d", bun.Len(), shards)
-			plan := engine.NewPlan(n, shards)
-			var got, want []*fpTree
-			for s := 0; s < plan.NumShards(); s++ {
-				g, gRows := buildShardTree(u, bun, order, numItems, plan, s, nil)
-				w, wRows := refShardTree(u, bun, order, plan, s)
-				if gRows != wRows {
-					t.Fatalf("%s shard %d: %d rows inserted, want %d", label, s, gRows, wRows)
-				}
-				sameTree(t, fmt.Sprintf("%s shard %d", label, s), g, w)
-				got, want = append(got, g), append(want, w)
-			}
-			for s := 1; s < len(got); s++ {
-				got[0].absorb(got[s], rank)
-				refAbsorb(want[0], want[s], rank)
-			}
-			sameTree(t, label+" folded", got[0], want[0])
-			if k := maxFanOut(want[0]); k <= 8 {
-				t.Errorf("%s: widest node has %d children; the case needs more than 8", label, k)
-			}
-			if len(want[0].nodes) >= n {
-				t.Errorf("%s: %d nodes for %d rows; the case needs shared prefixes", label, len(want[0].nodes), n)
-			}
+		label := fmt.Sprintf("outcomes=%d", bun.Len())
+		want := refRootTree(u, bun, order)
+		sameTree(t, label, buildRootTree(u, bun, order, nil), want)
+		if k := maxFanOut(want); k <= 8 {
+			t.Errorf("%s: widest node has %d children; the case needs more than 8", label, k)
+		}
+		if len(want.nodes) >= n {
+			t.Errorf("%s: %d nodes for %d rows; the case needs shared prefixes", label, len(want.nodes), n)
 		}
 	}
 }
@@ -290,7 +240,7 @@ func TestConditionalTreeRecycledMatchesReference(t *testing.T) {
 	}
 	for _, stride := range []int{0, 2} {
 		sc := &growScratch{cnt: make([]int, numItems)}
-		pool := engine.NewPool(engine.NewPlan(64, 1))
+		pool := engine.NewPool(64)
 		for round, order := range orders {
 			label := fmt.Sprintf("stride=%d round=%d", stride, round)
 			got := sc.getTree(order, numItems, stride, pool)
@@ -341,8 +291,8 @@ func rankAscending(t *testing.T, label string, tr *fpTree, rank []int32) {
 // TestFPTreePathsRankAscending pins the invariant the growth phase's pass
 // 2 relies on to reverse a recorded path instead of sorting it: along
 // every root path items rank strictly ascending, so walking up from a
-// node meets them in strictly descending rank. It checks root trees of one
-// and three shards (so absorb runs) and two levels of conditional trees
+// node meets them in strictly descending rank. It checks the root tree and
+// two levels of conditional trees
 // built, as pass 2 builds them, from reversed ancestor walks into trees
 // recycled through getTree and putTree.
 func TestFPTreePathsRankAscending(t *testing.T) {
@@ -350,7 +300,7 @@ func TestFPTreePathsRankAscending(t *testing.T) {
 	u, bun3, order, rank := shapeFixture(t, 11, n, numItems)
 	bun := outcome.Single(bun3.Primary())
 	sc := &growScratch{cnt: make([]int, numItems)}
-	pool := engine.NewPool(engine.NewPlan(n, 1))
+	pool := engine.NewPool(n)
 	conds := 0
 	var grow func(label string, tr *fpTree, depth int)
 	grow = func(label string, tr *fpTree, depth int) {
@@ -375,15 +325,7 @@ func TestFPTreePathsRankAscending(t *testing.T) {
 			sc.putTree(cond)
 		}
 	}
-	for _, shards := range []int{1, 3} {
-		plan := engine.NewPlan(n, shards)
-		root, _ := buildShardTree(u, bun, order, numItems, plan, 0, nil)
-		for s := 1; s < plan.NumShards(); s++ {
-			st, _ := buildShardTree(u, bun, order, numItems, plan, s, nil)
-			root.absorb(st, rank)
-		}
-		grow(fmt.Sprintf("shards=%d", shards), root, 0)
-	}
+	grow("root", buildRootTree(u, bun, order, nil), 0)
 	if pool.Hits() == 0 {
 		t.Fatalf("%d conditional trees, none recycled; the case is vacuous", conds)
 	}
@@ -400,31 +342,23 @@ func arenasShareCap(t *testing.T, label string, tr *fpTree) {
 }
 
 // TestFPTreeArenasShareCapacity pins the arenas' joint growth: root trees
-// of several row counts (one and three shards, so absorb grows shard 0's
-// tree, with no and two extra outcomes) and conditional trees of several
+// of several row counts (with no and two extra outcomes) and conditional
+// trees of several
 // sizes recycled through getTree and putTree, strides changing between
 // uses, end with cap(links) == cap(nodes) and cap(mx) ==
 // mxStride*cap(nodes).
 func TestFPTreeArenasShareCapacity(t *testing.T) {
 	const numItems = 22
 	for _, n := range []int{70, 1000, 6000} {
-		u, bun3, order, rank := shapeFixture(t, int64(n), n, numItems)
+		u, bun3, order, _ := shapeFixture(t, int64(n), n, numItems)
 		for _, bun := range []*outcome.Bundle{outcome.Single(bun3.Primary()), bun3} {
-			for _, shards := range []int{1, 3} {
-				plan := engine.NewPlan(n, shards)
-				root, _ := buildShardTree(u, bun, order, numItems, plan, 0, nil)
-				for s := 1; s < plan.NumShards(); s++ {
-					st, _ := buildShardTree(u, bun, order, numItems, plan, s, nil)
-					arenasShareCap(t, fmt.Sprintf("n=%d outcomes=%d shard %d", n, bun.Len(), s), st)
-					root.absorb(st, rank)
-				}
-				arenasShareCap(t, fmt.Sprintf("n=%d outcomes=%d shards=%d root", n, bun.Len(), shards), root)
-			}
+			root := buildRootTree(u, bun, order, nil)
+			arenasShareCap(t, fmt.Sprintf("n=%d outcomes=%d root", n, bun.Len()), root)
 		}
 	}
 	r := rand.New(rand.NewSource(9))
 	sc := &growScratch{cnt: make([]int, numItems)}
-	pool := engine.NewPool(engine.NewPlan(64, 1))
+	pool := engine.NewPool(64)
 	for round, tc := range []struct{ txns, stride int }{{3, 0}, {300, 2}, {5000, 2}, {40, 3}, {2000, 0}, {10, 1}} {
 		order := r.Perm(numItems)
 		cond := sc.getTree(order, numItems, tc.stride, pool)

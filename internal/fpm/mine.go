@@ -74,14 +74,6 @@ type Options struct {
 	// Results are identical and deterministically ordered regardless of
 	// Workers.
 	Workers int
-	// Shards fixes the number of row shards of the engine data plane; 0
-	// selects the default layout (one shard per engine.DefaultShardRows
-	// rows, so small datasets stay single-shard). Both miners accumulate
-	// supports and outcome moments shard by shard and merge in ascending
-	// shard order; for boolean outcomes (all built-in rate statistics) the
-	// ranked output is byte-identical across shard counts. Negative values
-	// are rejected.
-	Shards int
 	// Tracer, when non-nil, receives mining spans, the fpm.* counters and
 	// the worker-utilization gauges.
 	Tracer *obs.Tracer
@@ -154,9 +146,6 @@ func MineMulti(u *Universe, b *outcome.Bundle, opt Options) (*Result, error) {
 	if opt.MinSupport <= 0 || opt.MinSupport > 1 {
 		return nil, fmt.Errorf("fpm: MinSupport %v out of (0, 1]", opt.MinSupport)
 	}
-	if opt.Shards < 0 {
-		return nil, fmt.Errorf("fpm: negative shard count %d", opt.Shards)
-	}
 	if opt.MaxLen < 0 {
 		return nil, fmt.Errorf("fpm: negative MaxLen %d", opt.MaxLen)
 	}
@@ -189,8 +178,6 @@ func MineMulti(u *Universe, b *outcome.Bundle, opt Options) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("fpm: mining cancelled: %w", err)
 	}
-	plan := engine.NewPlan(u.NumRows, opt.Shards)
-	opt.Tracer.SetGauge(obs.GaugeShards, float64(plan.NumShards()))
 	cancel := watchContext(ctx)
 	defer cancel.release()
 	counts := &obs.MiningCounters{}
@@ -203,14 +190,14 @@ func MineMulti(u *Universe, b *outcome.Bundle, opt Options) (*Result, error) {
 	}
 	hBatch := opt.Tracer.Histogram(obs.HistCandidateBatch, obs.SizeBuckets)
 	// The dispatch closure contains the miners' serial sections (candidate
-	// generation, shard merges, result assembly); a panic there is
+	// generation, result assembly); a panic there is
 	// recovered into a *engine.PanicError just like ParallelFor recovers
 	// its workers' panics, so a poisoned request fails instead of killing
 	// the process.
-	// One buffer pool per run, keyed by the plan: both miners draw their
-	// scratch (row vectors, count matrices, conditional-tree arenas) from
-	// it, and its hit/miss counters feed the explain memory section.
-	pool := engine.NewPool(plan)
+	// One buffer pool per run, keyed by the row count: Apriori draws its
+	// row vectors from it, FP-Growth notes its scratch reuse in it, and its
+	// hit/miss counters feed the explain memory section.
+	pool := engine.NewPool(u.NumRows)
 	mineRun := func() (r *Result, err error) {
 		defer func() {
 			if pe := engine.RecoverError(recover()); pe != nil {
@@ -220,9 +207,9 @@ func MineMulti(u *Universe, b *outcome.Bundle, opt Options) (*Result, error) {
 		}()
 		switch opt.Algorithm {
 		case Apriori:
-			return mineApriori(u, b, opt, minCount, plan, pool, span, cancel, counts, budget, hBatch)
+			return mineApriori(u, b, opt, minCount, pool, span, cancel, counts, budget, hBatch)
 		case FPGrowth:
-			return mineFPGrowth(u, b, opt, minCount, plan, pool, span, cancel, counts, budget, hBatch)
+			return mineFPGrowth(u, b, opt, minCount, pool, span, cancel, counts, budget, hBatch)
 		default:
 			return nil, fmt.Errorf("fpm: unknown algorithm %v", opt.Algorithm)
 		}
@@ -319,18 +306,17 @@ func (c *canceller) release() {
 }
 
 // momentsMulti computes, for every outcome of the bundle, the moments of a
-// subgroup's rows by accumulating shard by shard and merging in ascending
-// shard order (the engine data-plane contract). The primary outcome's
+// subgroup's rows in one ascending pass over them. The primary outcome's
 // moments return in m; the remaining outcomes' in extra (nil for a
 // single-outcome bundle, keeping that path allocation-free).
-func momentsMulti(p engine.Plan, b *outcome.Bundle, rows bitvec.Set) (m stats.Moments, extra []stats.Moments) {
-	m = b.Primary().AccOf(p, rows).Moments()
+func momentsMulti(b *outcome.Bundle, rows bitvec.Set) (m stats.Moments, extra []stats.Moments) {
+	m = b.Primary().MomentsOfSet(rows)
 	if b.Len() == 1 {
 		return m, nil
 	}
 	extra = make([]stats.Moments, b.Len()-1)
 	for k := 1; k < b.Len(); k++ {
-		extra[k-1] = b.At(k).AccOf(p, rows).Moments()
+		extra[k-1] = b.At(k).MomentsOfSet(rows)
 	}
 	return m, extra
 }
@@ -341,31 +327,28 @@ func momentsMulti(p engine.Plan, b *outcome.Bundle, rows bitvec.Set) (m stats.Mo
 // generalized-itemset rule) and, under polarity pruning, share polarity.
 // Candidates with an infrequent (k−1)-subset are pruned before counting.
 //
-// Evaluation is sharded: support counting fans out over (candidate, shard)
-// pairs into a fixed-position partial-count matrix, and survivors'
-// outcome moments are accumulated shard by shard and merged in ascending
-// shard order, so the output is deterministic regardless of both Workers
-// and the shard count.
+// Evaluation fans out over candidates: each candidate's support is counted
+// into its own slot, and survivors' outcome moments are accumulated in one
+// ascending pass over their rows, so the output is deterministic
+// regardless of Workers.
 //
 // Budget enforcement rides the same determinism: each level's candidate
 // slice is generated deterministically and then trimmed to the remaining
 // candidate budget as a prefix, and itemset-budget checks happen in the
 // caller-goroutine merge loops — so a truncated ranked output is
-// byte-identical across Workers and Shards. The soft dimensions
-// (deadline, heap) stop the run cooperatively like cancellation.
+// byte-identical across Workers. The soft dimensions (deadline, heap)
+// stop the run cooperatively like cancellation.
 //
-// Buffer reuse: survivor row vectors and the partial-count matrix come
-// from the run's pool. Level-1 entries reference universe-owned row sets
+// Buffer reuse: survivor row vectors come from the run's pool. Level-1 entries reference universe-owned row sets
 // (never returned to the pool); level-k≥2 entries own pooled vectors that
 // are recycled once the next level is built. Pooled vectors are fully
 // overwritten by AndInto before any read, so reuse cannot leak state.
-func mineApriori(u *Universe, bun *outcome.Bundle, opt Options, minCount int, plan engine.Plan, pool *engine.Pool, span *obs.Span, cancel *canceller, counts *obs.MiningCounters, budget *budgetTracker, hBatch *obs.Histogram) (*Result, error) {
+func mineApriori(u *Universe, bun *outcome.Bundle, opt Options, minCount int, pool *engine.Pool, span *obs.Span, cancel *canceller, counts *obs.MiningCounters, budget *budgetTracker, hBatch *obs.Histogram) (*Result, error) {
 	res := &Result{}
 	// Every event is counted in ev, on the caller goroutine, and published
 	// per phase; the deferred publish covers the early returns.
 	var ev tally
 	defer ev.publish(counts)
-	nShards := plan.NumShards()
 	stopped := func() bool { return cancel.cancelled() || budget.softExhausted() != "" }
 
 	type entry struct {
@@ -400,7 +383,7 @@ func mineApriori(u *Universe, bun *outcome.Bundle, opt Options, minCount int, pl
 		// item materializes a dense working copy once here.
 		level = append(level, entry{items: []int{i}, rows: u.Rows[i].Dense()})
 		ev.frequent++
-		m, extra := momentsMulti(plan, bun, u.Rows[i])
+		m, extra := momentsMulti(bun, u.Rows[i])
 		res.Itemsets = append(res.Itemsets, MinedItemset{
 			Items: []int{i},
 			Count: u.Rows[i].Count(),
@@ -461,7 +444,7 @@ func mineApriori(u *Universe, bun *outcome.Bundle, opt Options, minCount int, pl
 		}
 		// Trim the deterministically-generated candidate list to the
 		// remaining candidate budget: a prefix cut, so the truncation point
-		// is independent of Workers and Shards.
+		// is independent of Workers.
 		if allowed := budget.allowCandidates(len(cands), &ev); allowed < len(cands) {
 			cands = cands[:allowed]
 		}
@@ -472,60 +455,33 @@ func mineApriori(u *Universe, bun *outcome.Bundle, opt Options, minCount int, pl
 			return nil, err
 		}
 
-		// Phase 2a: sharded support counting. Each (candidate, shard) pair
-		// is one task computing a fused AND+popcount over the shard's word
-		// range into a fixed slot of the partial-count matrix, so wide
-		// datasets expose shard-level parallelism and the totals are
-		// independent of the task interleaving. The matrix comes zeroed
-		// from the pool and its capacity is recycled across levels.
-		partial := pool.GetInts(len(cands) * nShards)
-		if err := engine.ParallelFor(len(cands)*nShards, opt.Workers, opt.Tracer, func(t int) {
+		// Phase 2a: support counting. Each candidate is one task computing
+		// a fused AND+popcount into its own slot, so the supports are
+		// independent of the task interleaving.
+		supports := make([]int, len(cands))
+		if err := engine.ParallelFor(len(cands), opt.Workers, opt.Tracer, func(c int) {
 			if stopped() {
 				return
 			}
-			c, s := t/nShards, t%nShards
-			lo, hi := plan.WordRange(s)
-			partial[t] = u.Rows[cands[c].extra].AndCountRange(level[cands[c].base].rows, lo, hi)
+			rows := level[cands[c].base].rows
+			supports[c] = u.Rows[cands[c].extra].AndCountRange(rows, 0, rows.NumWords())
 		}); err != nil {
 			return nil, err
 		}
 		if stopped() {
 			return res, nil
 		}
-		if err := faultinject.Hit(faultinject.SiteShardMerge); err != nil {
-			return nil, err
-		}
-		supports := make([]int, len(cands))
 		var survivors []int
-		for c := range cands {
-			total := 0
-			for s := 0; s < nShards; s++ {
-				total += partial[c*nShards+s]
-			}
-			supports[c] = total
-			if total >= minCount {
+		for c, n := range supports {
+			if n >= minCount {
 				survivors = append(survivors, c)
 			}
 		}
-		// Per-shard load attribution for the explain profile: fold this
-		// level's partial-count matrix into the deterministic shard-support
-		// counters. Second pass only when tracing, so untraced (benchmark)
-		// runs skip it entirely.
-		if opt.Tracer != nil {
-			for s := 0; s < nShards; s++ {
-				var col int64
-				for c := range cands {
-					col += int64(partial[c*nShards+s])
-				}
-				opt.Tracer.Counter(fmt.Sprintf("%s%d", obs.CtrShardSupportPrefix, s)).Add(col)
-			}
-		}
-		pool.PutInts(partial)
 
 		// Phase 2b: survivors (the minority) materialize their row bitset
 		// into a pooled vector (fully overwritten by AndInto, so a recycled
 		// buffer's stale contents are unobservable) and accumulate outcome
-		// moments per shard, merged in shard order.
+		// moments in one pass over it.
 		evaluated := make([]*entry, len(cands))
 		moments := make([]stats.Moments, len(cands))
 		multi := make([][]stats.Moments, len(cands))
@@ -536,7 +492,7 @@ func mineApriori(u *Universe, bun *outcome.Bundle, opt Options, minCount int, pl
 			c := cands[survivors[i]]
 			rows := u.Rows[c.extra].AndInto(level[c.base].rows, pool.GetVector())
 			evaluated[survivors[i]] = &entry{items: c.items, rows: rows, pooled: true}
-			moments[survivors[i]], multi[survivors[i]] = momentsMulti(plan, bun, rows)
+			moments[survivors[i]], multi[survivors[i]] = momentsMulti(bun, rows)
 		}); err != nil {
 			return nil, err
 		}

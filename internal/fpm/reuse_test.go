@@ -23,7 +23,7 @@ import (
 // non-integer values, so every moment sum depends on its summation order
 // and a reused tree must reproduce the build's order exactly. Under
 // leaves, rows whose items are all infrequent at support 0.3 exist, so
-// the shard rows of a build depend on its order.
+// the rows a build inserts depend on its order.
 func reuseFixture(t *testing.T, seed int64, n int, leaves bool) func() (*Universe, *outcome.Outcome) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
@@ -71,8 +71,8 @@ func mineExplained(t *testing.T, u *Universe, b *outcome.Bundle, opt Options) (*
 }
 
 // TestKeptTreeMatchesBuild is the reuse equivalence property: random
-// request sequences on one shared universe — support, polarity, Shards
-// {1, 4}, Workers {0, 4}, with and without candidate and itemset caps —
+// request sequences on one shared universe — support, polarity, Workers
+// {0, 4}, with and without candidate and itemset caps —
 // must give, request by request, the Result and the deterministic explain
 // profile a fresh universe gives, whether the shared universe's kept tree
 // served the request, was replaced by it, or was bypassed.
@@ -86,7 +86,6 @@ func TestKeptTreeMatchesBuild(t *testing.T) {
 			opt := Options{
 				MinSupport:    []float64{0.02, 0.05, 0.1, 0.3}[r.Intn(4)],
 				PolarityPrune: r.Intn(2) == 0,
-				Shards:        []int{1, 4}[r.Intn(2)],
 				Workers:       []int{0, 4}[r.Intn(2)],
 			}
 			switch r.Intn(4) {
@@ -147,13 +146,12 @@ func TestKeptTreeEligibility(t *testing.T) {
 		t.Fatal("the first build kept its tree")
 	}
 
-	// A second build, cancelled before its shards ran, keeps nothing.
+	// A second build, cancelled before its rows were inserted, keeps nothing.
 	cancelled := &canceller{}
 	cancelled.stop.Store(true)
 	minCount := int(math.Ceil(opt.MinSupport * float64(u.NumRows)))
-	plan := engine.NewPlan(u.NumRows, 0)
 	counts := &obs.MiningCounters{}
-	if _, err := mineFPGrowth(u, outcome.Single(o), opt, minCount, plan, engine.NewPool(plan), nil, cancelled, counts, nil, nil); err != nil {
+	if _, err := mineFPGrowth(u, outcome.Single(o), opt, minCount, engine.NewPool(u.NumRows), nil, cancelled, counts, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if u.HoldsTree() {

@@ -16,12 +16,11 @@
 // Memory model: both miners consume item row sets through the bitvec.Set
 // interface (dense vectors or compressed bitmaps, selected per item by
 // density at universe build time) and recycle their hot-path buffers —
-// Apriori's materialized row vectors and partial-count matrices, FP-
-// Growth's conditional trees and scratch arrays — through a per-run
-// engine.Pool. Accumulator merges follow the engine contract (ascending
-// shard order; bitvec.Set primitives visit bits in ascending index order),
-// so representation choice and buffer reuse cannot perturb the ranked
-// output. DESIGN.md §11 documents the ownership rules.
+// Apriori's materialized row vectors, FP-Growth's conditional trees and
+// scratch arrays — through a per-run engine.Pool. Outcome moments are
+// accumulated in one pass, and bitvec.Set primitives visit bits in
+// ascending index order, so representation choice and buffer reuse
+// cannot perturb the ranked output. DESIGN.md §11 documents the ownership rules.
 package fpm
 
 import (

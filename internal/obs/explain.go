@@ -12,30 +12,27 @@ import (
 
 // Explain is the query-level cost-attribution report: one exploration's
 // trace reduced to per-stage self/cumulative wall time, the mining
-// counters, the per-shard load split with a skew ratio, per-worker
-// utilization, cache outcome and budget consumption.
+// counters, per-worker utilization, cache outcome and budget
+// consumption.
 // Build one with NewExplain from any *Trace; the CLI's -explain flag,
 // the server's `"explain": true` request field and GET /v1/explain/{id}
 // all serve this struct.
 //
-// Determinism contract: for a fixed dataset, statistic and shard count,
-// every field except the timing measurements (TotalNS, stage durations,
-// worker split, deadline/heap budget rows) is a pure function of the
-// input — byte-identical across worker counts. Deterministic() strips the measured fields so tests can
-// compare profiles across worker×shard configurations directly.
+// Determinism contract: for a fixed dataset and statistic, every field
+// except the timing measurements (TotalNS, stage durations, worker split,
+// deadline/heap budget rows) is a pure function of the input —
+// byte-identical across worker counts. Deterministic() strips the
+// measured fields so tests can compare profiles across worker counts
+// directly.
 type Explain struct {
 	RequestID string `json:"request_id,omitempty"`
 	// TotalNS is the summed wall time of the trace's root spans.
-	TotalNS int64          `json:"total_ns,omitempty"`
-	Stages  []ExplainStage `json:"stages"`
-	Mining  ExplainMining  `json:"mining"`
-	// Shards is the per-shard load split of the mining run; ShardSkew is
-	// max/mean of the per-shard load (1 = perfectly balanced, 0 if unknown).
-	Shards    []ExplainShard  `json:"shards,omitempty"`
-	ShardSkew float64         `json:"shard_skew,omitempty"`
-	Workers   []ExplainWorker `json:"workers,omitempty"`
-	Cache     *ExplainCache   `json:"cache,omitempty"`
-	Budget    []ExplainBudget `json:"budget,omitempty"`
+	TotalNS int64           `json:"total_ns,omitempty"`
+	Stages  []ExplainStage  `json:"stages"`
+	Mining  ExplainMining   `json:"mining"`
+	Workers []ExplainWorker `json:"workers,omitempty"`
+	Cache   *ExplainCache   `json:"cache,omitempty"`
+	Budget  []ExplainBudget `json:"budget,omitempty"`
 	// Memory reports the run's buffer-pool effectiveness and the
 	// universe's row-set representation mix; nil when the trace carries
 	// neither signal (e.g. a trace from before mining ran).
@@ -62,16 +59,6 @@ type ExplainMining struct {
 	PrunedSupport  int64 `json:"pruned_support"`
 	PrunedPolarity int64 `json:"pruned_polarity"`
 	Itemsets       int64 `json:"itemsets_emitted"`
-}
-
-// ExplainShard is one engine shard's deterministic load contribution:
-// Rows is the transactions inserted during FP-tree construction
-// (FP-Growth), Support the candidate-support increments counted in the
-// shard (Apriori). Either may be zero when the other miner ran.
-type ExplainShard struct {
-	Index   int   `json:"index"`
-	Rows    int64 `json:"rows,omitempty"`
-	Support int64 `json:"support,omitempty"`
 }
 
 // ExplainWorker is one ParallelFor worker's share of the run's mining:
@@ -169,70 +156,12 @@ func NewExplain(tr *Trace) *Explain {
 		Itemsets:       tr.Counter(CtrItemsetsEmitted),
 	}
 
-	// Per-shard load: merge the deterministic shard counters by index.
-	shards := map[int]*ExplainShard{}
-	shard := func(i int) *ExplainShard {
-		s, ok := shards[i]
-		if !ok {
-			s = &ExplainShard{Index: i}
-			shards[i] = s
-		}
-		return s
-	}
-	workers := map[int]*ExplainWorker{}
-	worker := func(i int) *ExplainWorker {
-		w, ok := workers[i]
-		if !ok {
-			w = &ExplainWorker{Index: i}
-			workers[i] = w
-		}
-		return w
-	}
 	for name, v := range tr.Counters {
-		if i, ok := indexSuffix(name, CtrShardRowsPrefix); ok {
-			shard(i).Rows = v
-		} else if i, ok := indexSuffix(name, CtrShardSupportPrefix); ok {
-			shard(i).Support = v
-		} else if i, ok := indexSuffix(name, CtrWorkerTaskPrefix); ok {
-			worker(i).Tasks = v
+		if i, ok := indexSuffix(name, CtrWorkerTaskPrefix); ok {
+			e.Workers = append(e.Workers, ExplainWorker{Index: i, Tasks: v})
 		}
-	}
-	for _, s := range shards {
-		e.Shards = append(e.Shards, *s)
-	}
-	sort.Slice(e.Shards, func(i, j int) bool { return e.Shards[i].Index < e.Shards[j].Index })
-	for _, w := range workers {
-		e.Workers = append(e.Workers, *w)
 	}
 	sort.Slice(e.Workers, func(i, j int) bool { return e.Workers[i].Index < e.Workers[j].Index })
-
-	// Skew over the dominant per-shard load signal: candidate-support
-	// counts when the run produced them (Apriori), else rows (FP-Growth).
-	var loads []int64
-	for _, s := range e.Shards {
-		if s.Support > 0 {
-			loads = append(loads, s.Support)
-		}
-	}
-	if len(loads) == 0 {
-		for _, s := range e.Shards {
-			if s.Rows > 0 {
-				loads = append(loads, s.Rows)
-			}
-		}
-	}
-	if n := len(loads); n > 0 {
-		var sum, max int64
-		for _, v := range loads {
-			sum += v
-			if v > max {
-				max = v
-			}
-		}
-		if sum > 0 {
-			e.ShardSkew = float64(max) * float64(n) / float64(sum)
-		}
-	}
 
 	if v, ok := tr.Gauges[GaugeCacheHit]; ok {
 		e.Cache = &ExplainCache{Hit: v != 0}
@@ -304,19 +233,14 @@ func indexSuffix(name, prefix string) (int, bool) {
 // Deterministic returns a copy of the profile with every measured
 // (timing, scheduling) field stripped: stage durations, the worker split, the randomly drawn request id,
 // and the deadline/heap budget rows. What remains — stage names and
-// tree shape, mining counters, per-shard loads and skew, cache outcome,
-// candidate/itemset budget consumption — is byte-identical across
-// worker counts and across requests for a fixed dataset, statistic and
-// shard count.
+// tree shape, mining counters, cache outcome, candidate/itemset budget
+// consumption — is byte-identical across worker counts and across
+// requests for a fixed dataset and statistic.
 func (e *Explain) Deterministic() *Explain {
 	if e == nil {
 		return nil
 	}
-	d := &Explain{
-		Mining:    e.Mining,
-		Shards:    append([]ExplainShard(nil), e.Shards...),
-		ShardSkew: e.ShardSkew,
-	}
+	d := &Explain{Mining: e.Mining}
 	if e.Cache != nil {
 		c := *e.Cache
 		d.Cache = &c
@@ -353,8 +277,8 @@ func (e *Explain) WriteJSON(w io.Writer) error {
 
 // Text renders the profile as the human-readable -explain report: a
 // stage table (total, self, self-% of wall time), the
-// mining counters, the shard split with skew, worker utilization, cache
-// outcome and budget consumption.
+// mining counters, worker utilization, cache outcome and budget
+// consumption.
 func (e *Explain) Text() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "explain")
@@ -376,12 +300,6 @@ func (e *Explain) Text() string {
 	}
 	fmt.Fprintf(&b, "mining: candidates=%d pruned_support=%d pruned_polarity=%d itemsets=%d\n",
 		e.Mining.Candidates, e.Mining.PrunedSupport, e.Mining.PrunedPolarity, e.Mining.Itemsets)
-	if len(e.Shards) > 0 {
-		fmt.Fprintf(&b, "shards: n=%d skew=%.2f\n", len(e.Shards), e.ShardSkew)
-		for _, s := range e.Shards {
-			fmt.Fprintf(&b, "  s%-3d rows=%-9d support=%d\n", s.Index, s.Rows, s.Support)
-		}
-	}
 	if len(e.Workers) > 0 {
 		b.WriteString("workers:\n")
 		for _, w := range e.Workers {

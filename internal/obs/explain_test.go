@@ -22,10 +22,7 @@ func explainTrace() *Trace {
 			CtrCandidates:                           40,
 			CtrPrunedSupport:                        15,
 			CtrItemsetsEmitted:                      25,
-			CtrShardRowsPrefix + "0":                60,
-			CtrShardRowsPrefix + "1":                40,
-			CtrShardSupportPrefix + "0":             30,
-			CtrShardSupportPrefix + "1":             10,
+			CtrWorkerTaskPrefix + "1":               3,
 			CtrWorkerTaskPrefix + "0":               7,
 			CtrBudgetExhaustedPrefix + "candidates": 1,
 		},
@@ -92,23 +89,13 @@ func TestNewExplainNegativeSelfFloored(t *testing.T) {
 	}
 }
 
-func TestNewExplainCountersShardsBudget(t *testing.T) {
+func TestNewExplainCountersBudget(t *testing.T) {
 	e := NewExplain(explainTrace())
 	if e.Mining.Candidates != 40 || e.Mining.PrunedSupport != 15 || e.Mining.Itemsets != 25 {
 		t.Errorf("mining counters = %+v", e.Mining)
 	}
-	if len(e.Shards) != 2 {
-		t.Fatalf("shards = %d, want 2", len(e.Shards))
-	}
-	if e.Shards[0].Rows != 60 || e.Shards[0].Support != 30 || e.Shards[1].Support != 10 {
-		t.Errorf("shard loads = %+v", e.Shards)
-	}
-	// Skew over support loads: max=30, n=2, sum=40 → 1.5.
-	if e.ShardSkew != 1.5 {
-		t.Errorf("ShardSkew = %v, want 1.5", e.ShardSkew)
-	}
-	if len(e.Workers) != 1 || e.Workers[0].Tasks != 7 {
-		t.Errorf("workers = %+v", e.Workers)
+	if want := []ExplainWorker{{0, 7}, {1, 3}}; len(e.Workers) != 2 || e.Workers[0] != want[0] || e.Workers[1] != want[1] {
+		t.Errorf("workers = %+v, want %+v", e.Workers, want)
 	}
 	if e.Cache == nil || !e.Cache.Hit {
 		t.Errorf("cache = %+v, want hit", e.Cache)
@@ -122,19 +109,6 @@ func TestNewExplainCountersShardsBudget(t *testing.T) {
 	}
 	if it := e.Budget[1]; it.Dimension != "itemsets" || it.Used != 25 || it.Limit != 100 || it.Exhausted {
 		t.Errorf("itemsets budget row = %+v", it)
-	}
-}
-
-func TestNewExplainSkewFallsBackToRows(t *testing.T) {
-	// FP-Growth runs emit shard rows but no support counters.
-	tr := &Trace{Counters: map[string]int64{
-		CtrShardRowsPrefix + "0": 90,
-		CtrShardRowsPrefix + "1": 10,
-	}}
-	e := NewExplain(tr)
-	// max=90, n=2, sum=100 → 1.8.
-	if e.ShardSkew != 1.8 {
-		t.Errorf("ShardSkew = %v, want 1.8 (rows fallback)", e.ShardSkew)
 	}
 }
 
@@ -160,7 +134,7 @@ func TestExplainDeterministic(t *testing.T) {
 	if len(d.Stages) != len(full.Stages) || d.Stages[2].Name != "mine" || d.Stages[2].Depth != 1 {
 		t.Error("Deterministic lost the stage tree shape")
 	}
-	if d.Mining != full.Mining || d.ShardSkew != full.ShardSkew || len(d.Shards) != 2 {
+	if d.Mining != full.Mining || d.Cache == nil || len(d.Budget) != 2 {
 		t.Error("Deterministic dropped deterministic content")
 	}
 	for _, b := range d.Budget {
@@ -237,7 +211,7 @@ func TestExplainTextAndJSON(t *testing.T) {
 	text := e.Text()
 	for _, want := range []string{
 		"explain req-1", "explore.universe", "mine.scan",
-		"candidates=40", "skew=1.50", "cache: hit",
+		"candidates=40", "tasks=7", "cache: hit",
 		"candidates 40/50 (80.0%) EXHAUSTED",
 	} {
 		if !strings.Contains(text, want) {

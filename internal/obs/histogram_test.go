@@ -204,22 +204,3 @@ func TestAbsorb(t *testing.T) {
 	life.Absorb(nil)            // no-op
 	(*Tracer)(nil).Absorb(snap) // no-op
 }
-
-// TestTracerReset checks Reset drops spans, keeps cumulative metrics and
-// leaves previously opened spans harmless.
-func TestTracerReset(t *testing.T) {
-	tr := New()
-	open := tr.Start("old")
-	tr.Start("done").End()
-	tr.Counter("kept").Add(3)
-	tr.Reset()
-	open.End() // detached; must not panic or resurface
-	if snap := tr.Snapshot(); len(snap.Spans) != 0 || snap.Counter("kept") != 3 {
-		t.Errorf("after Reset: %d spans, kept=%d", len(snap.Spans), snap.Counter("kept"))
-	}
-	tr.Start("fresh").End()
-	if snap := tr.Snapshot(); len(snap.Spans) != 1 || snap.Spans[0].Name != "fresh" {
-		t.Errorf("post-Reset spans: %+v", snap.Spans)
-	}
-	(*Tracer)(nil).Reset() // no-op
-}

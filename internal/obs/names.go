@@ -23,14 +23,12 @@ const (
 	SpanRank     = "explore.rank"
 
 	// SpanMine covers fpm.Mine. FP-Growth emits SpanMineScan (global item
-	// frequency scan), SpanMineBuild (FP-tree construction, with a
-	// SpanMineMerge child when shard trees are folded together) and
+	// frequency scan), SpanMineBuild (FP-tree construction) and
 	// SpanMineGrow (conditional-tree recursion); Apriori emits
 	// SpanMineScan (level 1) and SpanMineLevels (levels ≥ 2).
 	SpanMine       = "mine"
 	SpanMineScan   = "mine.scan"
 	SpanMineBuild  = "mine.build"
-	SpanMineMerge  = "mine.build.merge"
 	SpanMineGrow   = "mine.grow"
 	SpanMineLevels = "mine.levels"
 )
@@ -65,21 +63,9 @@ const (
 	// split).
 	CtrWorkerTaskPrefix = "fpm.worker_tasks.w"
 
-	// CtrShardRowsPrefix + shard index counts the transactions (non-empty
-	// rows) each engine shard inserted during FP-tree construction;
-	// deterministic per shard for a given plan.
-	CtrShardRowsPrefix = "engine.shard_rows.s"
-
-	// CtrShardSupportPrefix + shard index counts the candidate-support
-	// increments Apriori's sharded counting phase attributed to each
-	// engine shard; deterministic per shard for a given plan, and the
-	// load signal behind the explain profile's shard-skew ratio.
-	CtrShardSupportPrefix = "engine.shard_support.s"
-
 	// CtrPoolHits / CtrPoolMisses count buffer acquisitions served by the
 	// run's engine.Pool from recycled storage vs freshly allocated — row
-	// vectors, partial-count matrices, FP-Growth conditional trees and
-	// scratches alike. The split depends on GC timing and worker
+	// vectors, FP-Growth conditional trees and scratches alike. The split depends on GC timing and worker
 	// interleaving, so it is measured (nondeterministic) telemetry.
 	CtrPoolHits   = "engine.pool_hits"
 	CtrPoolMisses = "engine.pool_misses"
@@ -172,9 +158,6 @@ const (
 const (
 	// GaugeWorkers is the clamped worker count actually used by the miner.
 	GaugeWorkers = "fpm.workers"
-	// GaugeShards is the number of row shards of the engine data plane the
-	// last mining run partitioned the dataset into.
-	GaugeShards = "engine.shards"
 	// GaugeMaxDepth is the FP-Growth conditional-recursion high-water mark
 	// (equals the longest frequent itemset mined).
 	GaugeMaxDepth = "fpm.max_depth"
@@ -291,7 +274,6 @@ var MetricHelp = map[string]string{
 	"server_panics_recovered":               "Handler panics recovered by the middleware (answered 500, daemon alive).",
 	"server_explorations_truncated":         "Explorations answered 200 with a budget-truncated report.",
 	"engine_panics_recovered":               "Worker and miner panics recovered into errors.",
-	"engine_shards":                         "Row shards of the engine data plane in the last mining run.",
 	"server_in_flight":                      "Explorations currently running.",
 	"server_in_flight_max":                  "High-water mark of concurrent explorations.",
 	"server_datasets":                       "Datasets loaded at startup.",

@@ -66,23 +66,6 @@ func (t *Tracer) SetID(id string) {
 	t.mu.Unlock()
 }
 
-// Reset discards all recorded spans and restarts the tracer's clock,
-// keeping counters, gauges and histograms (which are cumulative by
-// nature). Long-lived tracers — one per daemon process — call it between
-// requests to keep span memory bounded; per-request child tracers are the
-// preferred alternative. Spans still open when Reset is called are
-// detached: their End becomes a harmless no-op on the old backing array.
-// No-op on nil.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.spans = nil
-	t.start = time.Now()
-	t.mu.Unlock()
-}
-
 // Absorb folds a finished trace's cumulative metrics into the tracer:
 // counter values add, gauges merge by maximum (a lifetime high-water
 // view), and histograms with identical bounds merge bin-wise (histograms

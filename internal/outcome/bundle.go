@@ -1,26 +1,6 @@
 package outcome
 
-import (
-	"fmt"
-
-	"repro/internal/bitvec"
-	"repro/internal/engine"
-)
-
-// AccShard returns the engine accumulator of the subgroup rows falling in
-// shard s of the plan — the per-shard view of MomentsOf plus the support,
-// ⊥ and (for boolean outcomes) positive/negative splits. rows may be dense
-// or compressed.
-func (o *Outcome) AccShard(p engine.Plan, s int, rows bitvec.Set) engine.Acc {
-	return engine.Accumulate(p, s, rows, o.Valid, o.Values, o.Boolean)
-}
-
-// AccOf merges the per-shard accumulators of every shard of the plan in
-// ascending order. For boolean (and any integral-valued) outcomes the
-// result is bit-identical to a single unsharded pass.
-func (o *Outcome) AccOf(p engine.Plan, rows bitvec.Set) engine.Acc {
-	return engine.AccumulateAll(p, rows, o.Valid, o.Values, o.Boolean)
-}
+import "fmt"
 
 // Bundle is an ordered set of outcome functions evaluated together in one
 // mining pass. All outcomes must cover the same rows; the first outcome is

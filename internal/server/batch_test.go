@@ -208,16 +208,16 @@ func TestExploreBatchErrors(t *testing.T) {
 		}
 	}
 
-	// Negative workers/shards are rejected on both endpoints.
+	// Negative workers are rejected on both endpoints.
 	neg := base
 	neg.Stat = "fpr"
 	neg.Workers = -1
 	if rec := postExplore(t, s, neg); rec.Code != http.StatusBadRequest {
 		t.Errorf("negative workers: code = %d, want 400", rec.Code)
 	}
-	neg.Workers, neg.Shards = 0, -2
-	if rec := postExplore(t, s, neg); rec.Code != http.StatusBadRequest {
-		t.Errorf("negative shards: code = %d, want 400", rec.Code)
+	neg.Stat = ""
+	if rec := postBatch(t, s, BatchExploreRequest{ExploreRequest: neg, Stats: []string{"fpr", "fnr"}}); rec.Code != http.StatusBadRequest {
+		t.Errorf("negative workers, batch: code = %d, want 400", rec.Code)
 	}
 }
 

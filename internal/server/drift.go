@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
@@ -62,6 +63,10 @@ type driftWatch struct {
 	timer     *time.Timer
 	remining  bool
 	lastError string
+	// persisted is the state file content this process last wrote, so
+	// an explore that moves neither the request nor the base writes
+	// nothing.
+	persisted []byte
 }
 
 // subgroupSnap is the per-subgroup state compared across epochs.
@@ -291,7 +296,7 @@ func (m *driftMonitor) statePath(name string) string {
 
 // persistLocked writes the watch to its state file (atomic tmp+rename;
 // best-effort — a failed persist costs a post-restart re-arm, nothing
-// more). Caller holds m.mu.
+// more), unless the file already holds this state. Caller holds m.mu.
 func (m *driftMonitor) persistLocked(name string, w *driftWatch) {
 	path := m.statePath(name)
 	if path == "" || w.params.tab == nil {
@@ -302,7 +307,7 @@ func (m *driftMonitor) persistLocked(name string, w *driftWatch) {
 		Stats:     w.params.stats,
 		BaseEpoch: w.params.epoch,
 	})
-	if err != nil {
+	if err != nil || bytes.Equal(raw, w.persisted) {
 		return
 	}
 	tmp := path + ".tmp"
@@ -315,7 +320,9 @@ func (m *driftMonitor) persistLocked(name string, w *driftWatch) {
 		os.Remove(tmp)
 		m.server.logger.Warn("drift state persist failed",
 			slog.String("dataset", name), slog.String("error", err.Error()))
+		return
 	}
+	w.persisted = raw
 }
 
 // restore reloads persisted watches after WAL recovery, with the base

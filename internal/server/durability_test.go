@@ -325,7 +325,7 @@ func TestCompactionKeepsRetainedEpochs(t *testing.T) {
 // including mid-append, via the wal.append_sync failpoint — recovers to
 // some acknowledged prefix of the workload, and its ranked CSV and
 // deterministic explain output are byte-identical to a from-scratch
-// server fed that same prefix over HTTP, across worker/shard settings.
+// server fed that same prefix over HTTP, across worker settings.
 func TestCrashRecoveryProperty(t *testing.T) {
 	const k = 6
 	for seed := int64(1); seed <= 4; seed++ {
@@ -397,20 +397,19 @@ func TestCrashRecoveryProperty(t *testing.T) {
 					t.Fatalf("reference append %d: %d %s", i, rec.Code, rec.Body.String())
 				}
 			}
-			for _, grid := range []struct{ workers, shards int }{{0, 0}, {4, 0}, {0, 3}, {4, 3}} {
+			for _, workers := range []int{0, 4} {
 				req := ExploreRequest{
 					Dataset: "anomaly", Stat: "error", Actual: "y", Predicted: "p",
-					S: 0.05, ST: 0.1, Format: "csv",
-					Workers: grid.workers, Shards: grid.shards,
+					S: 0.05, ST: 0.1, Format: "csv", Workers: workers,
 				}
 				got := postExplore(t, s2, req)
 				want := postExplore(t, ref, req)
 				if got.Code != 200 || want.Code != 200 {
-					t.Fatalf("w%d_s%d: recovered %d, reference %d", grid.workers, grid.shards, got.Code, want.Code)
+					t.Fatalf("w%d: recovered %d, reference %d", workers, got.Code, want.Code)
 				}
 				if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
-					t.Errorf("w%d_s%d: recovered CSV differs from reference:\nrecovered:\n%s\nreference:\n%s",
-						grid.workers, grid.shards, got.Body.Bytes(), want.Body.Bytes())
+					t.Errorf("w%d: recovered CSV differs from reference:\nrecovered:\n%s\nreference:\n%s",
+						workers, got.Body.Bytes(), want.Body.Bytes())
 				}
 				exReq := req
 				exReq.Format = ""
@@ -420,8 +419,8 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				if !reflect.DeepEqual(ge, fe) {
 					gj, _ := json.Marshal(ge)
 					fj, _ := json.Marshal(fe)
-					t.Errorf("w%d_s%d: deterministic explain differs:\nrecovered: %s\nreference: %s",
-						grid.workers, grid.shards, gj, fj)
+					t.Errorf("w%d: deterministic explain differs:\nrecovered: %s\nreference: %s",
+						workers, gj, fj)
 				}
 			}
 		})
@@ -548,6 +547,70 @@ func TestDriftBatchBaselineRearmsAfterReplay(t *testing.T) {
 		t.Errorf("drift after replay: watching=%v stat=%q last_error=%q, want true/error/none", got.Watching, got.Stat, got.LastError)
 	}
 	noTarget(s2, "re-mine after the replay")
+}
+
+// TestDurableDriftStateSkipsUnchangedWrite pins when drift.json is
+// written: an explore that repeats the watched request at the watched
+// base epoch leaves the file alone, while a changed request or a moved
+// base rewrites it.
+func TestDurableDriftStateSkipsUnchangedWrite(t *testing.T) {
+	cfg := durableConfig(t, t.TempDir())
+	cfg.DriftDebounce = time.Hour // no re-mine moves the base behind the test's back
+	s := newTestServer(t, cfg)
+	t.Cleanup(func() { s.Close() })
+	path := filepath.Join(cfg.WALDir, "anomaly", "drift.json")
+	sentinel := []byte("sentinel")
+	explore := func(label string, req ExploreRequest) {
+		t.Helper()
+		if rec := postExplore(t, s, req); rec.Code != 200 {
+			t.Fatalf("%s: %d %s", label, rec.Code, rec.Body.String())
+		}
+	}
+	state := func() driftState {
+		t.Helper()
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st driftState
+		if err := json.Unmarshal(raw, &st); err != nil {
+			t.Fatalf("drift.json = %q: %v", raw, err)
+		}
+		return st
+	}
+	overwrite := func() {
+		t.Helper()
+		if err := os.WriteFile(path, sentinel, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	req := ExploreRequest{Dataset: "anomaly", Stat: "error", Actual: "y", Predicted: "p", S: 0.05, ST: 0.1}
+	explore("first explore", req)
+	if st := state(); st.Request.S != 0.05 || st.BaseEpoch != 1 {
+		t.Fatalf("first explore persisted %+v", st)
+	}
+	overwrite()
+	explore("identical explore", req)
+	if raw, err := os.ReadFile(path); err != nil || !bytes.Equal(raw, sentinel) {
+		t.Fatalf("an identical explore rewrote drift.json: %q, %v", raw, err)
+	}
+
+	changed := req
+	changed.S = 0.1
+	explore("changed request", changed)
+	if st := state(); st.Request.S != 0.1 || st.BaseEpoch != 1 {
+		t.Fatalf("a changed request persisted %+v, want s 0.1 at base epoch 1", st)
+	}
+
+	overwrite()
+	if rec := postAppend(t, s, "anomaly", quietBatch(20, 600)); rec.Code != 200 {
+		t.Fatalf("append: %d %s", rec.Code, rec.Body.String())
+	}
+	explore("explore at the appended epoch", changed)
+	if st := state(); st.Request.S != 0.1 || st.BaseEpoch != 2 {
+		t.Fatalf("a moved base persisted %+v, want s 0.1 at base epoch 2", st)
+	}
 }
 
 // TestDriftRearmsPastRetentionAtCurrentEpoch restarts a watch whose base

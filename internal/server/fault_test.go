@@ -268,7 +268,7 @@ type truncatedReply struct {
 // TestFaultBudgetTruncatedOverHTTP checks graceful degradation end to
 // end: a budget-exhausted exploration answers 200 with the report
 // flagged truncated (never an error), the truncation is counted, and the
-// ranked prefix is byte-identical across workers/shards settings.
+// ranked prefix is byte-identical across worker settings.
 func TestFaultBudgetTruncatedOverHTTP(t *testing.T) {
 	s := newTestServer(t, Config{
 		Datasets: []DatasetConfig{{Name: "anomaly", Table: anomalyTable(t)}},
@@ -295,25 +295,23 @@ func TestFaultBudgetTruncatedOverHTTP(t *testing.T) {
 	}
 
 	// The truncated ranked prefix is deterministic: CSV replies across
-	// workers/shards settings are byte-identical.
+	// worker settings are byte-identical.
 	csvReq := req
 	csvReq.Format = "csv"
 	var ref []byte
 	for _, workers := range []int{1, 4} {
-		for _, shards := range []int{1, 4} {
-			r := csvReq
-			r.Workers, r.Shards = workers, shards
-			rec := postExplore(t, s, r)
-			if rec.Code != 200 {
-				t.Fatalf("w%d/s%d: status %d %s", workers, shards, rec.Code, rec.Body.String())
-			}
-			if ref == nil {
-				ref = rec.Body.Bytes()
-				continue
-			}
-			if !bytes.Equal(rec.Body.Bytes(), ref) {
-				t.Errorf("w%d/s%d: truncated CSV differs from w1/s1 reply", workers, shards)
-			}
+		r := csvReq
+		r.Workers = workers
+		rec := postExplore(t, s, r)
+		if rec.Code != 200 {
+			t.Fatalf("w%d: status %d %s", workers, rec.Code, rec.Body.String())
+		}
+		if ref == nil {
+			ref = rec.Body.Bytes()
+			continue
+		}
+		if !bytes.Equal(rec.Body.Bytes(), ref) {
+			t.Errorf("w%d: truncated CSV differs from the w1 reply", workers)
 		}
 	}
 }

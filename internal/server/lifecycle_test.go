@@ -284,7 +284,7 @@ func batchFromTable(t *testing.T, tab *hdiv.Table, lo, hi int) string {
 // server that grew its dataset by appending the last rows over HTTP
 // answers every exploration byte-identically (ranked CSV and the
 // deterministic explain profile) to a server loaded with the full table
-// from the start, across worker/shard settings, although the appending
+// from the start, across worker settings, although the appending
 // server built and cached the prefix epoch's universes first. The prefix
 // ends mid-cycle, so the prefix and the full table have different
 // distributions and the discretizer picks different cutpoints on them.
@@ -311,12 +311,11 @@ func TestAppendEquivalenceRebuild(t *testing.T) {
 		t.Fatalf("append: %d %s", rec.Code, rec.Body.String())
 	}
 
-	for _, cfg := range []struct{ workers, shards int }{{0, 0}, {4, 0}, {0, 3}, {4, 3}} {
-		name := fmt.Sprintf("w%d_s%d", cfg.workers, cfg.shards)
+	for _, workers := range []int{0, 4} {
+		name := fmt.Sprintf("w%d", workers)
 		req := ExploreRequest{
 			Dataset: "d", Stat: "error", Actual: "y", Predicted: "p",
-			S: 0.05, ST: 0.1, Format: "csv",
-			Workers: cfg.workers, Shards: cfg.shards,
+			S: 0.05, ST: 0.1, Format: "csv", Workers: workers,
 		}
 		g := postExplore(t, grown, req)
 		f := postExplore(t, fresh, req)

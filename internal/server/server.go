@@ -438,19 +438,15 @@ type ExploreRequest struct {
 	// (0, the default, = every core; 1 = serial). Results are identical
 	// regardless.
 	Workers int `json:"workers,omitempty"`
-	// Shards fixes the engine data plane's row-shard count (0 = automatic;
-	// ranked results are identical regardless for the built-in rate
-	// statistics).
-	Shards int `json:"shards,omitempty"`
 	// Format selects the reply encoding: json (default) or csv. The CSV
 	// bytes equal `hdivexplorer -format csv` output for the same
 	// parameters.
 	Format string `json:"format,omitempty"`
 	// Trace includes the observability snapshot in a JSON reply.
 	Trace bool `json:"trace,omitempty"`
-	// Explain includes a cost-attribution profile (per-stage wall time and
-	// allocations, mining counters, shard balance, budget consumption) in
-	// a JSON reply's "explain" field. Cheaper than Trace: the profile is
+	// Explain includes a cost-attribution profile (per-stage wall time,
+	// mining counters, worker split, budget consumption) in a JSON reply's
+	// "explain" field. Cheaper than Trace: the profile is
 	// an aggregated summary, not the span-by-span snapshot.
 	Explain bool `json:"explain,omitempty"`
 	// Epoch pins the exploration to a specific dataset epoch instead of
@@ -561,9 +557,6 @@ func (s *Server) resolve(req ExploreRequest, stats []string) (*exploreParams, in
 	if req.Workers < 0 {
 		return nil, http.StatusBadRequest, fmt.Errorf("workers must be >= 0 (got %d)", req.Workers)
 	}
-	if req.Shards < 0 {
-		return nil, http.StatusBadRequest, fmt.Errorf("shards must be >= 0 (got %d)", req.Shards)
-	}
 	p.timeout = s.timeout
 	if req.TimeoutMS > 0 {
 		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < p.timeout {
@@ -621,7 +614,6 @@ func (p *exploreParams) config(e *cacheEntry) core.Config {
 		Algorithm:     p.algorithm,
 		Mode:          p.mode,
 		Workers:       p.req.Workers,
-		Shards:        p.req.Shards,
 		Budget:        p.budget,
 	}
 }

@@ -442,12 +442,19 @@ func TestExploreErrors(t *testing.T) {
 		t.Errorf("failed builds left %d cache entries, want 0", n)
 	}
 
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/explore", strings.NewReader(`{"bogus_field": 1}`)))
-	if rec.Code != 400 {
-		t.Errorf("unknown JSON field: status %d", rec.Code)
+	// Unknown fields are refused, "shards" among them: without it the
+	// second body is a valid request.
+	for _, body := range []string{
+		`{"bogus_field": 1}`,
+		`{"dataset":"anomaly","stat":"error","actual":"y","predicted":"p","shards":4}`,
+	} {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/explore", strings.NewReader(body)))
+		if rec.Code != 400 || !strings.Contains(rec.Body.String(), "unknown field") {
+			t.Errorf("unknown JSON field %s: status %d %s", body, rec.Code, rec.Body.String())
+		}
 	}
-	rec = httptest.NewRecorder()
+	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/explore", nil))
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/explore: status %d, want 405", rec.Code)
