@@ -7,9 +7,10 @@
 #   make budgets      allocation and mining-work budgets of the paper
 #                     artifacts (skipped by the race run)
 #   make cpu-independence
-#                     golden, ranking and determinism tests at -cpu 1,2,4:
-#                     the default worker count is every core, so the
-#                     output must not depend on how many there are
+#                     golden, ranking, determinism and forest-reference
+#                     tests at -cpu 1,2,4: the default worker count is
+#                     every core, so the output must not depend on how
+#                     many there are
 #   make experiments-check
 #                     regenerate every paper artifact and compare it with
 #                     experiments_output.txt (durations masked)
@@ -62,13 +63,14 @@ budgets:
 	$(GO) test -run '^Test(Allocation|MiningWork)Budget$$' -count=1 -v .
 
 # cpu-independence runs the golden ranked CSV, the ranking tests, the
-# kept-tree equivalence and the explain determinism tests at GOMAXPROCS
-# 1, 2 and 4. Workers 0, the default, resolves to GOMAXPROCS, so these
-# pin the default output to be the same on every core count.
+# kept-tree equivalence, the explain determinism tests and the forest's
+# reference equivalence at GOMAXPROCS 1, 2 and 4. Workers 0, the default,
+# resolves to GOMAXPROCS, so these pin the default output to be the same
+# on every core count.
 cpu-independence:
 	$(GO) test -cpu 1,2,4 -count=1 \
-		-run '^(TestGoldenRankedCSV|TestRank.*|TestKeptTreeMatchesBuild|TestExplainDeterministicAcrossWorkers)$$' \
-		. ./internal/fpm ./internal/core
+		-run '^(TestGoldenRankedCSV|TestRank.*|TestKeptTreeMatchesBuild|TestExplainDeterministicAcrossWorkers|TestForestMatchesReference)$$' \
+		. ./internal/fpm ./internal/core ./internal/model
 
 # experiments-check regenerates every paper artifact and compares it with
 # the committed experiments_output.txt, Go durations masked and runs of

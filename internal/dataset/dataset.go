@@ -284,28 +284,6 @@ func (t *Table) Drop(names ...string) (*Table, error) {
 	return t.Select(keep...)
 }
 
-// FilterRows returns a new table with only the given rows (in the given
-// order). Row storage is copied; dictionaries are shared.
-func (t *Table) FilterRows(rows []int) *Table {
-	b := NewBuilder()
-	for _, c := range t.cols {
-		if c.field.Kind == Continuous {
-			vals := make([]float64, len(rows))
-			for i, r := range rows {
-				vals[i] = c.floats[r]
-			}
-			b.AddFloat(c.field.Name, vals)
-		} else {
-			codes := make([]int, len(rows))
-			for i, r := range rows {
-				codes[i] = c.codes[r]
-			}
-			b.AddCategoricalCodes(c.field.Name, codes, c.levels)
-		}
-	}
-	return b.MustBuild()
-}
-
 // CountKinds returns the number of continuous and categorical attributes,
 // the |A|num and |A|cat of the paper's Table II.
 func (t *Table) CountKinds() (numContinuous, numCategorical int) {

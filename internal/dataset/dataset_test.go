@@ -137,20 +137,6 @@ func TestSelectAndDrop(t *testing.T) {
 	}
 }
 
-func TestFilterRows(t *testing.T) {
-	tab := buildSample(t)
-	f := tab.FilterRows([]int{2, 0})
-	if f.NumRows() != 2 {
-		t.Fatalf("NumRows = %d", f.NumRows())
-	}
-	if f.Floats("age")[0] != 31 || f.Floats("age")[1] != 23 {
-		t.Errorf("age = %v", f.Floats("age"))
-	}
-	if f.ValueString(0, "sex") != "F" || f.ValueString(1, "sex") != "M" {
-		t.Error("sex values wrong after filter")
-	}
-}
-
 const sampleCSV = `age,sex,zip,score
 23,M,90210,0.5
 45,F,10001,0.25

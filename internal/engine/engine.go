@@ -1,10 +1,13 @@
-// Package engine schedules the mining code's independent tasks across
-// workers (ParallelFor, with the worker count resolved by Workers and
-// contiguous stages split by Chunks), contains their panics (PanicError),
-// and recycles their per-run buffers (Pool). The miners accumulate every
-// itemset's support and outcome moments in one pass over the rows; the
+// Package engine schedules independent tasks across workers
+// (ParallelFor, with the worker count resolved by Workers and contiguous
+// stages split by Chunks), contains their panics (PanicError), and
+// recycles their per-run buffers (Pool). The miners accumulate every
+// itemset's support and outcome moments in one pass over the rows; their
 // only parallel axis is across tasks — Apriori candidates, FP-Growth
-// top-level branches, ranking chunks — never across rows.
+// top-level branches, ranking chunks — never across rows. The random
+// forest (internal/model) is the other caller: it trains its trees as
+// tasks and predicts over chunks of rows, each row summing its trees in
+// tree order.
 //
 // Pool's ownership rules are in its type comment and DESIGN.md §11.
 package engine

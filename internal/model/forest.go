@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"repro/internal/dataset"
+	"repro/internal/engine"
 )
 
 // ForestOptions configures random-forest training.
@@ -29,8 +30,15 @@ type Forest struct {
 }
 
 // TrainForest fits a random forest: each tree is trained on a bootstrap
-// sample of the rows with per-split feature subsampling.
+// sample of the rows with per-split feature subsampling. The samples and
+// tree seeds are drawn serially from Seed; the trees then train in
+// parallel on every core, each on its own rng, so the forest does not
+// depend on the core count.
 func TrainForest(t *dataset.Table, features []string, labels []bool, opt ForestOptions) (*Forest, error) {
+	cols, fields, err := featureColumns(t, features)
+	if err != nil {
+		return nil, err
+	}
 	if len(labels) != t.NumRows() {
 		return nil, fmt.Errorf("model: %d labels for %d rows", len(labels), t.NumRows())
 	}
@@ -45,29 +53,29 @@ func TrainForest(t *dataset.Table, features []string, labels []bool, opt ForestO
 		frac = math.Sqrt(float64(len(features))) / float64(len(features))
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
-	f := &Forest{}
 	n := t.NumRows()
-	for k := 0; k < opt.NumTrees; k++ {
-		// Bootstrap sample of row indices.
-		sample := make([]int, n)
-		for i := range sample {
-			sample[i] = rng.Intn(n)
+	mult := make([][]int32, opt.NumTrees)
+	seeds := make([]int64, opt.NumTrees)
+	for k := range mult {
+		// Bootstrap sample: how often each row is drawn.
+		mult[k] = make([]int32, n)
+		for range n {
+			mult[k][rng.Intn(n)]++
 		}
-		boot := t.FilterRows(sample)
-		bootLabels := make([]bool, n)
-		for i, r := range sample {
-			bootLabels[i] = labels[r]
-		}
-		tr, err := TrainTree(boot, features, bootLabels, TreeOptions{
+		seeds[k] = rng.Int63()
+	}
+	sorted := presort(cols)
+	f := &Forest{trees: make([]*Tree, opt.NumTrees)}
+	err = engine.ParallelFor(opt.NumTrees, engine.Workers(0), nil, func(k int) {
+		f.trees[k] = trainSample(cols, fields, labels, sorted, mult[k], TreeOptions{
 			MaxDepth:        opt.MaxDepth,
 			MinLeaf:         opt.MinLeaf,
 			FeatureFraction: frac,
-			rng:             rand.New(rand.NewSource(rng.Int63())),
+			rng:             rand.New(rand.NewSource(seeds[k])),
 		})
-		if err != nil {
-			return nil, err
-		}
-		f.trees = append(f.trees, tr)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return f, nil
 }
@@ -78,20 +86,7 @@ func (f *Forest) NumTrees() int { return len(f.trees) }
 // PredictProb returns the mean positive-class probability over the
 // ensemble for every row.
 func (f *Forest) PredictProb(t *dataset.Table) ([]float64, error) {
-	sum := make([]float64, t.NumRows())
-	for _, tr := range f.trees {
-		p, err := tr.PredictProb(t)
-		if err != nil {
-			return nil, err
-		}
-		for i, v := range p {
-			sum[i] += v
-		}
-	}
-	for i := range sum {
-		sum[i] /= float64(len(f.trees))
-	}
-	return sum, nil
+	return predictProb(f.trees, t)
 }
 
 // Predict returns the majority-vote class prediction for every row.

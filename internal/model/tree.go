@@ -6,12 +6,14 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/dataset"
+	"repro/internal/engine"
 )
 
 // TreeOptions configures decision-tree induction.
@@ -59,13 +61,7 @@ func TrainTree(t *dataset.Table, features []string, labels []bool, opt TreeOptio
 	if opt.MinLeaf <= 0 {
 		opt.MinLeaf = 1
 	}
-	rows := make([]int, t.NumRows())
-	for i := range rows {
-		rows[i] = i
-	}
-	tr := &Tree{features: fields}
-	tr.root = grow(cols, labels, rows, opt, 0)
-	return tr, nil
+	return trainSample(cols, fields, labels, presort(cols), nil, opt), nil
 }
 
 // column holds one feature column in a split-friendly layout.
@@ -103,10 +99,100 @@ func featureColumns(t *dataset.Table, features []string) ([]column, []dataset.Fi
 	return cols, fields, nil
 }
 
-func grow(cols []column, labels []bool, rows []int, opt TreeOptions, depth int) *node {
+// presort returns, for every continuous column, the table's rows in
+// ascending order of value with NaNs first; categorical columns get nil.
+// A forest sorts once and derives every tree's orders from it (bootOrder).
+func presort(cols []column) [][]int32 {
+	sorted := make([][]int32, len(cols))
+	for fi, c := range cols {
+		if c.field.Kind != dataset.Continuous {
+			continue
+		}
+		idx := make([]int32, len(c.floats))
+		for r := range idx {
+			idx[r] = int32(r)
+		}
+		// cmp.Compare orders NaN before every other value.
+		slices.SortFunc(idx, func(a, b int32) int { return cmp.Compare(c.floats[a], c.floats[b]) })
+		sorted[fi] = idx
+	}
+	return sorted
+}
+
+// grower trains one tree over a sample of the table's rows, each row
+// taken as often as its multiplicity. Every node owns the segment
+// [lo, hi) of rows and of each continuous column's order, the sample's
+// rows sorted by that column's value; a split stable-partitions the
+// segments, so no node sorts anything.
+type grower struct {
+	cols   []column
+	labels []bool
+	opt    TreeOptions
+	rows   []int32   // the sample in row order: labels and categorical counts
+	order  [][]int32 // per continuous column, the sample in value order; nil for categorical
+	left   []bool    // per table row: whether it goes left at the split being applied
+	spill  []int32   // right-hand rows during a partition
+	feat   []int     // feature subsample
+	posBy  []int     // per level: positive rows in the node
+	cntBy  []int     // per level: rows in the node
+}
+
+// trainSample grows one tree on the sample given by mult, each table row
+// taken mult[r] times (nil takes every row once), with sorted from
+// presort(cols).
+func trainSample(cols []column, fields []dataset.Field, labels []bool, sorted [][]int32, mult []int32, opt TreeOptions) *Tree {
+	n := len(labels)
+	maxLevels := 0
+	for _, c := range cols {
+		maxLevels = max(maxLevels, len(c.levels))
+	}
+	g := &grower{
+		cols:   cols,
+		labels: labels,
+		opt:    opt,
+		rows:   bootOrder(nil, n, mult),
+		order:  make([][]int32, len(cols)),
+		left:   make([]bool, n),
+		spill:  make([]int32, n),
+		feat:   make([]int, len(cols)),
+		posBy:  make([]int, maxLevels),
+		cntBy:  make([]int, maxLevels),
+	}
+	for fi, s := range sorted {
+		if s != nil {
+			g.order[fi] = bootOrder(s, n, mult)
+		}
+	}
+	return &Tree{root: g.grow(0, n, 0), features: fields}
+}
+
+// bootOrder expands an order of the table's n rows (nil is row order)
+// into the sample's: each row repeated mult[r] times in place (once when
+// mult is nil). A bootstrap draws n rows, so the result has n entries.
+func bootOrder(order []int32, n int, mult []int32) []int32 {
+	out := make([]int32, 0, n)
+	for i := 0; i < n; i++ {
+		r := int32(i)
+		if order != nil {
+			r = order[i]
+		}
+		if mult == nil {
+			out = append(out, r)
+			continue
+		}
+		for m := mult[r]; m > 0; m-- {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+func (g *grower) grow(lo, hi, depth int) *node {
+	rows := g.rows[lo:hi]
+	opt := g.opt
 	pos := 0
 	for _, r := range rows {
-		if labels[r] {
+		if g.labels[r] {
 			pos++
 		}
 	}
@@ -122,13 +208,14 @@ func grow(cols []column, labels []bool, rows []int, opt TreeOptions, depth int) 
 		return n
 	}
 
-	// Feature subsample.
-	feat := make([]int, len(cols))
+	// Feature subsample. The shuffle's draws depend only on the length,
+	// so reusing the buffer keeps the rng stream of a fresh slice.
+	feat := g.feat
 	for i := range feat {
 		feat[i] = i
 	}
 	if opt.FeatureFraction > 0 && opt.FeatureFraction < 1 && opt.rng != nil {
-		k := int(math.Ceil(opt.FeatureFraction * float64(len(cols))))
+		k := int(math.Ceil(opt.FeatureFraction * float64(len(g.cols))))
 		opt.rng.Shuffle(len(feat), func(a, b int) { feat[a], feat[b] = feat[b], feat[a] })
 		feat = feat[:k]
 	}
@@ -137,10 +224,10 @@ func grow(cols []column, labels []bool, rows []int, opt TreeOptions, depth int) 
 	parentGini := gini(pos, len(rows)-pos)
 	for _, fi := range feat {
 		var s split
-		if cols[fi].field.Kind == dataset.Continuous {
-			s = bestContinuousSplit(cols[fi], labels, rows, opt.MinLeaf, parentGini)
+		if g.order[fi] != nil {
+			s = bestContinuousSplit(g.cols[fi].floats, g.labels, g.order[fi][lo:hi], pos, opt.MinLeaf, parentGini)
 		} else {
-			s = bestCategoricalSplit(cols[fi], labels, rows, opt.MinLeaf, parentGini)
+			s = g.bestCategoricalSplit(g.cols[fi], rows, pos, parentGini)
 		}
 		if s.gain > best.gain {
 			best = s
@@ -151,25 +238,60 @@ func grow(cols []column, labels []bool, rows []int, opt TreeOptions, depth int) 
 		return n
 	}
 
-	var left, right []int
+	// Route by value, as prediction does: a threshold of -Inf (NaN vs
+	// rest) also sends -Inf rows left, so the left count is recounted.
+	c := &g.cols[best.feature]
+	code, ok := -1, true
+	if best.isCat {
+		code, ok = c.levelIndex[best.level]
+	}
+	nLeft := 0
 	for _, r := range rows {
-		if goesLeft(&cols[best.feature], r, best) {
-			left = append(left, r)
+		var l bool
+		if best.isCat {
+			l = ok && c.codes[r] == code
 		} else {
-			right = append(right, r)
+			v := c.floats[r]
+			l = math.IsNaN(v) || v <= best.thresh
+		}
+		g.left[r] = l
+		if l {
+			nLeft++
 		}
 	}
-	if len(left) < opt.MinLeaf || len(right) < opt.MinLeaf {
+	if nLeft < opt.MinLeaf || len(rows)-nLeft < opt.MinLeaf {
 		return n
+	}
+	g.partition(rows)
+	for _, o := range g.order {
+		if o != nil {
+			g.partition(o[lo:hi])
+		}
 	}
 	n.leaf = false
 	n.feature = best.feature
 	n.isCat = best.isCat
 	n.thresh = best.thresh
 	n.level = best.level
-	n.left = grow(cols, labels, left, opt, depth+1)
-	n.right = grow(cols, labels, right, opt, depth+1)
+	n.left = g.grow(lo, lo+nLeft, depth+1)
+	n.right = g.grow(lo+nLeft, hi, depth+1)
 	return n
+}
+
+// partition reorders seg so the rows marked in g.left come first, keeping
+// the relative order on both sides, so sorted segments stay sorted.
+func (g *grower) partition(seg []int32) {
+	w, nr := 0, 0
+	for _, r := range seg {
+		if g.left[r] {
+			seg[w] = r
+			w++
+		} else {
+			g.spill[nr] = r
+			nr++
+		}
+	}
+	copy(seg[w:], g.spill[:nr])
 }
 
 type split struct {
@@ -178,18 +300,6 @@ type split struct {
 	isCat   bool
 	thresh  float64
 	level   string
-}
-
-// goesLeft routes a row at a split. Categorical splits are matched by level
-// name, not dictionary code, so a tree predicts correctly on tables whose
-// dictionaries assign different codes to the same levels.
-func goesLeft(c *column, row int, s split) bool {
-	if s.isCat {
-		code, ok := c.levelIndex[s.level]
-		return ok && c.codes[row] == code
-	}
-	v := c.floats[row]
-	return math.IsNaN(v) || v <= s.thresh
 }
 
 // gini returns the Gini impurity of a (pos, neg) node.
@@ -209,25 +319,11 @@ func weightedChildGini(posL, negL, posR, negR int) float64 {
 	return nL/n*gini(posL, negL) + nR/n*gini(posR, negR)
 }
 
-func bestContinuousSplit(c column, labels []bool, rows []int, minLeaf int, parentGini float64) split {
-	// Sort rows by value; NaNs first (they always go left).
-	idx := append([]int(nil), rows...)
-	sort.Slice(idx, func(a, b int) bool {
-		va, vb := c.floats[idx[a]], c.floats[idx[b]]
-		if math.IsNaN(va) {
-			return !math.IsNaN(vb)
-		}
-		if math.IsNaN(vb) {
-			return false
-		}
-		return va < vb
-	})
-	totalPos := 0
-	for _, r := range idx {
-		if labels[r] {
-			totalPos++
-		}
-	}
+// bestContinuousSplit scans a node's rows in value order (NaNs first;
+// ties in any order) of which totalPos are positive. Candidates sit only
+// between distinct values and read integer class counts, so the order of
+// tied rows cannot change the result.
+func bestContinuousSplit(floats []float64, labels []bool, idx []int32, totalPos, minLeaf int, parentGini float64) split {
 	best := split{gain: 0}
 	posL, nL := 0, 0
 	for i := 0; i < len(idx)-1; i++ {
@@ -236,7 +332,7 @@ func bestContinuousSplit(c column, labels []bool, rows []int, minLeaf int, paren
 		if labels[r] {
 			posL++
 		}
-		v, next := c.floats[r], c.floats[idx[i+1]]
+		v, next := floats[r], floats[idx[i+1]]
 		if math.IsNaN(next) || v == next || math.IsNaN(v) && math.IsNaN(next) {
 			continue
 		}
@@ -256,27 +352,26 @@ func bestContinuousSplit(c column, labels []bool, rows []int, minLeaf int, paren
 	return best
 }
 
-func bestCategoricalSplit(c column, labels []bool, rows []int, minLeaf int, parentGini float64) split {
-	posBy := make([]int, len(c.levels))
-	cntBy := make([]int, len(c.levels))
-	totalPos := 0
+func (g *grower) bestCategoricalSplit(c column, rows []int32, totalPos int, parentGini float64) split {
+	posBy, cntBy := g.posBy[:len(c.levels)], g.cntBy[:len(c.levels)]
+	clear(posBy)
+	clear(cntBy)
 	for _, r := range rows {
 		cntBy[c.codes[r]]++
-		if labels[r] {
+		if g.labels[r] {
 			posBy[c.codes[r]]++
-			totalPos++
 		}
 	}
 	best := split{gain: 0, isCat: true}
 	for code := range c.levels {
 		nL := cntBy[code]
-		if nL < minLeaf || len(rows)-nL < minLeaf {
+		if nL < g.opt.MinLeaf || len(rows)-nL < g.opt.MinLeaf {
 			continue
 		}
 		posL := posBy[code]
-		g := parentGini - weightedChildGini(posL, nL-posL, totalPos-posL, len(rows)-nL-(totalPos-posL))
-		if g > best.gain {
-			best = split{gain: g, isCat: true, level: c.levels[code]}
+		gain := parentGini - weightedChildGini(posL, nL-posL, totalPos-posL, len(rows)-nL-(totalPos-posL))
+		if gain > best.gain {
+			best = split{gain: gain, isCat: true, level: c.levels[code]}
 		}
 	}
 	return best
@@ -298,28 +393,110 @@ func (tr *Tree) Predict(t *dataset.Table) ([]bool, error) {
 
 // PredictProb returns the positive-class probability for every row.
 func (tr *Tree) PredictProb(t *dataset.Table) ([]float64, error) {
-	names := make([]string, len(tr.features))
-	for i, f := range tr.features {
+	return predictProb([]*Tree{tr}, t)
+}
+
+// flatNode is a node compiled for one prediction table: children by
+// index (left < 0 marks a leaf) and a categorical level resolved to that
+// table's code, -1 when the table lacks the level.
+type flatNode struct {
+	left, right int32
+	feature     int32
+	code        int32
+	isCat       bool
+	thresh      float64
+	prob        float64
+}
+
+// compile flattens the tree in preorder against a prediction table's
+// columns. Categorical splits are matched by level name, not dictionary
+// code, so a tree predicts correctly on tables whose dictionaries assign
+// different codes to the same levels.
+func (tr *Tree) compile(cols []column) []flatNode {
+	var out []flatNode
+	var walk func(n *node) int32
+	walk = func(n *node) int32 {
+		i := int32(len(out))
+		out = append(out, flatNode{left: -1, prob: n.prob})
+		if n.leaf {
+			return i
+		}
+		f := flatNode{feature: int32(n.feature), isCat: n.isCat, thresh: n.thresh, code: -1}
+		if n.isCat {
+			if code, ok := cols[n.feature].levelIndex[n.level]; ok {
+				f.code = int32(code)
+			}
+		}
+		f.left = walk(n.left)
+		f.right = walk(n.right)
+		out[i] = f
+		return i
+	}
+	walk(tr.root)
+	return out
+}
+
+// predictChunkRows is the fewest rows a prediction chunk covers.
+const predictChunkRows = 1024
+
+// predictProb returns the mean probability of trees, which share one
+// feature schema, for every row of t. Each row sums its trees in tree
+// order, so the result does not depend on how rows are chunked.
+func predictProb(trees []*Tree, t *dataset.Table) ([]float64, error) {
+	names := make([]string, len(trees[0].features))
+	for i, f := range trees[0].features {
 		names[i] = f.Name
 	}
 	cols, _, err := featureColumns(t, names)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, t.NumRows())
-	for r := range out {
-		n := tr.root
-		for !n.leaf {
-			s := split{isCat: n.isCat, thresh: n.thresh, level: n.level, feature: n.feature}
-			if goesLeft(&cols[n.feature], r, s) {
-				n = n.left
-			} else {
-				n = n.right
+	flat := make([][]flatNode, len(trees))
+	for k, tr := range trees {
+		flat[k] = tr.compile(cols)
+	}
+	n := t.NumRows()
+	out := make([]float64, n)
+	chunks := engine.Chunks(n, 0, predictChunkRows)
+	err = engine.ParallelFor(chunks, engine.Workers(0), nil, func(c int) {
+		lo, hi := engine.ChunkRange(n, chunks, c)
+		for r := lo; r < hi; r++ {
+			sum := 0.0
+			for _, nodes := range flat {
+				sum += leafProb(nodes, cols, r)
 			}
+			out[r] = sum / float64(len(flat))
 		}
-		out[r] = n.prob
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// leafProb routes row r down a compiled tree and returns its leaf's
+// probability. NaN goes left at a continuous split.
+func leafProb(nodes []flatNode, cols []column, r int) float64 {
+	i := int32(0)
+	for {
+		nd := &nodes[i]
+		if nd.left < 0 {
+			return nd.prob
+		}
+		c := &cols[nd.feature]
+		var l bool
+		if nd.isCat {
+			l = c.codes[r] == int(nd.code)
+		} else {
+			v := c.floats[r]
+			l = math.IsNaN(v) || v <= nd.thresh
+		}
+		if l {
+			i = nd.left
+		} else {
+			i = nd.right
+		}
+	}
 }
 
 // Depth returns the maximum depth of the tree (a single leaf has depth 0).
